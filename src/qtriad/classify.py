@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import TwoQubitState, triad
+from .states import DualityTriad, TwoQubitState, triad
 
 DEFAULT_CLASSIFY_TOL = 1e-9
 _DEGENERATE_TOL = 1e-12
@@ -33,9 +33,14 @@ def classify(s: TwoQubitState, tol: float = DEFAULT_CLASSIFY_TOL) -> frozenset[S
     Strata overlap (a maximally entangled state is both wave-less and
     particle-less), so the result is a set rather than a single category.
     """
+    return _strata(triad(s), tol)
+
+
+def _strata(t: DualityTriad, tol: float) -> frozenset[StratumLabel]:
+    """``classify`` of any state whose triad is ``t``."""
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    v, d, c = triad(s)
+    v, d, c = t
     labels = set()
     if c <= tol:
         labels.add(StratumLabel.SEPARABLE)

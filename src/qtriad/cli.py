@@ -11,9 +11,8 @@ import json
 import sys
 from typing import Sequence
 
-from .classify import DEFAULT_CLASSIFY_TOL, classify
-from .dataset import CSV_FORMAT, JSON_FORMAT, emit_dataset, label_names
-from .projection import ball_point, coords_from_state, quaternify, stereo_project
+from .dataset import CSV_FORMAT, JSON_FORMAT, emit_dataset, state_record
+from .projection import quaternify, stereo_project
 from .quaternion import is_infinite
 from .sampling import (
     FIXED_CONCURRENCE,
@@ -23,7 +22,7 @@ from .sampling import (
     fixed_concurrence_state,
     sample,
 )
-from .states import TwoQubitState, embed_correlated, make_correlated, make_state, triad
+from .states import TwoQubitState, embed_correlated, make_correlated, make_state
 from .verify import verify_suite
 
 _ANALYZE_COLUMNS = (
@@ -59,20 +58,19 @@ def _read_chi_file(path: str) -> list[complex]:
     return values
 
 
-def _analysis(state: TwoQubitState, tol: float = DEFAULT_CLASSIFY_TOL) -> dict:
-    v, d, c = triad(state)
-    x = coords_from_state(state)
-    b = ball_point(state)
+def _analysis(state: TwoQubitState) -> dict:
+    record = state_record(state)
+    x = [record[f"x{i}"] for i in range(5)]
     q = stereo_project(quaternify(state))
     return {
-        "V": v,
-        "D": d,
-        "C": c,
-        "x": list(x),
+        "V": record["V"],
+        "D": record["D"],
+        "C": record["C"],
+        "x": x,
         "Q": "inf" if is_infinite(q) else list(q.components()),
-        "ball": [b.x0, b.x1, b.x2],
-        "radius": b.radius,
-        "labels": label_names(classify(state, tol)),
+        "ball": x[:3],
+        "radius": record["radius"],
+        "labels": record["labels"],
     }
 
 

@@ -9,8 +9,8 @@ from __future__ import annotations
 import json
 from typing import IO, Iterable, Sequence
 
-from .classify import DEFAULT_CLASSIFY_TOL, StratumLabel, classify
-from .projection import ball_point, coords_from_state
+from .classify import DEFAULT_CLASSIFY_TOL, StratumLabel, _strata
+from .projection import BallPoint, coords_from_state
 from .states import TwoQubitState, triad
 
 DATASET_COLUMNS = (
@@ -37,18 +37,16 @@ def label_names(labels: Iterable[StratumLabel]) -> list[str]:
 
 def state_record(s: TwoQubitState, tol: float = DEFAULT_CLASSIFY_TOL) -> dict:
     """One analysis record: amplitudes, triad, sphere coords, radius, labels."""
-    v, d, c = triad(s)
+    t = triad(s)
     x = coords_from_state(s)
     record: dict = {}
     for k, a in enumerate(s.alpha):
         record[f"alpha{k}_re"] = a.real
         record[f"alpha{k}_im"] = a.imag
-    record["V"] = v
-    record["D"] = d
-    record["C"] = c
+    record["V"], record["D"], record["C"] = t
     record["x0"], record["x1"], record["x2"], record["x3"], record["x4"] = x
-    record["radius"] = ball_point(s).radius
-    record["labels"] = label_names(classify(s, tol))
+    record["radius"] = BallPoint(x.x0, x.x1, x.x2).radius
+    record["labels"] = label_names(_strata(t, tol))
     return record
 
 
@@ -61,18 +59,24 @@ def emit_dataset(
     """Write one record per state to an open text stream.
 
     CSV gets a header line even for an empty sequence; JSON is a list of
-    objects keyed by the same column names (labels as a list).
+    objects keyed by the same column names (labels as a list), written one
+    record at a time exactly as ``json.dump(records, indent=1)`` would.
     """
     if fmt == CSV_FORMAT:
         destination.write(",".join(DATASET_COLUMNS) + "\n")
-        for s in states:
-            record = state_record(s, tol)
+    elif fmt != JSON_FORMAT:
+        raise ValueError(f"unknown format {fmt!r}")
+    encoder = json.JSONEncoder(indent=1)
+    count = 0
+    for count, s in enumerate(states, 1):
+        record = state_record(s, tol)
+        if fmt == CSV_FORMAT:
             fields = [_fmt(record[col]) for col in DATASET_COLUMNS[:-1]]
             fields.append(";".join(record["labels"]))
             destination.write(",".join(fields) + "\n")
-    elif fmt == JSON_FORMAT:
-        records = [state_record(s, tol) for s in states]
-        json.dump(records, destination, indent=1)
-        destination.write("\n")
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
+        else:
+            # Records sit one level deep; JSON strings hold no raw newlines.
+            body = encoder.encode(record).replace("\n", "\n ")
+            destination.write(("[\n " if count == 1 else ",\n ") + body)
+    if fmt == JSON_FORMAT:
+        destination.write("\n]\n" if count else "[]\n")

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .quaternion import INFINITY, ExtendedQuaternion, Quaternion, is_infinite
-from .states import NORM_TOL, DualityTriad, TwoQubitState
+from .states import NORM_TOL, DualityTriad, TwoQubitState, _invariants
 
 # Below this |q2| the projection is treated as the point at infinity.
 INFINITY_THRESHOLD = 1e-14
@@ -99,14 +99,11 @@ def inverse_stereo(q: ExtendedQuaternion) -> S4Point:
 def coords_from_state(s: TwoQubitState) -> S4Point:
     """Sphere coordinates read directly off the amplitudes (no projection).
 
-    This route has no singularity at q2 = 0 and is the canonical one; the
+    This is the quaternionic Hopf map x = (|q1|^2 - |q2|^2, 2*q1*conj(q2)).
+    It has no singularity at q2 = 0 and is the canonical route; the
     stereographic composition is its cross-check.
     """
-    a0, a1, a2, a3 = s.alpha
-    p0 = abs(a0) ** 2 + abs(a1) ** 2
-    p1 = abs(a2) ** 2 + abs(a3) ** 2
-    coherence = a2.conjugate() * a0 + a3.conjugate() * a1
-    det = a1 * a2 - a0 * a3
+    p0, p1, coherence, det = _invariants(s)
     return S4Point(
         p0 - p1,
         2.0 * coherence.real,

@@ -101,19 +101,10 @@ class Quaternion:
             return Quaternion(self.z1 + other.z1, self.z2 + other.z2)
         return NotImplemented
 
-    def __sub__(self, other):
-        if isinstance(other, Quaternion):
-            return Quaternion(self.z1 - other.z1, self.z2 - other.z2)
-        return NotImplemented
-
     def __neg__(self):
         return Quaternion(-self.z1, -self.z2)
 
-    def __abs__(self) -> float:
-        return self.norm()
 
-
-ZERO = Quaternion(0j, 0j)
 ONE = Quaternion(1 + 0j, 0j)
 E1 = Quaternion(1j, 0j)
 E2 = Quaternion(0j, 1 + 0j)

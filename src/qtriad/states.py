@@ -2,14 +2,17 @@
 
 Amplitudes are ordered over the product basis |0e>, |0f>, |1e>, |1f>: the
 first label is the path qubit (0/1), the second the partner system (e/f).
-Two scalar combinations drive everything downstream:
+Three invariants of the amplitudes drive everything downstream:
 
+    imbalance   = p0 - p1 with p0 = |a0|^2 + |a1|^2, p1 = |a2|^2 + |a3|^2
     coherence   = conj(a2)*a0 + conj(a3)*a1      (off-diagonal of the path state)
     determinant = a1*a2 - a0*a3                  (amplitude-matrix determinant)
 
 Visibility is 2|coherence|, concurrence is 2|determinant|, and
-distinguishability is the population imbalance of the path qubit. For any
-normalized state V^2 + D^2 + C^2 = 1.
+distinguishability is |imbalance|. For any normalized state
+V^2 + D^2 + C^2 = 1. ``_invariants`` is the single source of the three; the
+oracle routes in ``verify`` deliberately do not use it, so that they stay
+independent checks of it.
 """
 
 from __future__ import annotations
@@ -44,28 +47,53 @@ class TwoQubitState:
         if len(alpha) != 4:
             raise ValueError("a two-qubit state needs exactly 4 amplitudes")
         object.__setattr__(self, "alpha", alpha)
-        n = math.sqrt(sum(a.real * a.real + a.imag * a.imag for a in alpha))
-        if not math.isfinite(n) or abs(n - 1.0) > NORM_TOL:
-            raise ValueError(f"amplitudes are not normalized: |amp| = {n!r}")
+        n, scale = _norm(alpha)
+        if not math.isfinite(n) or abs(n * scale - 1.0) > NORM_TOL:
+            raise ValueError(f"amplitudes are not normalized: |amp| = {n * scale!r}")
+
+
+def _norm(v: Sequence[complex]) -> tuple[float, float]:
+    """(n, scale) with |v| = n * scale, safe at any finite size of the entries.
+
+    scale is 1 unless the plain sum of squares overflows or falls below
+    2**-500, where underflow may have cost it bits; then it is the power of two
+    that brings the largest part into [1, 2). n is non-finite for non-finite
+    entries and 0 for all-zero ones.
+    """
+    n = math.sqrt(sum(c.real * c.real + c.imag * c.imag for c in v))
+    if 2.0**-500 <= n < math.inf:
+        return n, 1.0
+    parts = [p for c in v for p in (c.real, c.imag)]
+    if not all(map(math.isfinite, parts)) or not any(parts):
+        return n, 1.0
+    scale = 2.0 ** (math.frexp(max(map(abs, parts)))[1] - 1)
+    return math.sqrt(sum((p / scale) ** 2 for p in parts)), scale
+
+
+def _unit(v: tuple[complex, ...], n: float, scale: float) -> tuple[complex, ...]:
+    """v / |v|, given ``(n, scale) = _norm(v)``."""
+    if scale != 1.0:
+        v = tuple(complex(c.real / scale, c.imag / scale) for c in v)
+    return tuple(c / n for c in v)
 
 
 def make_state(amplitudes: Sequence[complex], normalize: bool = False) -> TwoQubitState:
     """Build a TwoQubitState from 4 amplitudes.
 
-    With ``normalize`` the input is rescaled to unit norm; without it, inputs
-    whose norm deviates from 1 by more than ``NORM_TOL`` are rejected so that
-    typos do not get silently absorbed.
+    With ``normalize`` the input is rescaled to unit norm, whatever its finite,
+    nonzero scale; without it, inputs whose norm deviates from 1 by more than
+    ``NORM_TOL`` are rejected so that typos do not get silently absorbed.
     """
     alpha = tuple(complex(a) for a in amplitudes)
     if len(alpha) != 4:
         raise ValueError("expected 4 amplitudes")
-    n = math.sqrt(sum(a.real * a.real + a.imag * a.imag for a in alpha))
+    n, scale = _norm(alpha)
     if not math.isfinite(n):
         raise ValueError("amplitudes must be finite")
     if n == 0.0:
         raise ValueError("all-zero amplitudes do not define a state")
     if normalize:
-        alpha = tuple(a / n for a in alpha)
+        alpha = _unit(alpha, n, scale)
     return TwoQubitState(alpha)
 
 
@@ -92,19 +120,15 @@ class CorrelatedState:
         object.__setattr__(self, "nu", complex(self.nu))
         object.__setattr__(self, "chi1", chi1)
         object.__setattr__(self, "chi2", chi2)
-        n1 = _vec_norm(chi1)
-        n2 = _vec_norm(chi2)
+        n1, scale1 = _norm(chi1)
+        n2, scale2 = _norm(chi2)
         if not (math.isfinite(n1) and math.isfinite(n2)):
             raise ValueError("chi entries must be finite")
-        if abs(n1 - 1.0) > NORM_TOL or abs(n2 - 1.0) > NORM_TOL:
+        if abs(n1 * scale1 - 1.0) > NORM_TOL or abs(n2 * scale2 - 1.0) > NORM_TOL:
             raise ValueError("chi1 and chi2 must be unit vectors")
         w = math.hypot(abs(self.mu), abs(self.nu))
         if not math.isfinite(w) or abs(w - 1.0) > NORM_TOL:
             raise ValueError("|mu|^2 + |nu|^2 must equal 1")
-
-
-def _vec_norm(v) -> float:
-    return math.sqrt(sum(c.real * c.real + c.imag * c.imag for c in v))
 
 
 def make_correlated(
@@ -124,14 +148,14 @@ def make_correlated(
     c2 = tuple(complex(c) for c in chi2)
     m, n = complex(mu), complex(nu)
     if normalize:
-        n1 = _vec_norm(c1)
-        n2 = _vec_norm(c2)
+        n1, scale1 = _norm(c1)
+        n2, scale2 = _norm(c2)
         if n1 == 0.0 or n2 == 0.0:
             raise ValueError("chi vectors must have nonzero norm")
-        c1 = tuple(c / n1 for c in c1)
-        c2 = tuple(c / n2 for c in c2)
-        m *= n1
-        n *= n2
+        c1 = _unit(c1, n1, scale1)
+        c2 = _unit(c2, n2, scale2)
+        m *= n1 * scale1
+        n *= n2 * scale2
         w = math.hypot(abs(m), abs(n))
         if w == 0.0:
             raise ValueError("mu and nu cannot both vanish")
@@ -179,20 +203,19 @@ class DensityMatrix2:
         if not abs(self.rho01) <= 1.0 or min(self.eigenvalues()) < -NORM_TOL:
             raise ValueError("matrix must be positive semidefinite")
 
-    @property
-    def rho10(self) -> complex:
-        return self.rho01.conjugate()
-
     def eigenvalues(self) -> tuple[float, float]:
         """Eigenvalues in descending order (closed form for 2x2 Hermitian)."""
         mean = 0.5 * (self.rho00 + self.rho11)
         off = math.hypot(0.5 * (self.rho00 - self.rho11), abs(self.rho01))
         return (mean + off, mean - off)
 
-    def as_array(self) -> np.ndarray:
-        return np.array(
-            [[self.rho00, self.rho01], [self.rho10, self.rho11]], dtype=complex
-        )
+
+def _invariants(s: TwoQubitState) -> tuple[float, float, complex, complex]:
+    """(p0, p1, coherence, determinant); the imbalance is always p0 - p1."""
+    a0, a1, a2, a3 = s.alpha
+    p0 = abs(a0) ** 2 + abs(a1) ** 2
+    p1 = abs(a2) ** 2 + abs(a3) ** 2
+    return p0, p1, a2.conjugate() * a0 + a3.conjugate() * a1, a1 * a2 - a0 * a3
 
 
 def reduced_density_photon(s: TwoQubitState) -> DensityMatrix2:
@@ -200,10 +223,8 @@ def reduced_density_photon(s: TwoQubitState) -> DensityMatrix2:
 
     The off-diagonal is stored as the coherence term conj(a2)*a0 + conj(a3)*a1.
     """
-    a0, a1, a2, a3 = s.alpha
-    p0 = abs(a0) ** 2 + abs(a1) ** 2
-    p1 = abs(a2) ** 2 + abs(a3) ** 2
-    return DensityMatrix2(p0, a2.conjugate() * a0 + a3.conjugate() * a1, p1)
+    p0, p1, coherence, _ = _invariants(s)
+    return DensityMatrix2(p0, coherence, p1)
 
 
 def reduced_density_second(s: TwoQubitState) -> DensityMatrix2:
@@ -220,15 +241,12 @@ def reduced_density_second(s: TwoQubitState) -> DensityMatrix2:
 
 def visibility(s: TwoQubitState) -> float:
     """Interference-fringe visibility: twice the path-qubit coherence modulus."""
-    a0, a1, a2, a3 = s.alpha
-    return 2.0 * abs(a2.conjugate() * a0 + a3.conjugate() * a1)
+    return 2.0 * abs(_invariants(s)[2])
 
 
 def distinguishability(s: TwoQubitState) -> float:
     """Which-path knowledge: absolute population imbalance of the path qubit."""
-    a0, a1, a2, a3 = s.alpha
-    p0 = abs(a0) ** 2 + abs(a1) ** 2
-    p1 = abs(a2) ** 2 + abs(a3) ** 2
+    p0, p1, _, _ = _invariants(s)
     return abs(p0 - p1)
 
 
@@ -238,13 +256,13 @@ def concurrence(s: TwoQubitState) -> float:
     Equals twice the modulus of the amplitude-matrix determinant, hence 0 for
     product states and 1 for maximally entangled ones.
     """
-    a0, a1, a2, a3 = s.alpha
-    return 2.0 * abs(a1 * a2 - a0 * a3)
+    return 2.0 * abs(_invariants(s)[3])
 
 
 def triad(s: TwoQubitState) -> DualityTriad:
     """The (V, D, C) triple; satisfies V^2 + D^2 + C^2 = 1."""
-    return DualityTriad(visibility(s), distinguishability(s), concurrence(s))
+    p0, p1, coherence, det = _invariants(s)
+    return DualityTriad(2.0 * abs(coherence), abs(p0 - p1), 2.0 * abs(det))
 
 
 def second_subsystem_triad(s: TwoQubitState) -> DualityTriad:
@@ -269,14 +287,14 @@ def fringe_extrema(s: TwoQubitState, grid: int = 360) -> tuple[float, float]:
     """
     if grid < 4:
         raise ValueError("grid must be at least 4")
-    a0, a1, a2, a3 = s.alpha
-    coherence = a2.conjugate() * a0 + a3.conjugate() * a1
+    coherence = _invariants(s)[2]
     peak = cmath.phase(coherence) if coherence != 0 else 0.0
     deltas = np.empty(grid + 2)
     deltas[:grid] = np.arange(grid) * (2.0 * math.pi / grid)
     deltas[grid] = peak
     deltas[grid + 1] = peak + math.pi
     phase = np.exp(1j * deltas)
+    a0, a1, a2, a3 = s.alpha
     p = 0.5 * np.abs(a0 + phase * a2) ** 2 + 0.5 * np.abs(a1 + phase * a3) ** 2
     return (float(p.max()), float(p.min()))
 

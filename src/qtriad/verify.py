@@ -24,11 +24,13 @@ from .quaternion import is_infinite
 from .sampling import HAAR, SEPARABLE, SampleSpec, sample_haar, sample_separable
 from .states import (
     TwoQubitState,
+    _invariants,
     concurrence,
     distinguishability,
     fringe_extrema,
     purity,
     reduced_density_photon,
+    triad,
     visibility,
 )
 
@@ -44,10 +46,6 @@ DEFAULT_TOLERANCES = {
     "separable_plane": 1e-12,
     "unit_q_iff_d0": 1e-10,
 }
-
-# States with |q2| below this are skipped by the projection cross-check; the
-# direct coordinate route stays exact there, so nothing is left unverified.
-DUAL_ROUTE_CUTOFF = 1e-7
 
 _PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _SYY = np.kron(_PAULI_Y, _PAULI_Y)
@@ -134,12 +132,11 @@ def check_identity(
     concurrence_fn: Callable[[TwoQubitState], float] | None = None,
 ) -> CheckResult:
     """max |V^2 + D^2 + C^2 - 1| over the sample."""
-    cf = concurrence_fn if concurrence_fn is not None else concurrence
     worst = 0.0
     for s in states:
-        v = visibility(s)
-        d = distinguishability(s)
-        c = cf(s)
+        v, d, c = triad(s)
+        if concurrence_fn is not None:
+            c = concurrence_fn(s)
         err = abs(v * v + d * d + c * c - 1.0)
         if err > worst:
             worst = err
@@ -151,29 +148,19 @@ def check_dual_route(
     tolerance: float = DEFAULT_TOLERANCES["s4_dual_route"],
     norm_tolerance: float = DEFAULT_TOLERANCES["s4_unit_norm"],
 ) -> tuple[CheckResult, CheckResult]:
-    """Direct coordinates vs the projection composition, plus sphere closure.
-
-    States inside the ``DUAL_ROUTE_CUTOFF`` band around q2 = 0 are excluded
-    from the route comparison (the projection is ill-conditioned there) but
-    still contribute to the unit-norm check of the direct route.
-    """
+    """Direct coordinates vs the projection composition, plus sphere closure."""
     worst_route = 0.0
     worst_norm = 0.0
-    compared = 0
     for s in states:
         direct = coords_from_state(s)
         worst_norm = max(worst_norm, abs(sum(x * x for x in direct) - 1.0))
-        sp = quaternify(s)
-        if sp.q2.norm() < DUAL_ROUTE_CUTOFF:
-            continue
-        compared += 1
-        lifted = inverse_stereo(stereo_project(sp))
+        lifted = inverse_stereo(stereo_project(quaternify(s)))
         worst_norm = max(worst_norm, abs(sum(x * x for x in lifted) - 1.0))
         worst_route = max(
             worst_route, max(abs(a - b) for a, b in zip(direct, lifted))
         )
     return (
-        _result("s4_dual_route", compared, worst_route, tolerance),
+        _result("s4_dual_route", len(states), worst_route, tolerance),
         _result("s4_unit_norm", len(states), worst_norm, norm_tolerance),
     )
 
@@ -222,8 +209,7 @@ def check_purity(
     """V^2 + D^2 against 2*Tr(rho^2) - 1 of the reduced path state."""
     worst = 0.0
     for s in states:
-        v = visibility(s)
-        d = distinguishability(s)
+        v, d, _ = triad(s)
         worst = max(
             worst, abs(v * v + d * d - (2.0 * purity(reduced_density_photon(s)) - 1.0))
         )
@@ -237,8 +223,7 @@ def check_separable_plane(
     """Product states must project into the complex plane (no e2/e3 part)."""
     worst = 0.0
     for s in states:
-        a0, a1, a2, a3 = s.alpha
-        worst = max(worst, abs(a1 * a2 - a0 * a3))
+        worst = max(worst, abs(_invariants(s)[3]))
         q = stereo_project(quaternify(s))
         if is_infinite(q):
             worst = math.inf
@@ -249,13 +234,12 @@ def check_separable_plane(
 
 def _zero_imbalance_variant(s: TwoQubitState) -> TwoQubitState | None:
     # Rescale both branches to weight 1/2; keeps coherences, forces D ~ 0.
-    a0, a1, a2, a3 = s.alpha
-    p0 = abs(a0) ** 2 + abs(a1) ** 2
-    p1 = abs(a2) ** 2 + abs(a3) ** 2
+    p0, p1, _, _ = _invariants(s)
     if p0 < 1e-12 or p1 < 1e-12:
         return None
     f0 = math.sqrt(0.5 / p0)
     f1 = math.sqrt(0.5 / p1)
+    a0, a1, a2, a3 = s.alpha
     return TwoQubitState((a0 * f0, a1 * f0, a2 * f1, a3 * f1))
 
 

@@ -5,8 +5,16 @@ import math
 import numpy as np
 import pytest
 
+from qtriad import classify as classify_module
+from qtriad import dataset as dataset_module
+from qtriad import projection as projection_module
 from qtriad.dataset import DATASET_COLUMNS, emit_dataset, state_record
-from qtriad.sampling import FIXED_CONCURRENCE, SampleSpec, sample_fixed_concurrence
+from qtriad.sampling import (
+    FIXED_CONCURRENCE,
+    SampleSpec,
+    haar_state,
+    sample_fixed_concurrence,
+)
 from qtriad.states import make_state
 
 BELL = make_state((1, 0, 0, 1), normalize=True)
@@ -74,6 +82,33 @@ def test_json_records_match_columns():
     assert list(records[0].keys()) == list(DATASET_COLUMNS)
     assert isinstance(records[0]["labels"], list)
     assert records[0]["labels"][0] == "MaximallyEntangled"
+
+
+def test_json_stream_matches_json_dump():
+    states = [BELL, make_state((1, 0, 0, 0)), *(haar_state(42, i) for i in range(3))]
+    assert any(not state_record(s)["labels"] for s in states)
+    for n in (0, 1, len(states)):
+        records = [state_record(s) for s in states[:n]]
+        expected = json.dumps(records, indent=1) + "\n"
+        assert emit_to_string(states[:n], "json") == expected
+
+
+def test_state_record_analyses_the_state_once(monkeypatch):
+    calls = []
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    for module in (dataset_module, projection_module, classify_module):
+        for name in ("triad", "coords_from_state"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    state_record(haar_state(42, 0))
+    assert sorted(calls) == ["coords_from_state", "triad"]
 
 
 def test_state_record_consistency():

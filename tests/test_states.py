@@ -74,6 +74,59 @@ def test_make_state_rejects_zero_and_wrong_arity():
         make_state((1, 0, 0))
 
 
+@pytest.mark.parametrize("scale", [1e200, 1e-200, 5e-324, 1.7e308])
+def test_make_state_normalizes_any_finite_scale(scale):
+    s = make_state((scale, 0, 0, scale), normalize=True)
+    assert abs(concurrence(s) - 1.0) <= 1e-15
+    for a in (s.alpha[0], s.alpha[3]):
+        assert abs(a - 1 / math.sqrt(2)) <= 1e-15
+
+
+@pytest.mark.parametrize(
+    "amps, message",
+    [
+        ((math.nan, 0, 0, 1), "amplitudes must be finite"),
+        ((math.inf, 0, 0, 1), "amplitudes must be finite"),
+        ((1e200, complex(0, -math.inf), 0, 1), "amplitudes must be finite"),
+        ((0, 0, 0, 0), "all-zero amplitudes do not define a state"),
+    ],
+)
+@pytest.mark.parametrize("normalize", [False, True])
+def test_make_state_rejects_nonfinite_and_zero(amps, message, normalize):
+    with pytest.raises(ValueError, match=message):
+        make_state(amps, normalize=normalize)
+
+
+def test_make_state_without_flag_reports_the_real_norm():
+    with pytest.raises(ValueError, match=r"\|amp\| = 1\.41421356237309\d*e\+200"):
+        make_state((1e200, 0, 0, 1e200))
+
+
+def test_make_state_in_range_normalization_keeps_its_bits():
+    # In range, normalization is exactly a / sqrt(sum of squares), bit for bit.
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        v = rng.normal(size=8) * 10.0 ** rng.uniform(-100.0, 100.0)
+        amps = [complex(v[2 * k], v[2 * k + 1]) for k in range(4)]
+        n = math.sqrt(sum(a.real * a.real + a.imag * a.imag for a in amps))
+        expected = tuple(a / n for a in amps)
+        assert repr(make_state(amps, normalize=True).alpha) == repr(expected)
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_make_correlated_ignores_the_scale_of_chi(scale):
+    chi1, chi2 = (0.6, 0.8j, 0.0), (0.3, -0.1, 0.2 + 0.5j)
+    base = make_correlated(0.6, 0.8, chi1, chi2, normalize=True)
+    scaled = make_correlated(
+        0.6, 0.8, [scale * c for c in chi1], [scale * c for c in chi2], normalize=True
+    )
+    for a, b in zip(
+        (base.mu, base.nu, *base.chi1, *base.chi2),
+        (scaled.mu, scaled.nu, *scaled.chi1, *scaled.chi2),
+    ):
+        assert abs(a - b) <= 1e-15
+
+
 # ---------------------------------------------------------- reduced densities
 
 def test_reduced_photon_basis_state():

@@ -5,6 +5,7 @@ import numpy as np
 from qtriad.states import concurrence, make_state
 from qtriad.verify import (
     DEFAULT_TOLERANCES,
+    check_dual_route,
     check_identity,
     concurrence_bilinear,
     verify_suite,
@@ -33,6 +34,19 @@ def test_suite_passes_on_seeded_sample():
         assert c.max_error <= c.tolerance
         assert c.samples > 0
     assert report.notes
+
+
+def test_dual_route_compares_every_state_near_the_pole():
+    # |q2| spans the band down to the point at infinity (threshold 1e-14).
+    states = [
+        make_state((0.8, 0.6j, r * phase * 0.6, r * 0.8j), normalize=True)
+        for r in (1e-3, 1e-7, 1e-11, 1e-13, 1.01e-14, 0.99e-14, 0.0)
+        for phase in (1, -1j)
+    ]
+    route, closure = check_dual_route(states)
+    assert route.samples == closure.samples == len(states)
+    assert route.passed and closure.passed
+    assert route.max_error <= 1e-13
 
 
 def test_uniform_tolerance_override():
