@@ -154,8 +154,11 @@ def make_correlated(
             raise ValueError("chi vectors must have nonzero norm")
         c1 = _unit(c1, n1, scale1)
         c2 = _unit(c2, n2, scale2)
-        m *= n1 * scale1
-        n *= n2 * scale2
+        # Only the ratio of the two weights survives the division by w, so
+        # the larger scale is divided out instead of multiplied back in.
+        big = max(scale1, scale2)
+        m *= n1 * (scale1 / big)
+        n *= n2 * (scale2 / big)
         w = math.hypot(abs(m), abs(n))
         if w == 0.0:
             raise ValueError("mu and nu cannot both vanish")
@@ -241,13 +244,12 @@ def reduced_density_second(s: TwoQubitState) -> DensityMatrix2:
 
 def visibility(s: TwoQubitState) -> float:
     """Interference-fringe visibility: twice the path-qubit coherence modulus."""
-    return 2.0 * abs(_invariants(s)[2])
+    return triad(s).V
 
 
 def distinguishability(s: TwoQubitState) -> float:
     """Which-path knowledge: absolute population imbalance of the path qubit."""
-    p0, p1, _, _ = _invariants(s)
-    return abs(p0 - p1)
+    return triad(s).D
 
 
 def concurrence(s: TwoQubitState) -> float:
@@ -256,7 +258,7 @@ def concurrence(s: TwoQubitState) -> float:
     Equals twice the modulus of the amplitude-matrix determinant, hence 0 for
     product states and 1 for maximally entangled ones.
     """
-    return 2.0 * abs(_invariants(s)[3])
+    return triad(s).C
 
 
 def triad(s: TwoQubitState) -> DualityTriad:

@@ -113,9 +113,17 @@ def test_make_state_in_range_normalization_keeps_its_bits():
         assert repr(make_state(amps, normalize=True).alpha) == repr(expected)
 
 
-@pytest.mark.parametrize("scale", [1e200, 1e-200])
-def test_make_correlated_ignores_the_scale_of_chi(scale):
-    chi1, chi2 = (0.6, 0.8j, 0.0), (0.3, -0.1, 0.2 + 0.5j)
+# Entries of 0 and +-1 (or +-1j) stay exact when scaled to the float limits.
+@pytest.mark.parametrize(
+    "scale, chi1, chi2",
+    [
+        (1e200, (0.6, 0.8j, 0.0), (0.3, -0.1, 0.2 + 0.5j)),
+        (1e-200, (0.6, 0.8j, 0.0), (0.3, -0.1, 0.2 + 0.5j)),
+        (1.7e308, (1.0, 1.0, 1.0), (1.0, 0.0, -1j)),
+        (5e-324, (1.0, 1.0, 1.0), (1.0, 0.0, -1j)),
+    ],
+)
+def test_make_correlated_ignores_the_scale_of_chi(scale, chi1, chi2):
     base = make_correlated(0.6, 0.8, chi1, chi2, normalize=True)
     scaled = make_correlated(
         0.6, 0.8, [scale * c for c in chi1], [scale * c for c in chi2], normalize=True
