@@ -7,7 +7,7 @@ equal inputs produce byte-identical files and every value round-trips.
 from __future__ import annotations
 
 import json
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable
 
 from .classify import DEFAULT_CLASSIFY_TOL, StratumLabel, _strata
 from .projection import BallPoint, coords_from_state
@@ -51,14 +51,16 @@ def state_record(s: TwoQubitState, tol: float = DEFAULT_CLASSIFY_TOL) -> dict:
 
 
 def emit_dataset(
-    states: Sequence[TwoQubitState],
+    states: Iterable[TwoQubitState],
     fmt: str,
     destination: IO[str],
     tol: float = DEFAULT_CLASSIFY_TOL,
 ) -> None:
     """Write one record per state to an open text stream.
 
-    CSV gets a header line even for an empty sequence; JSON is a list of
+    ``states`` is iterated once, and each record is written before the next
+    state is drawn, so a lazy stream is never held in memory. CSV gets a
+    header line even for no states; JSON is a list of
     objects keyed by the same column names (labels as a list), written one
     record at a time exactly as ``json.dump(records, indent=1)`` would.
     """

@@ -4,18 +4,31 @@ Reproducibility contract
 ------------------------
 Sample ``i`` of a run is a pure function of ``(seed, i)``:
 
-* Randomness comes from numpy's Philox counter-based generator keyed by the
-  64-bit seed. Sample ``i`` owns the private counter block starting at
-  ``i * 2**128``, so streams never overlap and any subset of indices can be
-  generated independently, in any order, on any number of workers.
-* Uniform doubles are the generator's standard 53-bit variates.
+* Randomness is Philox4x64-10 (Salmon et al., "Parallel random numbers: as
+  easy as 1, 2, 3", SC'11) keyed by the 64-bit seed: key words
+  ``(seed, 0)``, and sample ``i`` owns the counter block starting at
+  ``i * 2**128``, so its t-th draw of four words (t = 1, 2, ...) has counter
+  words ``(t, 0, i mod 2**64, i >> 64)``. Streams never overlap and any
+  subset of indices can be generated independently, in any order, on any
+  number of workers.
+* Uniform doubles are the 53-bit variates ``(word >> 11) * 2**-53``.
 * Normal variates use the Marsaglia polar method: consecutive uniform pairs
   (u, v) are mapped to (2u-1, 2v-1), rejected unless 0 < s = x^2+y^2 < 1, and
   accepted pairs yield (x, y) * sqrt(-2 ln(s)/s). Uniforms are consumed in
   blocks of 16.
 
-The same (seed, index) therefore reproduces the same state bit for bit across
-runs and platforms, which is what lets dataset emission be byte-stable.
+The streams are computed in this package, a block of ``_BLOCK`` consecutive
+indices at a time, with the Philox rounds, the uniforms and the polar
+acceptance as array code; ``tests/test_sampling.py`` pins those words and
+uniforms to ``numpy.random.Philox`` and ``Generator.random``. The per-index
+functions (``haar_state`` and the rest) draw from ``numpy.random.Philox``
+itself; the batched stream hands them every index whose first 16-uniform
+block has too few accepted pairs, and the two agree bit for bit.
+``math.log``, ``math.hypot``, ``math.cos`` and ``math.sin`` are called one
+value at a time on both paths, because their numpy counterparts round
+differently. The same (seed, index) therefore reproduces the same state bit
+for bit in every run, and on every platform whose numpy and whose
+``math.log``, ``math.hypot``, ``math.cos`` and ``math.sin`` agree.
 
 Ensembles
 ---------
@@ -31,7 +44,9 @@ bloch       deterministic theta grid of single-qubit product states (no
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -45,6 +60,20 @@ BLOCH_GRID = "bloch"
 ENSEMBLES = (HAAR, SEPARABLE, FIXED_CONCURRENCE, BLOCH_GRID)
 
 _MAX_SEED = 2**64 - 1
+
+# Indices per batched kernel call. It bounds the working arrays, and with
+# them the memory a stream of any length needs.
+_BLOCK = 256
+
+# Philox4x64 round multipliers and key-schedule increments.
+_PHILOX_M0 = 0xD2E7470EE14C6C93
+_PHILOX_M1 = 0xCA5A826395121157
+_PHILOX_W0 = 0x9E3779B97F4A7C15
+_PHILOX_W1 = 0xBB67AE8584CAA73B
+_PHILOX_ROUNDS = 10
+_LOW32 = np.uint64(0xFFFFFFFF)
+_SHIFT32 = np.uint64(32)
+_SHIFT11 = np.uint64(11)
 
 
 @dataclass(frozen=True, slots=True)
@@ -68,8 +97,57 @@ class SampleSpec:
                 raise ValueError("fixedc requires a concurrence c in [0, 1]")
 
 
+class Samples:
+    """Sized, re-iterable states that are drawn on every pass, never stored.
+
+    ``len`` is known up front; each iteration draws the states afresh, so a
+    dataset of any size streams through ``emit_dataset`` in bounded memory.
+    """
+
+    __slots__ = ("_count", "_draw")
+
+    def __init__(self, count: int, draw: Callable[[], Iterator[TwoQubitState]]):
+        self._count = count
+        self._draw = draw
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __iter__(self) -> Iterator[TwoQubitState]:
+        return self._draw()
+
+
+# ------------------------------------------------------------ per-index path
+
+
+_per_thread = threading.local()
+
+
 def _substream(seed: int, index: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=seed, counter=index << 128))
+    """``Generator(Philox(key=seed, counter=index << 128))``, valid until the
+    calling thread's next ``_substream`` call.
+
+    Each thread resets one generator instead of building one per index:
+    building costs about 20 us, half of it a seed sequence that gathers OS
+    entropy only for the key to override it; the reset costs about 5 us.
+    """
+    if not (0 <= seed < 2**128 and 0 <= index < 2**128):
+        raise ValueError("seed and index must lie in [0, 2**128)")
+    gen = getattr(_per_thread, "gen", None)
+    if gen is None:
+        gen = _per_thread.gen = np.random.Generator(np.random.Philox(0))
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {
+            "counter": np.array([0, 0, index & _MAX_SEED, index >> 64], dtype=np.uint64),
+            "key": np.array([seed & _MAX_SEED, seed >> 64], dtype=np.uint64),
+        },
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,  # empty: the first draw steps the counter to 1
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return gen
 
 
 def _polar_normals(gen: np.random.Generator, count: int) -> list[float]:
@@ -97,9 +175,11 @@ def _normalized_pair(n0, n1, n2, n3) -> tuple[complex, complex]:
     return a / w, b / w
 
 
-def haar_state(seed: int, index: int) -> TwoQubitState:
-    """Haar-random two-qubit pure state for the given stream index."""
-    n = _polar_normals(_substream(seed, index), 8)
+# State assembly from drawn normals (and phase uniforms), shared by the
+# per-index functions and the batched stream so both round identically.
+
+
+def _haar(n: list[float]) -> TwoQubitState:
     w = math.hypot(*n)
     return TwoQubitState(
         (
@@ -111,22 +191,56 @@ def haar_state(seed: int, index: int) -> TwoQubitState:
     )
 
 
-def separable_state(seed: int, index: int) -> TwoQubitState:
-    """Product of two independent Haar single-qubit states."""
-    n = _polar_normals(_substream(seed, index), 8)
+def _separable(n: list[float]) -> TwoQubitState:
     a, b = _normalized_pair(n[0], n[1], n[2], n[3])
     c, d = _normalized_pair(n[4], n[5], n[6], n[7])
     return TwoQubitState((a * c, a * d, b * c, b * d))
 
 
-def _haar_qubit_unitary(gen) -> tuple[complex, complex, complex, complex]:
+def _qubit_unitary(n0, n1, n2, n3, u: float) -> tuple[complex, complex, complex, complex]:
     # Haar on U(2): uniform phase times an SU(2) element built from a point
     # on S^3. Returned row-major as (u00, u01, u10, u11).
-    n = _polar_normals(gen, 4)
-    a, b = _normalized_pair(n[0], n[1], n[2], n[3])
-    t = 2.0 * math.pi * float(gen.random())
+    a, b = _normalized_pair(n0, n1, n2, n3)
+    t = 2.0 * math.pi * u
     phase = complex(math.cos(t), math.sin(t))
     return (phase * a, -phase * b.conjugate(), phase * b, phase * a.conjugate())
+
+
+def _haar_qubit_unitary(gen) -> tuple[complex, complex, complex, complex]:
+    n = _polar_normals(gen, 4)
+    return _qubit_unitary(*n, gen.random())
+
+
+def _schmidt_weights(c: float) -> tuple[float, float]:
+    """(lambda1, lambda2) with 2*lambda1*lambda2 = c."""
+    if not 0.0 <= c <= 1.0:
+        raise ValueError("concurrence must lie in [0, 1]")
+    root = math.sqrt(max(1.0 - c * c, 0.0))
+    return math.sqrt(0.5 * (1.0 + root)), math.sqrt(max(0.5 * (1.0 - root), 0.0))
+
+
+def _rotated_schmidt(lam1, lam2, u, w) -> TwoQubitState:
+    # (U x W) applied to (lam1, 0, 0, lam2).
+    u00, u01, u10, u11 = u
+    w00, w01, w10, w11 = w
+    return TwoQubitState(
+        (
+            lam1 * u00 * w00 + lam2 * u01 * w01,
+            lam1 * u00 * w10 + lam2 * u01 * w11,
+            lam1 * u10 * w00 + lam2 * u11 * w01,
+            lam1 * u10 * w10 + lam2 * u11 * w11,
+        )
+    )
+
+
+def haar_state(seed: int, index: int) -> TwoQubitState:
+    """Haar-random two-qubit pure state for the given stream index."""
+    return _haar(_polar_normals(_substream(seed, index), 8))
+
+
+def separable_state(seed: int, index: int) -> TwoQubitState:
+    """Product of two independent Haar single-qubit states."""
+    return _separable(_polar_normals(_substream(seed, index), 8))
 
 
 def fixed_concurrence_state(seed: int, index: int, c: float) -> TwoQubitState:
@@ -136,23 +250,117 @@ def fixed_concurrence_state(seed: int, index: int, c: float) -> TwoQubitState:
     2*lambda1*lambda2 = c and applies independent Haar unitaries to both
     qubits, which moves the state around its shell without changing C.
     """
-    if not 0.0 <= c <= 1.0:
-        raise ValueError("concurrence must lie in [0, 1]")
-    root = math.sqrt(max(1.0 - c * c, 0.0))
-    lam1 = math.sqrt(0.5 * (1.0 + root))
-    lam2 = math.sqrt(max(0.5 * (1.0 - root), 0.0))
+    lam1, lam2 = _schmidt_weights(c)
     gen = _substream(seed, index)
-    u00, u01, u10, u11 = _haar_qubit_unitary(gen)
-    w00, w01, w10, w11 = _haar_qubit_unitary(gen)
-    # (U x W) applied to (lam1, 0, 0, lam2).
-    return TwoQubitState(
-        (
-            lam1 * u00 * w00 + lam2 * u01 * w01,
-            lam1 * u00 * w10 + lam2 * u01 * w11,
-            lam1 * u10 * w00 + lam2 * u11 * w01,
-            lam1 * u10 * w10 + lam2 * u11 * w11,
-        )
-    )
+    u = _haar_qubit_unitary(gen)
+    return _rotated_schmidt(lam1, lam2, u, _haar_qubit_unitary(gen))
+
+
+# -------------------------------------------------------------- batched path
+
+
+def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low words of the 128-bit products m * x, from 32-bit halves."""
+    m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
+    x_lo, x_hi = x & _LOW32, x >> _SHIFT32
+    # Neither partial sum can pass 2**64.
+    t = m_lo * x_hi + ((m_lo * x_lo) >> _SHIFT32)
+    u = m_hi * x_lo + (t & _LOW32)
+    return m_hi * x_hi + (t >> _SHIFT32) + (u >> _SHIFT32), x * np.uint64(m)
+
+
+def _philox_words(seed: int, start: int, n: int, steps: int) -> np.ndarray:
+    """``(n, 4*steps)`` uint64: row r holds the first ``steps`` counter
+    blocks' outputs of index ``start + r``, in the order they are drawn."""
+    lo = np.uint64(start & _MAX_SEED)
+    index_lo = np.arange(n, dtype=np.uint64) + lo  # wraps mod 2**64
+    index_hi = (index_lo < lo) + np.uint64(start >> 64)
+    c0 = np.tile(np.arange(1, steps + 1, dtype=np.uint64), n)
+    c1 = np.zeros_like(c0)
+    c2 = np.repeat(index_lo, steps)
+    c3 = np.repeat(index_hi, steps)
+    k0, k1 = seed, 0
+    for _ in range(_PHILOX_ROUNDS):
+        hi0, lo0 = _mulhilo(_PHILOX_M0, c0)
+        hi1, lo1 = _mulhilo(_PHILOX_M1, c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ np.uint64(k0), lo1, hi0 ^ c3 ^ np.uint64(k1), lo0
+        k0 = (k0 + _PHILOX_W0) & _MAX_SEED
+        k1 = (k1 + _PHILOX_W1) & _MAX_SEED
+    return np.stack((c0, c1, c2, c3), axis=1).reshape(n, 4 * steps)
+
+
+def _uniforms(words: np.ndarray) -> np.ndarray:
+    return (words >> _SHIFT11).astype(np.float64) * 2.0**-53
+
+
+def _accepted_normals(u: np.ndarray, blocks) -> tuple[np.ndarray, np.ndarray]:
+    """Rows whose 16-uniform blocks each hold enough accepted polar pairs,
+    and those rows' normals: the first ``pairs`` accepted pairs of each
+    ``(offset, pairs)`` block, in draw order."""
+    ok = np.ones(len(u), dtype=bool)
+    parts = []
+    for offset, pairs in blocks:
+        x = 2.0 * u[:, offset : offset + 16 : 2] - 1.0
+        y = 2.0 * u[:, offset + 1 : offset + 16 : 2] - 1.0
+        s = x * x + y * y
+        accepted = (0.0 < s) & (s < 1.0)
+        rank = np.cumsum(accepted, axis=1)
+        ok &= rank[:, -1] >= pairs
+        parts.append((x, y, s, accepted & (rank <= pairs), pairs))
+    normals = []
+    for x, y, s, first, pairs in parts:
+        first &= ok[:, None]
+        s = s[first]
+        log_s = np.array(list(map(math.log, s.tolist())))
+        f = np.sqrt(-2.0 * log_s / s)
+        pair = np.stack((x[first] * f, y[first] * f), axis=1)
+        normals.append(pair.reshape(-1, 2 * pairs))
+    return ok, np.concatenate(normals, axis=1)
+
+
+# What one index draws, per ensemble: Philox counter steps (four words
+# each), the (offset, accepted pairs) of each 16-uniform polar block, and the
+# offsets of the single uniforms that set unitary phases. fixedc draws 16
+# uniforms for U's normals, 1 for its phase, then the same for W.
+_LAYOUT = {
+    HAAR: (4, ((0, 4),), []),
+    SEPARABLE: (4, ((0, 4),), []),
+    FIXED_CONCURRENCE: (9, ((0, 2), (17, 2)), [16, 33]),
+}
+
+
+def _stream(spec: SampleSpec, start: int = 0) -> Iterator[TwoQubitState]:
+    """States of ``spec`` at indices ``start .. start + spec.count - 1``."""
+    seed = spec.seed
+    steps, blocks, phases = _LAYOUT[spec.ensemble]
+    if spec.ensemble == HAAR:
+        build = _haar
+        fallback = lambda i: haar_state(seed, i)
+    elif spec.ensemble == SEPARABLE:
+        build = _separable
+        fallback = lambda i: separable_state(seed, i)
+    else:
+        c = spec.c
+        lam1, lam2 = _schmidt_weights(c)
+
+        def build(r: list[float]) -> TwoQubitState:
+            u = _qubit_unitary(r[0], r[1], r[2], r[3], r[8])
+            w = _qubit_unitary(r[4], r[5], r[6], r[7], r[9])
+            return _rotated_schmidt(lam1, lam2, u, w)
+
+        fallback = lambda i: fixed_concurrence_state(seed, i, c)
+    stop = start + spec.count
+    for first in range(start, stop, _BLOCK):
+        n = min(_BLOCK, stop - first)
+        u = _uniforms(_philox_words(seed, first, n, steps))
+        ok, normals = _accepted_normals(u, blocks)
+        if phases:
+            normals = np.concatenate((normals, u[ok][:, phases]), axis=1)
+        rows = iter(normals.tolist())
+        for i, drawn in enumerate(ok.tolist(), first):
+            # A row with a 16-uniform block short of accepted pairs goes to
+            # the per-index function, which draws on from its own generator.
+            yield build(next(rows)) if drawn else fallback(i)
 
 
 def bloch_grid_states(count: int) -> list[TwoQubitState]:
@@ -168,27 +376,24 @@ def bloch_grid_states(count: int) -> list[TwoQubitState]:
 def sample_haar(spec: SampleSpec) -> list[TwoQubitState]:
     if spec.ensemble != HAAR:
         raise ValueError("spec.ensemble must be 'haar'")
-    return [haar_state(spec.seed, i) for i in range(spec.count)]
+    return list(_stream(spec))
 
 
 def sample_separable(spec: SampleSpec) -> list[TwoQubitState]:
     if spec.ensemble != SEPARABLE:
         raise ValueError("spec.ensemble must be 'separable'")
-    return [separable_state(spec.seed, i) for i in range(spec.count)]
+    return list(_stream(spec))
 
 
 def sample_fixed_concurrence(spec: SampleSpec) -> list[TwoQubitState]:
     if spec.ensemble != FIXED_CONCURRENCE:
         raise ValueError("spec.ensemble must be 'fixedc'")
-    return [fixed_concurrence_state(spec.seed, i, spec.c) for i in range(spec.count)]
+    return list(_stream(spec))
 
 
-def sample(spec: SampleSpec) -> list[TwoQubitState]:
-    """Dispatch on the spec's ensemble."""
-    if spec.ensemble == HAAR:
-        return sample_haar(spec)
-    if spec.ensemble == SEPARABLE:
-        return sample_separable(spec)
-    if spec.ensemble == FIXED_CONCURRENCE:
-        return sample_fixed_concurrence(spec)
-    return bloch_grid_states(spec.count)
+def sample(spec: SampleSpec) -> Samples | list[TwoQubitState]:
+    """The spec's states: a lazy ``Samples`` stream for the random
+    ensembles, a list for the bloch grid."""
+    if spec.ensemble == BLOCH_GRID:
+        return bloch_grid_states(spec.count)
+    return Samples(spec.count, lambda: _stream(spec))

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import subprocess
@@ -5,8 +6,10 @@ import sys
 
 import pytest
 
+from qtriad import cli
 from qtriad.cli import main
 from qtriad.dataset import DATASET_COLUMNS
+from qtriad.sampling import fixed_concurrence_state, haar_state
 
 BELL_ARG = "1,0,0,0,0,0,1,0"
 
@@ -220,6 +223,56 @@ def test_shells_rejects_empty_levels(tmp_path, capsys):
     )
     assert code == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["shells", "--levels", "0.5,1.5", "--count-per-level", "5", "--seed", "4"],
+        ["shells", "--levels", "0.5,nan", "--count-per-level", "5", "--seed", "4"],
+        ["shells", "--levels", "0.5", "--count-per-level", "5", "--seed", "-1"],
+        ["sample", "--count", "0", "--seed", "4"],
+    ],
+)
+def test_invalid_input_leaves_no_output_file(tmp_path, capsys, argv):
+    out_file = tmp_path / "never.csv"
+    code, _, err = run_cli(capsys, *argv, "--out", str(out_file))
+    assert code == 2
+    assert "error:" in err
+    assert not out_file.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, count, first",
+    [
+        (
+            ["sample", "--count", str(10**15), "--seed", "3"],
+            10**15,
+            [haar_state(3, i) for i in range(3)],
+        ),
+        (
+            ["shells", "--levels", "0.25,1", "--count-per-level", str(10**12), "--seed", "3"],
+            2 * 10**12,
+            [fixed_concurrence_state(3, i, 0.25) for i in range(3)],
+        ),
+    ],
+)
+def test_dataset_commands_stream_states_into_the_writer(
+    tmp_path, capsys, monkeypatch, deadline, argv, count, first
+):
+    seen = {}
+
+    def emit_three(states, fmt, destination):
+        seen["type"] = type(states)
+        seen["len"] = len(states)
+        seen["first"] = [s.alpha for s in itertools.islice(states, 3)]
+
+    monkeypatch.setattr(cli, "emit_dataset", emit_three)
+    code, _, _ = run_cli(capsys, *argv, "--out", str(tmp_path / "lazy.csv"))
+    assert code == 0
+    assert not issubclass(seen["type"], (list, tuple))
+    assert seen["len"] == count
+    assert seen["first"] == [s.alpha for s in first]
 
 
 def test_usage_error_exit_code():

@@ -1,3 +1,4 @@
+import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 
@@ -19,6 +20,15 @@ from qtriad.sampling import (
     sample_haar,
     sample_separable,
     separable_state,
+)
+from qtriad.sampling import (
+    _BLOCK,
+    _LAYOUT,
+    _accepted_normals,
+    _philox_words,
+    _stream,
+    _substream,
+    _uniforms,
 )
 from qtriad.states import TwoQubitState, concurrence, distinguishability, triad
 
@@ -168,3 +178,82 @@ def test_sample_dispatch():
     assert len(sample(SampleSpec(5, 1, BLOCH_GRID))) == 5
     with pytest.raises(ValueError):
         sample_haar(SampleSpec(5, 1, SEPARABLE))
+
+
+# ------------------------------------------------------------ batched stream
+
+# Seeds and indices that exercise the mulhi carries, the key schedule's
+# wraparound and both index words (2**64 - 1 and 2**64 sit in one block).
+PHILOX_SEEDS = (0, 42, 2**64 - 1)
+PHILOX_INDICES = (0, 1, 2**32 - 1, 2**32, 2**64 - 1)
+
+
+@pytest.mark.parametrize("seed", PHILOX_SEEDS)
+@pytest.mark.parametrize("index", PHILOX_INDICES)
+def test_kernel_words_and_uniforms_match_numpy_philox(seed, index):
+    steps = 9
+    words = _philox_words(seed, index, 2, steps)
+    uniforms = _uniforms(words)
+    for row, i in enumerate((index, index + 1)):
+        bitgen = np.random.Philox(key=seed, counter=i << 128)
+        assert words[row].tolist() == bitgen.random_raw(4 * steps).tolist()
+        gen = np.random.Generator(np.random.Philox(key=seed, counter=i << 128))
+        assert uniforms[row].tolist() == gen.random(4 * steps).tolist()
+
+
+@pytest.mark.parametrize("seed", PHILOX_SEEDS + (2**64, 2**128 - 1))
+@pytest.mark.parametrize("index", PHILOX_INDICES + (2**128 - 1,))
+def test_reset_substream_matches_a_fresh_generator(seed, index):
+    # A half-used buffer from the previous index must not leak into the next.
+    _substream(seed, index ^ 1).random()
+    fresh = np.random.Generator(np.random.Philox(key=seed, counter=index << 128))
+    assert _substream(seed, index).random(40).tolist() == fresh.random(40).tolist()
+
+
+def test_substream_rejects_out_of_range_seed_and_index():
+    for seed, index in ((-1, 0), (2**128, 0), (0, -1), (0, 2**128)):
+        with pytest.raises(ValueError):
+            haar_state(seed, index)
+
+
+def _fallback_rows(spec, start):
+    # Indices whose first 16-uniform block(s) hold too few accepted pairs.
+    steps, blocks, _ = _LAYOUT[spec.ensemble]
+    u = _uniforms(_philox_words(spec.seed, start, spec.count, steps))
+    ok, _ = _accepted_normals(u, blocks)
+    return [start + r for r in np.flatnonzero(~ok).tolist()]
+
+
+# (start, count) at seed 42: the first fixedc rows that fall short are 4987
+# (second unitary), 5995 and 8708 (first unitary). 4987 opens the second
+# block of its range and 5995 closes the first block of its range.
+FIXEDC_RANGES = ((4987 - _BLOCK, 2 * _BLOCK), (5995 - _BLOCK + 1, _BLOCK + 1), (8600, 300))
+
+
+@pytest.mark.parametrize("start, count", FIXEDC_RANGES)
+def test_batched_fixedc_matches_per_index_across_fallback_rows(start, count):
+    spec = SampleSpec(count, 42, FIXED_CONCURRENCE, 0.5)
+    named = {4987, 5995, 8708} & set(range(start, start + count))
+    assert named and named <= set(_fallback_rows(spec, start))
+    batched = [s.alpha for s in _stream(spec, start)]
+    assert batched == [
+        fixed_concurrence_state(42, i, 0.5).alpha for i in range(start, start + count)
+    ]
+
+
+@pytest.mark.parametrize("ensemble, per_index", [(HAAR, haar_state), (SEPARABLE, separable_state)])
+@pytest.mark.parametrize("start, count", [(0, 2100), (2**64 - 150, 300)])
+def test_batched_stream_matches_per_index(ensemble, per_index, start, count):
+    spec = SampleSpec(count, 42, ensemble)
+    assert _fallback_rows(spec, start)
+    batched = [s.alpha for s in _stream(spec, start)]
+    assert batched == [per_index(42, i).alpha for i in range(start, start + count)]
+
+
+def test_sample_is_lazy(deadline):
+    states = sample(SampleSpec(10**15, 1, HAAR))
+    assert len(states) == 10**15
+    first = [s.alpha for s in itertools.islice(states, 3)]
+    assert first == [haar_state(1, i).alpha for i in range(3)]
+    # Each pass draws the states afresh.
+    assert [s.alpha for s in itertools.islice(states, 3)] == first
