@@ -5,6 +5,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -33,30 +34,27 @@ def classify(s: TwoQubitState, tol: float = DEFAULT_CLASSIFY_TOL) -> frozenset[S
     Strata overlap (a maximally entangled state is both wave-less and
     particle-less), so the result is a set rather than a single category.
     """
-    return _strata(triad(s), tol)
+    return frozenset(_strata(triad(s), tol))
 
 
-def _strata(t: DualityTriad, tol: float) -> frozenset[StratumLabel]:
-    """``classify`` of any state whose triad is ``t``."""
+_LABELS = tuple(StratumLabel)
+
+
+def _strata(t: DualityTriad, tol: float) -> tuple[StratumLabel, ...]:
+    """``classify`` of any state whose triad is ``t``, as a tuple.
+
+    The labels come in ``StratumLabel`` definition order, which is the order
+    of the dataset's ``labels`` column.
+    """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     v, d, c = t
-    labels = set()
-    if c <= tol:
-        labels.add(StratumLabel.SEPARABLE)
-    if c >= 1.0 - tol:
-        labels.add(StratumLabel.MAXIMALLY_ENTANGLED)
-    if v >= 1.0 - tol:
-        labels.add(StratumLabel.WAVE_ONLY)
-    if d >= 1.0 - tol:
-        labels.add(StratumLabel.PARTICLE_ONLY)
-    if v <= tol:
-        labels.add(StratumLabel.WAVE_LESS)
-        labels.add(StratumLabel.ON_X0_AXIS)
-    if d <= tol:
-        labels.add(StratumLabel.PARTICLE_LESS)
-        labels.add(StratumLabel.ON_GREAT_DISC)
-    return frozenset(labels)
+    low, high = tol, 1.0 - tol
+    # One flag per StratumLabel member, in definition order.
+    flags = (
+        c <= low, c >= high, v >= high, d >= high, v <= low, d <= low, v <= low, d <= low
+    )
+    return tuple(compress(_LABELS, flags))
 
 
 @dataclass(frozen=True, slots=True)

@@ -11,7 +11,7 @@ import json
 import sys
 from typing import Sequence
 
-from .dataset import CSV_FORMAT, JSON_FORMAT, emit_dataset, state_record
+from .dataset import CSV_FORMAT, JSON_FORMAT, _fmt, emit_dataset, state_record
 from .projection import quaternify, stereo_project
 from .quaternion import is_infinite
 from .sampling import (
@@ -82,16 +82,12 @@ def _print_analysis(analysis: dict, fmt: str) -> None:
     if fmt == JSON_FORMAT:
         print(json.dumps(analysis, indent=1))
         return
-    row = dict(zip("VDC", (analysis["V"], analysis["D"], analysis["C"])))
-    row.update({f"x{i}": xi for i, xi in enumerate(analysis["x"])})
-    row["radius"] = analysis["radius"]
     q = analysis["Q"]
-    for i in range(4):
-        row[f"Q_e{i}"] = "inf" if q == "inf" else "%.17g" % q[i]
-    row["labels"] = ";".join(analysis["labels"])
     cells = [
-        row[col] if isinstance(row[col], str) else "%.17g" % row[col]
-        for col in _ANALYZE_COLUMNS
+        *map(_fmt, (analysis["V"], analysis["D"], analysis["C"], *analysis["x"])),
+        _fmt(analysis["radius"]),
+        *(["inf"] * 4 if q == "inf" else map(_fmt, q)),
+        ";".join(analysis["labels"]),
     ]
     print(",".join(_ANALYZE_COLUMNS))
     print(",".join(cells))

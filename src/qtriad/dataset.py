@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 from typing import IO, Iterable
 
-from .classify import DEFAULT_CLASSIFY_TOL, StratumLabel, _strata
+from .classify import DEFAULT_CLASSIFY_TOL, _strata
 from .projection import BallPoint, coords_from_state
 from .states import TwoQubitState, triad
 
@@ -29,32 +29,26 @@ def _fmt(x: float) -> str:
     return "%.17g" % x
 
 
-def label_names(labels: Iterable[StratumLabel]) -> list[str]:
-    """Label strings in definition order (stable across runs)."""
-    chosen = set(labels)
-    return [member.value for member in StratumLabel if member in chosen]
+def state_record(s: TwoQubitState) -> dict:
+    """One analysis record: amplitudes, triad, sphere coords, radius, labels.
 
-
-def state_record(s: TwoQubitState, tol: float = DEFAULT_CLASSIFY_TOL) -> dict:
-    """One analysis record: amplitudes, triad, sphere coords, radius, labels."""
+    Keys follow ``DATASET_COLUMNS``. ``labels`` lists the ``StratumLabel``
+    values of the state's strata in definition order, as ``_strata`` gives
+    them, at ``DEFAULT_CLASSIFY_TOL``.
+    """
     t = triad(s)
     x = coords_from_state(s)
-    record: dict = {}
-    for k, a in enumerate(s.alpha):
-        record[f"alpha{k}_re"] = a.real
-        record[f"alpha{k}_im"] = a.imag
-    record["V"], record["D"], record["C"] = t
-    record["x0"], record["x1"], record["x2"], record["x3"], record["x4"] = x
-    record["radius"] = BallPoint(x.x0, x.x1, x.x2).radius
-    record["labels"] = label_names(_strata(t, tol))
-    return record
+    a0, a1, a2, a3 = s.alpha
+    return dict(zip(DATASET_COLUMNS, (
+        a0.real, a0.imag, a1.real, a1.imag, a2.real, a2.imag, a3.real, a3.imag,
+        *t, *x,
+        BallPoint(x.x0, x.x1, x.x2).radius,
+        [label.value for label in _strata(t, DEFAULT_CLASSIFY_TOL)],
+    )))
 
 
 def emit_dataset(
-    states: Iterable[TwoQubitState],
-    fmt: str,
-    destination: IO[str],
-    tol: float = DEFAULT_CLASSIFY_TOL,
+    states: Iterable[TwoQubitState], fmt: str, destination: IO[str]
 ) -> None:
     """Write one record per state to an open text stream.
 
@@ -62,7 +56,9 @@ def emit_dataset(
     state is drawn, so a lazy stream is never held in memory. CSV gets a
     header line even for no states; JSON is a list of
     objects keyed by the same column names (labels as a list), written one
-    record at a time exactly as ``json.dump(records, indent=1)`` would.
+    record at a time exactly as ``json.dump(records, indent=1)`` would. In
+    both, labels keep the ``StratumLabel`` definition order of
+    ``state_record``; CSV joins them with semicolons.
     """
     if fmt == CSV_FORMAT:
         destination.write(",".join(DATASET_COLUMNS) + "\n")
@@ -71,11 +67,10 @@ def emit_dataset(
     encoder = json.JSONEncoder(indent=1)
     count = 0
     for count, s in enumerate(states, 1):
-        record = state_record(s, tol)
+        record = state_record(s)
         if fmt == CSV_FORMAT:
-            fields = [_fmt(record[col]) for col in DATASET_COLUMNS[:-1]]
-            fields.append(";".join(record["labels"]))
-            destination.write(",".join(fields) + "\n")
+            *cells, labels = record.values()
+            destination.write(",".join([*map(_fmt, cells), ";".join(labels)]) + "\n")
         else:
             # Records sit one level deep; JSON strings hold no raw newlines.
             body = encoder.encode(record).replace("\n", "\n ")

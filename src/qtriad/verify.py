@@ -289,6 +289,8 @@ def verify_suite(
     """
     if count < 1:
         raise ValueError("count must be at least 1")
+    if tolerance is not None and not 0.0 <= tolerance < math.inf:
+        raise ValueError(f"tolerance must be finite and >= 0, got {tolerance!r}")
 
     def tol(name: str) -> float:
         return DEFAULT_TOLERANCES[name] if tolerance is None else tolerance

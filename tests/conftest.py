@@ -1,6 +1,27 @@
+import shutil
 import signal
+import tempfile
 
 import pytest
+from hypothesis.configuration import set_hypothesis_home_dir
+
+_HYPOTHESIS_HOME = pytest.StashKey[str]()
+
+
+def pytest_configure(config):
+    """Keep Hypothesis' cache of source constants out of the working tree.
+
+    The property tests run with ``database=None``, but Hypothesis still
+    caches the literals it harvests from local modules, at collection time,
+    under its home directory, which defaults to ``./.hypothesis``.
+    """
+    config.stash[_HYPOTHESIS_HOME] = home = tempfile.mkdtemp(prefix="qtriad-hypothesis-")
+    set_hypothesis_home_dir(home)
+
+
+def pytest_unconfigure(config):
+    set_hypothesis_home_dir(None)
+    shutil.rmtree(config.stash[_HYPOTHESIS_HOME], ignore_errors=True)
 
 
 @pytest.fixture

@@ -55,6 +55,75 @@ def test_analyze_csv_format(capsys):
     assert lines[1].split(",")[-1].startswith("MaximallyEntangled")
 
 
+# Outputs recorded before the record path was rewritten, each with --normalize:
+# a wave-only state, the north pole (Q at infinity) and a state with no label.
+_ANALYZE_CSV_HEADER = "V,D,C,x0,x1,x2,x3,x4,radius,Q_e0,Q_e1,Q_e2,Q_e3,labels"
+_ANALYZE_PINNED = {
+    "1,0,0,0,0,1,0,0": (
+        "0.99999999999999978,0,0,0,0,-0.99999999999999978,0,0,0.99999999999999978,"
+        "0,-1,0,0,Separable;WaveOnly;ParticleLess;OnGreatDisc",
+        {
+            "V": 0.9999999999999998, "D": 0.0, "C": 0.0,
+            "x": [0.0, 0.0, -0.9999999999999998, 0.0, 0.0],
+            "Q": [0.0, -1.0, 0.0, 0.0],
+            "ball": [0.0, 0.0, -0.9999999999999998],
+            "radius": 0.9999999999999998,
+            "labels": ["Separable", "WaveOnly", "ParticleLess", "OnGreatDisc"],
+        },
+    ),
+    "1,0,0,0,0,0,0,0": (
+        "0,1,0,1,0,0,0,0,1,inf,inf,inf,inf,Separable;ParticleOnly;WaveLess;OnX0Axis",
+        {
+            "V": 0.0, "D": 1.0, "C": 0.0,
+            "x": [1.0, 0.0, 0.0, 0.0, 0.0],
+            "Q": "inf",
+            "ball": [1.0, 0.0, 0.0],
+            "radius": 1.0,
+            "labels": ["Separable", "ParticleOnly", "WaveLess", "OnX0Axis"],
+        },
+    ),
+    "0.3,0.1,-0.2,0.5,0.7,0,0.1,-0.3": (
+        "0.14716535818220366,0.20408163265306134,0.96782903684729626,"
+        "-0.20408163265306134,0.081632653061224469,0.12244897959183676,"
+        "-0.40816326530612251,0.87755102040816346,0.25160873481506035,"
+        "0.067796610169491456,0.10169491525423727,-0.33898305084745761,"
+        "0.72881355932203384,",
+        {
+            "V": 0.14716535818220366, "D": 0.20408163265306134, "C": 0.9678290368472963,
+            "x": [
+                -0.20408163265306134, 0.08163265306122447, 0.12244897959183676,
+                -0.4081632653061225, 0.8775510204081635,
+            ],
+            "Q": [
+                0.06779661016949146, 0.10169491525423727,
+                -0.3389830508474576, 0.7288135593220338,
+            ],
+            "ball": [-0.20408163265306134, 0.08163265306122447, 0.12244897959183676],
+            "radius": 0.25160873481506035,
+            "labels": [],
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("state", sorted(_ANALYZE_PINNED))
+def test_analyze_csv_is_pinned(capsys, state):
+    code, out, _ = run_cli(
+        capsys, "analyze", "--state", state, "--normalize", "--format", "csv"
+    )
+    assert code == 0
+    assert out == _ANALYZE_CSV_HEADER + "\n" + _ANALYZE_PINNED[state][0] + "\n"
+
+
+@pytest.mark.parametrize("state", sorted(_ANALYZE_PINNED))
+def test_analyze_json_is_pinned(capsys, state):
+    code, out, _ = run_cli(
+        capsys, "analyze", "--state", state, "--normalize", "--format", "json"
+    )
+    assert code == 0
+    assert out == json.dumps(_ANALYZE_PINNED[state][1], indent=1) + "\n"
+
+
 def test_analyze_rejects_unnormalized_without_flag(capsys):
     code, _, err = run_cli(capsys, "analyze", "--state", BELL_ARG)
     assert code == 2
@@ -193,6 +262,25 @@ def test_verify_json(capsys):
 def test_verify_fails_with_unreachable_tolerance(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "--count", "100", "--seed", "5", "--tolerance", "1e-20"
+    )
+    assert code == 1
+    assert "FAIL" in out
+
+
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "-1e-6"])
+def test_verify_rejects_unusable_tolerance(capsys, tolerance):
+    code, out, err = run_cli(
+        capsys, "verify", "--count", "10", "--seed", "5", f"--tolerance={tolerance}"
+    )
+    assert code == 2
+    assert out == ""
+    assert "error:" in err and "tolerance" in err
+
+
+@pytest.mark.parametrize("tolerance", ["0", "1e-20"])
+def test_verify_accepts_tiny_tolerance(capsys, tolerance):
+    code, out, _ = run_cli(
+        capsys, "verify", "--count", "10", "--seed", "5", "--tolerance", tolerance
     )
     assert code == 1
     assert "FAIL" in out

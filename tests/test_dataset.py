@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qtriad import classify as classify_module
 from qtriad import dataset as dataset_module
 from qtriad import projection as projection_module
+from qtriad.classify import DEFAULT_CLASSIFY_TOL, StratumLabel, classify
 from qtriad.dataset import DATASET_COLUMNS, emit_dataset, state_record
 from qtriad.sampling import (
     FIXED_CONCURRENCE,
@@ -125,3 +128,53 @@ def test_state_record_consistency():
 def test_unknown_format_rejected():
     with pytest.raises(ValueError):
         emit_to_string([BELL], "xml")
+
+
+# A value in [0, 1], drawn often at exactly 0 or 1, within 2 tol of 0, tol,
+# 1 - tol or 1, or else anywhere.
+TOL = DEFAULT_CLASSIFY_TOL
+_UNIT = st.one_of(
+    st.sampled_from([0.0, 1.0]),
+    st.builds(
+        lambda edge, offset: min(max(edge + offset, 0.0), 1.0),
+        st.sampled_from([0.0, TOL, 1.0 - TOL, 1.0]),
+        st.floats(-2 * TOL, 2 * TOL),
+    ),
+    st.floats(0.0, 1.0),
+)
+_ANGLE = st.one_of(st.sampled_from([0.0, math.pi / 2]), st.floats(0.0, 2 * math.pi))
+
+
+@st.composite
+def edge_states(draw):
+    """cos(t)|0>|chi0> + sin(t)|1>|chi1> with D = cos(2t) and |<chi0|chi1>| = r.
+
+    Then V = r sin(2t) and C = sqrt(1 - r^2) sin(2t), so drawing D and r at
+    and around 0 and 1 puts V, D and C on and around every stratum edge.
+    """
+    d, r, beta, phi = draw(_UNIT), draw(_UNIT), draw(_ANGLE), draw(_ANGLE)
+    if draw(st.booleans()):
+        d = -d
+    cos_t, sin_t = math.sqrt((1 + d) / 2), math.sqrt((1 - d) / 2)
+    turn = complex(math.cos(phi), math.sin(phi))
+    chi0 = (math.cos(beta), turn * math.sin(beta))
+    perp = (-turn.conjugate() * math.sin(beta), math.cos(beta))
+    w = math.sqrt(1 - r * r)
+    chi1 = tuple(r * a + w * b for a, b in zip(chi0, perp))
+    return make_state(
+        [cos_t * chi0[0], cos_t * chi0[1], sin_t * chi1[0], sin_t * chi1[1]],
+        normalize=True,
+    )
+
+
+_GENERIC_STATES = st.builds(
+    lambda v: make_state([complex(v[k], v[k + 1]) for k in range(0, 8, 2)], normalize=True),
+    st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8).filter(any),
+)
+
+
+@settings(database=None, derandomize=True, max_examples=300)
+@given(st.one_of(edge_states(), _GENERIC_STATES))
+def test_record_labels_follow_stratum_definition_order(s):
+    chosen = classify(s)
+    assert state_record(s)["labels"] == [m.value for m in StratumLabel if m in chosen]

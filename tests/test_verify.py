@@ -1,6 +1,8 @@
 import json
+import math
 
 import numpy as np
+import pytest
 
 from qtriad.states import concurrence, make_state
 from qtriad.verify import (
@@ -53,6 +55,19 @@ def test_uniform_tolerance_override():
     report = verify_suite(100, 1, tolerance=1e-6)
     assert all(c.tolerance == 1e-6 for c in report.checks)
     assert report.passed
+
+
+@pytest.mark.parametrize("tolerance", [math.nan, math.inf, -math.inf, -1e-6])
+def test_unusable_tolerance_is_rejected(tolerance):
+    with pytest.raises(ValueError, match="tolerance"):
+        verify_suite(10, 1, tolerance=tolerance)
+
+
+@pytest.mark.parametrize("tolerance", [0.0, 1e-20])
+def test_tiny_tolerance_runs_and_fails(tolerance):
+    report = verify_suite(10, 1, tolerance=tolerance)
+    assert all(c.tolerance == tolerance for c in report.checks)
+    assert not report.passed
 
 
 def test_planted_bell_has_exactly_zero_identity_error():
