@@ -29,6 +29,9 @@ from .verify import verify_suite
 # States per chunk that `shells` draws before writing them.
 _SHELL_CHUNK = 256
 
+# Options that take a float, which may be negative.
+_FLOAT_OPTIONS = ("--tolerance", "--c")
+
 _ANALYZE_COLUMNS = (
     "V", "D", "C", "x0", "x1", "x2", "x3", "x4", "radius",
     "Q_e0", "Q_e1", "Q_e2", "Q_e3", "labels",
@@ -223,9 +226,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_negative_values(argv: Sequence[str]) -> list[str]:
+    """Write ``--tolerance -1e-6`` as ``--tolerance=-1e-6`` (same for ``--c``).
+
+    argparse takes a separate argument that starts with ``-`` for an option
+    unless it looks like a plain negative number, so a negative value in
+    exponent form would never reach the option; attached with ``=`` it does,
+    and the command's own range check reports it.
+    """
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in _FLOAT_OPTIONS and arg.startswith("-") and _is_float(arg):
+            out[-1] = f"{out[-1]}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
+def _is_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(
+        _attach_negative_values(sys.argv[1:] if argv is None else argv)
+    )
     try:
         return args.func(args)
     except (ValueError, OSError, ZeroDivisionError) as exc:

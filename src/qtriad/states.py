@@ -43,7 +43,7 @@ class TwoQubitState:
     alpha: tuple[complex, complex, complex, complex]
 
     def __post_init__(self):
-        alpha = tuple(complex(a) for a in self.alpha)
+        alpha = tuple(map(complex, self.alpha))
         if len(alpha) != 4:
             raise ValueError("a two-qubit state needs exactly 4 amplitudes")
         object.__setattr__(self, "alpha", alpha)
@@ -59,15 +59,25 @@ def _norm(v: Sequence[complex]) -> tuple[float, float]:
     2**-500, where underflow may have cost it bits; then it is the power of two
     that brings the largest part into [1, 2). n is non-finite for non-finite
     entries and 0 for all-zero ones.
+
+    The squares are summed left to right in plain float arithmetic: the
+    builtin ``sum`` of floats is compensated from Python 3.12 on, which can
+    move the last bit of a normalized amplitude.
     """
-    n = math.sqrt(sum(c.real * c.real + c.imag * c.imag for c in v))
+    total = 0.0
+    for c in v:
+        total += c.real * c.real + c.imag * c.imag
+    n = math.sqrt(total)
     if 2.0**-500 <= n < math.inf:
         return n, 1.0
     parts = [p for c in v for p in (c.real, c.imag)]
     if not all(map(math.isfinite, parts)) or not any(parts):
         return n, 1.0
     scale = 2.0 ** (math.frexp(max(map(abs, parts)))[1] - 1)
-    return math.sqrt(sum((p / scale) ** 2 for p in parts)), scale
+    total = 0.0
+    for p in parts:
+        total += (p / scale) ** 2
+    return math.sqrt(total), scale
 
 
 def _unit(v: tuple[complex, ...], n: float, scale: float) -> tuple[complex, ...]:
@@ -176,10 +186,13 @@ def embed_correlated(c: CorrelatedState) -> TwoQubitState:
     When chi2 is (numerically) parallel to chi1 the residual amplitude is ~0,
     so the completion direction never shows up in the output.
     """
-    overlap = sum(e.conjugate() * x for e, x in zip(c.chi1, c.chi2))
-    resid_sq = sum(
-        abs(x - overlap * e) ** 2 for e, x in zip(c.chi1, c.chi2)
-    )
+    # Left-to-right sums, as in ``_norm``.
+    overlap = 0j
+    for e, x in zip(c.chi1, c.chi2):
+        overlap += e.conjugate() * x
+    resid_sq = 0.0
+    for e, x in zip(c.chi1, c.chi2):
+        resid_sq += abs(x - overlap * e) ** 2
     resid = math.sqrt(resid_sq)
     return make_state((c.mu, 0j, c.nu * overlap, c.nu * resid), normalize=True)
 

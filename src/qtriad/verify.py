@@ -1,6 +1,41 @@
 """Self-verification suite: every structural identity checked against an
 independent route, over seeded random ensembles.
 
+Each check compares the direct route, the public functions under test
+(``triad``, ``coords_from_state``, ``visibility``, ...) called once per state,
+with an oracle route: the stereographic composition
+``inverse_stereo(stereo_project(quaternify(s)))``, the sigma_y x sigma_y
+bilinear form, or the fringe scan. The oracle routes run as array code over
+blocks of at most ``_BLOCK`` states, so the working arrays do not grow with
+the sample:
+
+* the stereographic route is float64 arithmetic on the real components that
+  repeats the ``Quaternion`` pair rule term by term. numpy's complex kernels
+  are not used there: their products and moduli round differently from
+  Python's complex arithmetic on part of the inputs.
+* the bilinear form is one stacked ``A[:, None, :] @ _SYY @ A[:, :, None]``,
+  which gives the same bits as ``a @ _SYY @ a`` per state.
+* the fringe scan evaluates a ``(block, 362)`` array of phases at once, 16
+  states per block, with the 360 grid phases computed once at import. It
+  uses numpy's complex kernels, as ``fringe_extrema`` does.
+
+Two moduli stay scalar, one ``math.hypot`` call per state as in
+``Quaternion.norm``: |q2|, which decides the point at infinity, and |Q|.
+``math.hypot`` has its own extended-precision algorithm, and neither
+``np.hypot`` nor the square root of the summed squares rounds like it on
+every input. The moduli of complex numbers use ``np.hypot``, which is the C
+library's ``hypot`` that Python's ``abs(complex)`` calls too; the fringe
+scan's peak phases use ``math.atan2``, since ``np.arctan2`` may round
+differently.
+
+Each check keeps its per-state error function, the scalar reference route
+built on ``Quaternion``, ``fringe_extrema`` and ``reduced_density_photon``. The
+array pass finds the first state with the largest error, and the check
+reports that function's value there, so every ``max_error`` comes from the
+scalar route; ``tests/test_verify.py`` pins the array errors to it bit for
+bit. The identity and purity checks have no oracle route of their own: their
+errors are the scalar functions' values.
+
 Each check reports its worst-case error so a report stays useful even when
 everything passes. Failures are reported, never raised.
 """
@@ -10,11 +45,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from functools import partial
+from itertools import islice
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .projection import (
+    INFINITY_THRESHOLD,
     coords_from_state,
     inverse_stereo,
     quaternify,
@@ -23,6 +61,7 @@ from .projection import (
 from .quaternion import is_infinite
 from .sampling import HAAR, SEPARABLE, SampleSpec, sample_haar, sample_separable
 from .states import (
+    NORM_TOL,
     TwoQubitState,
     _invariants,
     concurrence,
@@ -49,6 +88,17 @@ DEFAULT_TOLERANCES = {
 
 _PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _SYY = np.kron(_PAULI_Y, _PAULI_Y)
+
+# States per array pass; bounds the working arrays for any sample size.
+_BLOCK = 64
+
+# The fringe scan's uniform phase grid, as ``fringe_extrema`` builds it, and
+# its states per pass: 16 keeps each (16, 362) complex temporary under
+# glibc's 128 KiB mmap threshold. At 64 states every temporary was mapped and
+# unmapped again, which doubled the scan's cost.
+_FRINGE_GRID = 360
+_FRINGE_BLOCK = 16
+_GRID_PHASES = np.exp(1j * (np.arange(_FRINGE_GRID) * (2.0 * math.pi / _FRINGE_GRID)))
 
 CONVENTION_NOTE = (
     "S4 chart orientation: the bilinear invariant "
@@ -116,6 +166,113 @@ def _result(name, samples, max_error, tolerance) -> CheckResult:
     return CheckResult(name, samples, max_error, tolerance, max_error <= tolerance)
 
 
+# ------------------------------------------------------------ block machinery
+
+
+def _blocks(
+    states: Iterable[TwoQubitState], size: int = _BLOCK
+) -> Iterator[list[TwoQubitState]]:
+    it = iter(states)
+    while block := list(islice(it, size)):
+        yield block
+
+
+def _amplitudes(states: Sequence[TwoQubitState]) -> np.ndarray:
+    return np.array([s.alpha for s in states], dtype=complex)
+
+
+class _Witness:
+    """The first state at which per-state errors, seen a block at a time,
+    peak. A NaN error counts as the peak and stays it."""
+
+    __slots__ = ("peak", "state")
+
+    def __init__(self):
+        self.peak = -math.inf
+        self.state = None
+
+    def see(self, block: Sequence[TwoQubitState], errors: np.ndarray) -> None:
+        k = int(np.argmax(errors))  # the first NaN, if any
+        if not errors[k] <= self.peak and self.peak == self.peak:
+            self.peak, self.state = errors[k], block[k]
+
+    def error(self, fn: Callable[[TwoQubitState], float]) -> float:
+        """``fn`` at the peak state; 0.0 when no state was seen."""
+        return 0.0 if self.state is None else fn(self.state)
+
+
+def _max_error(states, block_errors, error, size: int = _BLOCK) -> float:
+    """``error`` at the first state where ``block_errors`` (one float per
+    state of a block of ``size``) peaks."""
+    worst = _Witness()
+    for block in _blocks(states, size):
+        worst.see(block, block_errors(block))
+    return worst.error(error)
+
+
+def _scalar_errors(error: Callable[[TwoQubitState], float]):
+    """Block errors of a check that has only a scalar route."""
+    return lambda block: np.array([error(s) for s in block])
+
+
+# ------------------------------------------------------------- oracle routes
+
+
+def _stereo(alpha: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """``stereo_project(quaternify(s))`` over rows of amplitudes.
+
+    Returns ``(finite, q)``: ``finite`` marks the rows with |q2| at or above
+    ``INFINITY_THRESHOLD`` and ``q`` holds the components (Q0, Q1, Q2, Q3) of
+    Q = q1 * q2^{-1}, meaningful on those rows only. Raises ValueError where
+    ``QuaternionSpinor`` or ``Quaternion`` would.
+    """
+    a0r, a0i, a1r, a1i, a2r, a2i, a3r, a3i = alpha.view(np.float64).T
+    # quaternify: q1 = a0 + a1*e2, q2 = a2 + a3*e2, a normalized spinor.
+    n = (a0r * a0r + a0i * a0i + a1r * a1r + a1i * a1i) + (
+        a2r * a2r + a2i * a2i + a3r * a3r + a3i * a3i
+    )
+    bad = ~(np.abs(n - 1.0) <= NORM_TOL)
+    if bad.any():
+        raise ValueError(
+            f"spinor must be normalized, got |q1|^2+|q2|^2 = {float(n[bad][0])!r}"
+        )
+    q2_norm = map(math.hypot, a2r.tolist(), a2i.tolist(), a3r.tolist(), a3i.tolist())
+    finite = np.fromiter(q2_norm, float, len(n)) >= INFINITY_THRESHOLD
+    # q2^{-1} = (conj(a2) - a3*e2) / |q2|^2. Python divides a complex by a
+    # float as by complex(n2, 0), which can flip the sign of a zero part; no
+    # error below depends on the sign of a zero.
+    n2 = np.where(finite, a2r * a2r + a2i * a2i + a3r * a3r + a3i * a3i, 1.0)
+    b1r, b1i, b2r, b2i = a2r / n2, -a2i / n2, -a3r / n2, -a3i / n2
+    # The pair rule q1 * q2^{-1} = (a0 + a1*e2)(b1 + b2*e2)
+    #   = (a0*b1 - a1*conj(b2)) + (a0*b2 + a1*conj(b1))*e2,
+    # each complex product as Python forms it: (re*re - im*im, re*im + im*re).
+    q = (
+        (a0r * b1r - a0i * b1i) - (a1r * b2r - a1i * -b2i),
+        (a0r * b1i + a0i * b1r) - (a1r * -b2i + a1i * b2r),
+        (a0r * b2r - a0i * b2i) + (a1r * b1r - a1i * -b1i),
+        (a0r * b2i + a0i * b2r) + (a1r * -b1i + a1i * b1r),
+    )
+    if not all(np.isfinite(c[finite]).all() for c in q):
+        raise ValueError("quaternion components must be finite")
+    return finite, q
+
+
+def _lift(finite: np.ndarray, q: tuple[np.ndarray, ...]) -> np.ndarray:
+    """``inverse_stereo`` over rows: (n, 5) points on the unit 4-sphere, the
+    north pole where Q is infinite."""
+    q0, q1, q2, q3 = q
+    n2 = q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3
+    scale = 2.0 / (n2 + 1.0)
+    x = np.stack(((n2 - 1.0) / (n2 + 1.0), scale * q0, scale * q1, scale * q2, scale * q3), 1)
+    x[~finite] = (1.0, 0.0, 0.0, 0.0, 0.0)
+    return x
+
+
+def _bilinear(alpha: np.ndarray) -> np.ndarray:
+    """``a @ _SYY @ a`` for every row ``a`` of amplitudes."""
+    return (alpha[:, None, :] @ _SYY @ alpha[:, :, None])[:, 0, 0]
+
+
 def concurrence_bilinear(s: TwoQubitState) -> float:
     """Concurrence via the explicit antilinear route |psi^T (sy x sy) psi|.
 
@@ -126,20 +283,168 @@ def concurrence_bilinear(s: TwoQubitState) -> float:
     return float(abs(a @ _SYY @ a))
 
 
+def _sphere_gap(x) -> float:
+    """|x0^2 + ... + x4^2 - 1|, summed left to right; x may hold arrays."""
+    x0, x1, x2, x3, x4 = x
+    return abs(x0 * x0 + x1 * x1 + x2 * x2 + x3 * x3 + x4 * x4 - 1.0)
+
+
+# ------------------------------------------------------ errors, per check
+#
+# Each check has a scalar error function of one state (the reference) and a
+# block function giving every state's error from the array routes.
+
+
+def _identity_error(s: TwoQubitState, concurrence_fn=None) -> float:
+    v, d, c = triad(s)
+    if concurrence_fn is not None:
+        c = concurrence_fn(s)
+    return abs(v * v + d * d + c * c - 1.0)
+
+
+def _dual_route_error(s: TwoQubitState) -> tuple[float, float]:
+    """(route, closure): the largest coordinate gap between the direct and
+    the lifted point, and the larger of their distances from the sphere."""
+    direct = coords_from_state(s)
+    lifted = inverse_stereo(stereo_project(quaternify(s)))
+    return (
+        max(abs(a - b) for a, b in zip(direct, lifted)),
+        max(_sphere_gap(direct), _sphere_gap(lifted)),
+    )
+
+
+def _dual_route_errors(block) -> tuple[np.ndarray, np.ndarray]:
+    direct = np.array([coords_from_state(s) for s in block])
+    lifted = _lift(*_stereo(_amplitudes(block)))
+    return (
+        np.abs(direct - lifted).max(axis=1),
+        np.maximum(_sphere_gap(direct.T), _sphere_gap(lifted.T)),
+    )
+
+
+def _concurrence_oracle_error(s: TwoQubitState) -> float:
+    return abs(concurrence(s) - concurrence_bilinear(s))
+
+
+def _concurrence_oracle_errors(block) -> np.ndarray:
+    b = _bilinear(_amplitudes(block))
+    c = np.array([concurrence(s) for s in block])
+    return np.abs(c - np.hypot(b.real, b.imag))
+
+
+def _bilinear_convention_error(s: TwoQubitState) -> float:
+    a = np.array(s.alpha)
+    b = complex(a @ _SYY @ a)
+    x = coords_from_state(s)
+    return abs(complex(x.x3, x.x4) - b)
+
+
+def _bilinear_convention_errors(block) -> np.ndarray:
+    b = _bilinear(_amplitudes(block))
+    x = np.array([coords_from_state(s)[3:] for s in block])
+    return np.hypot(x[:, 0] - b.real, x[:, 1] - b.imag)
+
+
+def _fringe_error(s: TwoQubitState) -> float:
+    p_max, p_min = fringe_extrema(s)
+    return abs((p_max - p_min) / (p_max + p_min) - visibility(s))
+
+
+def _fringe_errors(block) -> np.ndarray:
+    alpha = _amplitudes(block)
+    a0r, a0i, a1r, a1i, a2r, a2i, a3r, a3i = alpha.view(np.float64).T
+    # The analytic extremum phases: that of conj(a2)*a0 + conj(a3)*a1.
+    cr = (a2r * a0r - -a2i * a0i) + (a3r * a1r - -a3i * a1i)
+    ci = (a2r * a0i + -a2i * a0r) + (a3r * a1i + -a3i * a1r)
+    peak = np.array(
+        [math.atan2(y, x) if x or y else 0.0 for x, y in zip(cr.tolist(), ci.tolist())]
+    )
+    phase = np.empty((len(block), _FRINGE_GRID + 2), dtype=complex)
+    phase[:, :_FRINGE_GRID] = _GRID_PHASES
+    phase[:, _FRINGE_GRID:] = np.exp(1j * np.stack((peak, peak + math.pi), 1))
+    a0, a1, a2, a3 = alpha.T[:, :, None]
+    p = 0.5 * np.abs(a0 + phase * a2) ** 2 + 0.5 * np.abs(a1 + phase * a3) ** 2
+    p_max, p_min = p.max(axis=1), p.min(axis=1)
+    v = np.array([visibility(s) for s in block])
+    return np.abs((p_max - p_min) / (p_max + p_min) - v)
+
+
+def _purity_error(s: TwoQubitState) -> float:
+    v, d, _ = triad(s)
+    return abs(v * v + d * d - (2.0 * purity(reduced_density_photon(s)) - 1.0))
+
+
+def _separable_plane_error(s: TwoQubitState) -> float:
+    det = abs(_invariants(s)[3])
+    q = stereo_project(quaternify(s))
+    if is_infinite(q):
+        return math.inf
+    return max(det, abs(q.z2.real), abs(q.z2.imag))
+
+
+def _separable_plane_errors(block) -> np.ndarray:
+    finite, (_, _, q2, q3) = _stereo(_amplitudes(block))
+    det = np.array([abs(_invariants(s)[3]) for s in block])
+    return np.where(finite, np.maximum(det, np.maximum(np.abs(q2), np.abs(q3))), math.inf)
+
+
+def _unit_q_variants(s: TwoQubitState) -> list[TwoQubitState]:
+    """The state, plus its zero-imbalance variant when both branches carry
+    weight: both rescaled to weight 1/2, which keeps the coherences and
+    forces D ~ 0."""
+    p0, p1, _, _ = _invariants(s)
+    if p0 < 1e-12 or p1 < 1e-12:
+        return [s]
+    f0 = math.sqrt(0.5 / p0)
+    f1 = math.sqrt(0.5 / p1)
+    a0, a1, a2, a3 = s.alpha
+    return [s, TwoQubitState((a0 * f0, a1 * f0, a2 * f1, a3 * f1))]
+
+
+def _unit_q_error(s: TwoQubitState, tolerance: float) -> tuple[float, int]:
+    """(error, variants with a finite Q) of a state and its balanced variant."""
+    worst = 0.0
+    checked = 0
+    for t in _unit_q_variants(s):
+        q = stereo_project(quaternify(t))
+        if is_infinite(q):
+            continue
+        checked += 1
+        d = distinguishability(t)
+        unit_gap = abs(q.norm() - 1.0)
+        if d <= tolerance:
+            worst = max(worst, unit_gap)
+        elif unit_gap <= tolerance:
+            worst = max(worst, d)
+    return worst, checked
+
+
+def _unit_q_errors(block, tolerance: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per state of the block: its error and its count of finite Q."""
+    rows, starts = [], []
+    for s in block:
+        starts.append(len(rows))
+        rows.extend(_unit_q_variants(s))
+    finite, q = _stereo(_amplitudes(rows))
+    norm = np.fromiter(map(math.hypot, *(c.tolist() for c in q)), float, len(rows))
+    gap = np.abs(norm - 1.0)
+    d = np.array([distinguishability(t) for t in rows])
+    error = np.where(d <= tolerance, gap, np.where(gap <= tolerance, d, 0.0))
+    error[~finite] = 0.0
+    return np.maximum.reduceat(error, starts), np.add.reduceat(finite, starts)
+
+
+# ------------------------------------------------------------------- checks
+
+
 def check_identity(
     states: Sequence[TwoQubitState],
     tolerance: float = DEFAULT_TOLERANCES["triad_identity"],
     concurrence_fn: Callable[[TwoQubitState], float] | None = None,
 ) -> CheckResult:
     """max |V^2 + D^2 + C^2 - 1| over the sample."""
-    worst = 0.0
-    for s in states:
-        v, d, c = triad(s)
-        if concurrence_fn is not None:
-            c = concurrence_fn(s)
-        err = abs(v * v + d * d + c * c - 1.0)
-        if err > worst:
-            worst = err
+    error = partial(_identity_error, concurrence_fn=concurrence_fn)
+    worst = _max_error(states, _scalar_errors(error), error)
     return _result("triad_identity", len(states), worst, tolerance)
 
 
@@ -149,19 +454,20 @@ def check_dual_route(
     norm_tolerance: float = DEFAULT_TOLERANCES["s4_unit_norm"],
 ) -> tuple[CheckResult, CheckResult]:
     """Direct coordinates vs the projection composition, plus sphere closure."""
-    worst_route = 0.0
-    worst_norm = 0.0
-    for s in states:
-        direct = coords_from_state(s)
-        worst_norm = max(worst_norm, abs(sum(x * x for x in direct) - 1.0))
-        lifted = inverse_stereo(stereo_project(quaternify(s)))
-        worst_norm = max(worst_norm, abs(sum(x * x for x in lifted) - 1.0))
-        worst_route = max(
-            worst_route, max(abs(a - b) for a, b in zip(direct, lifted))
-        )
+    route, closure = _Witness(), _Witness()
+    for block in _blocks(states):
+        route_errors, closure_errors = _dual_route_errors(block)
+        route.see(block, route_errors)
+        closure.see(block, closure_errors)
     return (
-        _result("s4_dual_route", len(states), worst_route, tolerance),
-        _result("s4_unit_norm", len(states), worst_norm, norm_tolerance),
+        _result(
+            "s4_dual_route", len(states),
+            route.error(lambda s: _dual_route_error(s)[0]), tolerance,
+        ),
+        _result(
+            "s4_unit_norm", len(states),
+            closure.error(lambda s: _dual_route_error(s)[1]), norm_tolerance,
+        ),
     )
 
 
@@ -170,9 +476,7 @@ def check_concurrence_oracle(
     tolerance: float = DEFAULT_TOLERANCES["concurrence_oracle"],
 ) -> CheckResult:
     """Determinant concurrence vs the explicit bilinear route."""
-    worst = 0.0
-    for s in states:
-        worst = max(worst, abs(concurrence(s) - concurrence_bilinear(s)))
+    worst = _max_error(states, _concurrence_oracle_errors, _concurrence_oracle_error)
     return _result("concurrence_oracle", len(states), worst, tolerance)
 
 
@@ -181,12 +485,7 @@ def check_bilinear_convention(
     tolerance: float = DEFAULT_TOLERANCES["bilinear_convention"],
 ) -> CheckResult:
     """x3 + i*x4 must equal the full complex bilinear invariant."""
-    worst = 0.0
-    for s in states:
-        a = np.array(s.alpha)
-        b = complex(a @ _SYY @ a)
-        x = coords_from_state(s)
-        worst = max(worst, abs(complex(x.x3, x.x4) - b))
+    worst = _max_error(states, _bilinear_convention_errors, _bilinear_convention_error)
     return _result("bilinear_convention", len(states), worst, tolerance)
 
 
@@ -195,10 +494,7 @@ def check_fringe(
     tolerance: float = DEFAULT_TOLERANCES["fringe_visibility"],
 ) -> CheckResult:
     """Fringe-contrast visibility vs the algebraic coherence form."""
-    worst = 0.0
-    for s in states:
-        p_max, p_min = fringe_extrema(s)
-        worst = max(worst, abs((p_max - p_min) / (p_max + p_min) - visibility(s)))
+    worst = _max_error(states, _fringe_errors, _fringe_error, _FRINGE_BLOCK)
     return _result("fringe_visibility", len(states), worst, tolerance)
 
 
@@ -207,12 +503,7 @@ def check_purity(
     tolerance: float = DEFAULT_TOLERANCES["purity_relation"],
 ) -> CheckResult:
     """V^2 + D^2 against 2*Tr(rho^2) - 1 of the reduced path state."""
-    worst = 0.0
-    for s in states:
-        v, d, _ = triad(s)
-        worst = max(
-            worst, abs(v * v + d * d - (2.0 * purity(reduced_density_photon(s)) - 1.0))
-        )
+    worst = _max_error(states, _scalar_errors(_purity_error), _purity_error)
     return _result("purity_relation", len(states), worst, tolerance)
 
 
@@ -221,26 +512,8 @@ def check_separable_plane(
     tolerance: float = DEFAULT_TOLERANCES["separable_plane"],
 ) -> CheckResult:
     """Product states must project into the complex plane (no e2/e3 part)."""
-    worst = 0.0
-    for s in states:
-        worst = max(worst, abs(_invariants(s)[3]))
-        q = stereo_project(quaternify(s))
-        if is_infinite(q):
-            worst = math.inf
-            continue
-        worst = max(worst, abs(q.z2.real), abs(q.z2.imag))
+    worst = _max_error(states, _separable_plane_errors, _separable_plane_error)
     return _result("separable_plane", len(states), worst, tolerance)
-
-
-def _zero_imbalance_variant(s: TwoQubitState) -> TwoQubitState | None:
-    # Rescale both branches to weight 1/2; keeps coherences, forces D ~ 0.
-    p0, p1, _, _ = _invariants(s)
-    if p0 < 1e-12 or p1 < 1e-12:
-        return None
-    f0 = math.sqrt(0.5 / p0)
-    f1 = math.sqrt(0.5 / p1)
-    a0, a1, a2, a3 = s.alpha
-    return TwoQubitState((a0 * f0, a1 * f0, a2 * f1, a3 * f1))
 
 
 def check_unit_q_iff_d0(
@@ -252,25 +525,14 @@ def check_unit_q_iff_d0(
     Random states rarely sit near the D = 0 manifold, so each sample also
     contributes a rescaled zero-imbalance variant that must land on |Q| = 1.
     """
-    worst = 0.0
+    worst = _Witness()
     checked = 0
-    for s in states:
-        variants = [s]
-        balanced = _zero_imbalance_variant(s)
-        if balanced is not None:
-            variants.append(balanced)
-        for t in variants:
-            q = stereo_project(quaternify(t))
-            if is_infinite(q):
-                continue
-            checked += 1
-            d = distinguishability(t)
-            unit_gap = abs(q.norm() - 1.0)
-            if d <= tolerance:
-                worst = max(worst, unit_gap)
-            elif unit_gap <= tolerance:
-                worst = max(worst, d)
-    return _result("unit_q_iff_d0", checked, worst, tolerance)
+    for block in _blocks(states):
+        errors, counts = _unit_q_errors(block, tolerance)
+        worst.see(block, errors)
+        checked += int(counts.sum())
+    error = worst.error(lambda s: _unit_q_error(s, tolerance)[0])
+    return _result("unit_q_iff_d0", checked, error, tolerance)
 
 
 def verify_suite(
@@ -296,10 +558,8 @@ def verify_suite(
         return DEFAULT_TOLERANCES[name] if tolerance is None else tolerance
 
     haar = sample_haar(SampleSpec(count, seed, HAAR))
-    separable = sample_separable(SampleSpec(count, seed, SEPARABLE))
-
     route, closure = check_dual_route(haar, tol("s4_dual_route"), tol("s4_unit_norm"))
-    checks = (
+    on_haar = (
         check_identity(haar, tol("triad_identity"), _concurrence_fn),
         route,
         closure,
@@ -307,7 +567,11 @@ def verify_suite(
         check_bilinear_convention(haar, tol("bilinear_convention")),
         check_fringe(haar, tol("fringe_visibility")),
         check_purity(haar, tol("purity_relation")),
-        check_separable_plane(separable, tol("separable_plane")),
-        check_unit_q_iff_d0(haar, tol("unit_q_iff_d0")),
     )
-    return VerificationReport(checks, (CONVENTION_NOTE,))
+    unit_q = check_unit_q_iff_d0(haar, tol("unit_q_iff_d0"))
+    # The haar states go before the separable ones are drawn, so the two
+    # samples are never held at once.
+    del haar
+    separable = sample_separable(SampleSpec(count, seed, SEPARABLE))
+    plane = check_separable_plane(separable, tol("separable_plane"))
+    return VerificationReport((*on_haar, plane, unit_q), (CONVENTION_NOTE,))

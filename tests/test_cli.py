@@ -267,14 +267,21 @@ def test_verify_fails_with_unreachable_tolerance(capsys):
     assert "FAIL" in out
 
 
-@pytest.mark.parametrize("tolerance", ["nan", "inf", "-1e-6"])
-def test_verify_rejects_unusable_tolerance(capsys, tolerance):
-    code, out, err = run_cli(
-        capsys, "verify", "--count", "10", "--seed", "5", f"--tolerance={tolerance}"
-    )
+# "--tolerance -1e-6" must reach the range check like "--tolerance=-1e-6";
+# argparse alone takes "-1e-6" for an option and stops with a usage error.
+@pytest.mark.parametrize(
+    "option",
+    [pytest.param([f"--tolerance={t}"], id=t) for t in ("nan", "inf", "-1e-6")]
+    + [
+        pytest.param(["--tolerance", t], id=f"separate:{t}")
+        for t in ("nan", "inf", "-inf", "-1e-6", "-0.5", "-1E-3")
+    ],
+)
+def test_verify_rejects_unusable_tolerance(capsys, option):
+    code, out, err = run_cli(capsys, "verify", "--count", "10", "--seed", "5", *option)
     assert code == 2
     assert out == ""
-    assert "error:" in err and "tolerance" in err
+    assert "error: tolerance must be finite and >= 0" in err
 
 
 @pytest.mark.parametrize("tolerance", ["0", "1e-20"])

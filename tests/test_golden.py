@@ -1,9 +1,10 @@
-"""The sample stream against stored sha256 digests (the bit-for-bit contract).
+"""The sample stream and the verify report against stored sha256 digests.
 
-Each run writes a dataset through the CLI and compares the file's digest with
-one recorded before any change to the sampler or the record layer. Runs are
-compared with stored values rather than with each other, so a change that
-moves the stream in every run at once still fails here.
+Each run writes a dataset (or prints a ``verify`` report) through the CLI and
+compares the digest of its bytes with one recorded before any change to the
+sampler, the record layer or the verify suite. Runs are compared with stored
+values rather than with each other, so a change that moves the output in every
+run at once still fails here.
 """
 
 import hashlib
@@ -36,17 +37,48 @@ DIGESTS = {
     ("shells", "json"): "56a6619266dcd0b2f1ffa7961a3f49a789cc673d15bdde86c91e284c41e9fab0",
 }
 
+# stdout of `qtriad verify`: every check's sample count and max_error, printed
+# with full precision in JSON, pin the array passes of the verify suite.
+VERIFY_RUNS = {
+    "1000-42-json": (
+        ["verify", "--count", "1000", "--seed", "42", "--format", "json"],
+        "5dee36094050e077113c1ab575bbcfb0f44a4d5452a53db50c8bd2e0aa33e812",
+    ),
+    "8000-1-json": (
+        ["verify", "--count", "8000", "--seed", "1", "--format", "json"],
+        "d675a4fc609dd9b2c6af2c19aa10e35842c56b2d472aa5fce2b9e9295cd30285",
+    ),
+    "500-7-text": (
+        ["verify", "--count", "500", "--seed", "7"],
+        "06db10a989449f62a0b7cdebb50009d2201fa6a0215290f2c7ae9f719017d828",
+    ),
+}
+
+
+def _here() -> str:
+    return (
+        f"numpy {np.__version__}, Python {platform.python_version()}, "
+        f"{platform.system()} {platform.machine()}"
+    )
+
 
 @pytest.mark.parametrize("name, fmt", sorted(DIGESTS))
 def test_stream_matches_stored_digest(tmp_path, name, fmt):
     out = tmp_path / f"{name}.{fmt}"
     assert main([*RUNS[name], "--out", str(out), "--format", fmt]) == 0
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
-    here = (
-        f"numpy {np.__version__}, Python {platform.python_version()}, "
-        f"{platform.system()} {platform.machine()}"
-    )
     assert digest == DIGESTS[name, fmt], (
         f"{name}.{fmt}: sha256 {digest} differs from the digest recorded with "
-        f"{RECORDED_WITH} (this run: {here})"
+        f"{RECORDED_WITH} (this run: {_here()})"
+    )
+
+
+@pytest.mark.parametrize("name", sorted(VERIFY_RUNS))
+def test_verify_report_matches_stored_digest(capsys, name):
+    argv, expected = VERIFY_RUNS[name]
+    assert main(argv) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == expected, (
+        f"verify {name}: sha256 {digest} differs from the digest recorded with "
+        f"{RECORDED_WITH} (this run: {_here()})"
     )

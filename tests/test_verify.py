@@ -1,14 +1,25 @@
+import cmath
 import json
 import math
+from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qtriad import verify
+from qtriad.projection import INFINITY_THRESHOLD
 from qtriad.states import concurrence, make_state
 from qtriad.verify import (
     DEFAULT_TOLERANCES,
+    check_bilinear_convention,
+    check_concurrence_oracle,
     check_dual_route,
+    check_fringe,
     check_identity,
+    check_separable_plane,
+    check_unit_q_iff_d0,
     concurrence_bilinear,
     verify_suite,
 )
@@ -128,3 +139,161 @@ def test_bilinear_route_is_independent():
         a = np.array(s.alpha)
         assert abs(concurrence_bilinear(s) - abs(a @ syy @ a)) < 1e-15
         assert abs(concurrence_bilinear(s) - concurrence(s)) < 1e-12
+
+
+# ------------------------------------------- array routes vs scalar routes
+
+UNIT_Q_TOL = DEFAULT_TOLERANCES["unit_q_iff_d0"]
+
+# check: (block errors from the array routes, the scalar per-state error
+# function, states per block), as the check runs them.
+ROUTES = {
+    "dual_route": (verify._dual_route_errors, verify._dual_route_error, verify._BLOCK),
+    "concurrence_oracle": (
+        verify._concurrence_oracle_errors, verify._concurrence_oracle_error, verify._BLOCK,
+    ),
+    "bilinear_convention": (
+        verify._bilinear_convention_errors, verify._bilinear_convention_error, verify._BLOCK,
+    ),
+    "fringe": (verify._fringe_errors, verify._fringe_error, verify._FRINGE_BLOCK),
+    "separable_plane": (
+        verify._separable_plane_errors, verify._separable_plane_error, verify._BLOCK,
+    ),
+    "unit_q_iff_d0": (
+        partial(verify._unit_q_errors, tolerance=UNIT_Q_TOL),
+        partial(verify._unit_q_error, tolerance=UNIT_Q_TOL),
+        verify._BLOCK,
+    ),
+}
+
+
+def _array_rows(block_errors, states, size):
+    """Each state's outputs of the array routes, a block at a time."""
+    rows = []
+    for block in verify._blocks(states, size):
+        out = block_errors(block)
+        columns = out if isinstance(out, tuple) else (out,)
+        rows.extend(zip(*(c.tolist() for c in columns)))
+    return rows
+
+
+def _scalar_rows(error, states):
+    return [out if isinstance(out, tuple) else (out,) for out in map(error, states)]
+
+
+def _bits(rows):
+    # repr tells 0.0 from -0.0 and keeps every bit of a float.
+    return [tuple(map(repr, row)) for row in rows]
+
+
+_ANGLE = st.floats(0.0, 2 * math.pi)
+
+
+@st.composite
+def _qubit(draw):
+    """A unit vector of C^2 with a drawn global phase."""
+    beta = draw(st.one_of(st.sampled_from([0.0, math.pi / 4, math.pi / 2]), _ANGLE))
+    phi, gamma = draw(_ANGLE), draw(_ANGLE)
+    g = cmath.exp(1j * gamma)
+    return g * math.cos(beta), g * cmath.exp(1j * phi) * math.sin(beta)
+
+
+@st.composite
+def route_edge_states(draw):
+    """States on and around the edges the routes treat apart: |q2| at 0, just
+    under and over the point-at-infinity threshold and at 1e-7; D at and near
+    0; C = 0 (products); lambda1 = lambda2 (C = 1); or generic."""
+    u, w = draw(_qubit()), draw(_qubit())
+    kind = draw(st.sampled_from(["pole", "balanced", "product", "equal_schmidt", "generic"]))
+    if kind == "pole":
+        r = draw(st.sampled_from([0.0, 0.99e-14, 1.01e-14, 1e-7]))
+        k = math.sqrt(1.0 - r * r)
+        amps = [k * u[0], k * u[1], r * w[0], r * w[1]]
+    elif kind == "balanced":
+        d = draw(st.sampled_from([0.0, 1e-12, -1e-12, 1e-10, -1e-10, 1e-9]))
+        c0, c1 = math.sqrt((1 + d) / 2), math.sqrt((1 - d) / 2)
+        amps = [c0 * u[0], c0 * u[1], c1 * w[0], c1 * w[1]]
+    elif kind == "product":
+        amps = [u[0] * w[0], u[0] * w[1], u[1] * w[0], u[1] * w[1]]
+    elif kind == "equal_schmidt":
+        # (U x W)(1, 0, 0, 1)/sqrt(2) with U, W unitaries whose first columns
+        # are u and w.
+        uu = ((u[0], -u[1].conjugate()), (u[1], u[0].conjugate()))
+        ww = ((w[0], -w[1].conjugate()), (w[1], w[0].conjugate()))
+        amps = [
+            (uu[i][0] * ww[j][0] + uu[i][1] * ww[j][1]) / math.sqrt(2)
+            for i in (0, 1) for j in (0, 1)
+        ]
+    else:
+        v = draw(st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8).filter(any))
+        amps = [complex(v[k], v[k + 1]) for k in range(0, 8, 2)]
+    return make_state(amps, normalize=True)
+
+
+# Lengths at and around the block edges: 1, 63, 64, 65 (and 15, 16, 17 of
+# the fringe scan's 16-state blocks), or anything up to 65.
+_SAMPLES = st.one_of(
+    st.sampled_from([1, 15, 16, 17, 63, 64, 65]), st.integers(1, 65)
+).flatmap(lambda n: st.lists(route_edge_states(), min_size=n, max_size=n))
+
+
+@settings(database=None, derandomize=True, max_examples=60, deadline=None)
+@given(_SAMPLES)
+def test_array_routes_match_scalar_routes_bit_for_bit(states):
+    for name, (block_errors, error, size) in ROUTES.items():
+        assert _bits(_array_rows(block_errors, states, size)) == _bits(
+            _scalar_rows(error, states)
+        ), name
+
+
+@settings(database=None, derandomize=True, max_examples=30, deadline=None)
+@given(_SAMPLES)
+def test_checks_report_the_scalar_maximum(states):
+    # The witness reports what the old per-state loop reported: the largest
+    # scalar error (0.0 at least) and, for unit_q_iff_d0, the finite Q count.
+    def loop_max(errors):
+        worst = 0.0
+        for e in errors:
+            worst = max(worst, e)
+        return worst
+
+    route, closure = check_dual_route(states)
+    scalar = [verify._dual_route_error(s) for s in states]
+    assert repr(route.max_error) == repr(loop_max(r for r, _ in scalar))
+    assert repr(closure.max_error) == repr(loop_max(c for _, c in scalar))
+    for check, error in (
+        (check_concurrence_oracle, verify._concurrence_oracle_error),
+        (check_bilinear_convention, verify._bilinear_convention_error),
+        (check_fringe, verify._fringe_error),
+        (check_separable_plane, verify._separable_plane_error),
+    ):
+        result = check(states)
+        assert result.samples == len(states)
+        assert repr(result.max_error) == repr(loop_max(map(error, states))), result.name
+    unit_q = check_unit_q_iff_d0(states)
+    scalar = [verify._unit_q_error(s, UNIT_Q_TOL) for s in states]
+    assert repr(unit_q.max_error) == repr(loop_max(e for e, _ in scalar))
+    assert unit_q.samples == sum(n for _, n in scalar)
+
+
+def test_point_at_infinity_in_the_array_route():
+    pole = make_state((0.6, 0.8j, 0.99 * INFINITY_THRESHOLD, 0.0), normalize=True)
+    near = make_state((0.6, 0.8j, 1.01 * INFINITY_THRESHOLD, 0.0), normalize=True)
+    finite, q = verify._stereo(verify._amplitudes([pole, near]))
+    assert finite.tolist() == [False, True]
+    assert verify._lift(finite, q)[0].tolist() == [1.0, 0.0, 0.0, 0.0, 0.0]
+    assert check_separable_plane([near, pole]).max_error == math.inf
+    # Neither state has a balanced variant (p1 < 1e-12); only near has a
+    # finite Q.
+    assert check_unit_q_iff_d0([pole, near]).samples == 1
+
+
+def test_array_route_rejects_an_unnormalized_spinor():
+    with pytest.raises(ValueError, match="spinor must be normalized"):
+        verify._stereo(np.array([[1.0, 1.0, 0.0, 0.0]], dtype=complex))
+
+
+def test_checks_take_any_sized_iterable_in_blocks():
+    states = [make_state((0.6, 0.0, 0.0, 0.8j))] * (verify._BLOCK + 1)
+    assert check_fringe(states) == check_fringe(tuple(states))
+    assert check_unit_q_iff_d0(states).samples == 2 * len(states)
