@@ -15,9 +15,9 @@ from .dataset import CSV_FORMAT, JSON_FORMAT, _fmt, emit_dataset, state_record
 from .projection import quaternify, stereo_project
 from .quaternion import is_infinite
 from .sampling import (
+    ENSEMBLES,
     FIXED_CONCURRENCE,
     HAAR,
-    SEPARABLE,
     Samples,
     SampleSpec,
     fixed_concurrence_state,
@@ -193,9 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_embed)
 
     p = sub.add_parser("sample", help="emit a seeded ensemble dataset")
-    p.add_argument(
-        "--ensemble", choices=(HAAR, SEPARABLE, FIXED_CONCURRENCE), default=HAAR
-    )
+    p.add_argument("--ensemble", choices=ENSEMBLES, default=HAAR)
     p.add_argument("--c", type=float, default=None, help="concurrence for fixedc")
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)

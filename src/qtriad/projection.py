@@ -85,10 +85,15 @@ def inverse_stereo(q: ExtendedQuaternion) -> S4Point:
     The conformal chart: infinity is the north pole (1, 0, 0, 0, 0); a finite
     Q with real components (Q0, Q1, Q2, Q3) maps to
     x0 = (|Q|^2 - 1)/(|Q|^2 + 1), (x1..x4) = 2*(Q0..Q3)/(|Q|^2 + 1).
+    Where |Q|^2 overflows, x0 rounds to 1 and (x1..x4) to 2*conj(Q^{-1}),
+    which ``Quaternion.inverse`` forms without |Q|^2.
     """
     if is_infinite(q):
         return S4Point(1.0, 0.0, 0.0, 0.0, 0.0)
     n2 = q.norm_sq()
+    if n2 == math.inf:
+        q0, q1, q2, q3 = q.inverse().conjugate().components()
+        return S4Point(1.0, 2.0 * q0, 2.0 * q1, 2.0 * q2, 2.0 * q3)
     scale = 2.0 / (n2 + 1.0)
     q0, q1, q2, q3 = q.components()
     return S4Point(
@@ -117,9 +122,13 @@ def triad_from_coords(p: S4Point) -> DualityTriad:
     """Decompose a unit S4Point into (V, D, C).
 
     V collects the complex-plane block (x1, x2), C the e2/e3 block (x3, x4),
-    and D is the axial coordinate magnitude.
+    and D is the axial coordinate magnitude. Raises ValueError unless
+    |x|^2 lies within ``NORM_TOL`` of 1.
     """
-    norm_sq = p.x0**2 + p.x1**2 + p.x2**2 + p.x3**2 + p.x4**2
+    try:
+        norm_sq = p.x0**2 + p.x1**2 + p.x2**2 + p.x3**2 + p.x4**2
+    except OverflowError:  # a coordinate beyond 1e154 or so
+        norm_sq = math.inf
     if not math.isfinite(norm_sq) or abs(norm_sq - 1.0) > NORM_TOL:
         raise ValueError(f"point is not on the unit sphere: |x|^2 = {norm_sq!r}")
     return DualityTriad(

@@ -62,13 +62,31 @@ class Quaternion:
     def inverse(self) -> "Quaternion":
         """Multiplicative inverse conj(q)/|q|^2.
 
+        Where |q|^2 overflows or falls below 2**-1000, and so may have lost
+        bits to underflow, q is first scaled by the power of two that brings
+        its largest component into [1/2, 1), and the inverse is scaled back.
+
         Raises ZeroDivisionError on the zero quaternion; mapping that case to
         the point at infinity is the projection layer's job, not the algebra's.
+        Raises OverflowError where 1/|q| exceeds the float range.
         """
         n2 = self.norm_sq()
-        if n2 == 0.0:
+        if 2.0**-1000 <= n2 < math.inf:
+            return Quaternion(self.z1.conjugate() / n2, -self.z2 / n2)
+        parts = self.components()
+        if not any(parts):
             raise ZeroDivisionError("zero quaternion has no inverse")
-        return Quaternion(self.z1.conjugate() / n2, -self.z2 / n2)
+        e = math.frexp(max(map(abs, parts)))[1]
+        p0, p1, p2, p3 = (math.ldexp(x, -e) for x in parts)
+        m2 = p0 * p0 + p1 * p1 + p2 * p2 + p3 * p3
+        try:
+            return Quaternion.from_components(
+                *(math.ldexp(x / m2, -e) for x in (p0, -p1, -p2, -p3))
+            )
+        except OverflowError:
+            raise OverflowError(
+                f"1/|q| is out of the float range: |q| = {self.norm()!r}"
+            ) from None
 
     def isclose(self, other: "Quaternion", tol: float = DEFAULT_TOL) -> bool:
         """Componentwise closeness within an absolute tolerance.

@@ -37,8 +37,6 @@ haar        4 complex amplitudes from 8 normals, normalized (unitarily
 separable   product of two independent single-qubit Haar states.
 fixedc      Schmidt-form state with concurrence C, randomized by independent
             Haar single-qubit unitaries on both factors.
-bloch       deterministic theta grid of single-qubit product states (no
-            randomness; the seed is ignored).
 """
 
 from __future__ import annotations
@@ -46,18 +44,19 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterator
 
 import numpy as np
 
+from .classify import shell_radius
 from .states import BlochAngles, TwoQubitState, bloch_state
 
 HAAR = "haar"
 SEPARABLE = "separable"
 FIXED_CONCURRENCE = "fixedc"
-BLOCH_GRID = "bloch"
 
-ENSEMBLES = (HAAR, SEPARABLE, FIXED_CONCURRENCE, BLOCH_GRID)
+ENSEMBLES = (HAAR, SEPARABLE, FIXED_CONCURRENCE)
 
 _MAX_SEED = 2**64 - 1
 
@@ -206,23 +205,20 @@ def _qubit_unitary(n0, n1, n2, n3, u: float) -> tuple[complex, complex, complex,
     return (phase * a, -phase * b.conjugate(), phase * b, phase * a.conjugate())
 
 
-def _haar_qubit_unitary(gen) -> tuple[complex, complex, complex, complex]:
-    n = _polar_normals(gen, 4)
-    return _qubit_unitary(*n, gen.random())
-
-
 def _schmidt_weights(c: float) -> tuple[float, float]:
     """(lambda1, lambda2) with 2*lambda1*lambda2 = c."""
     if not 0.0 <= c <= 1.0:
         raise ValueError("concurrence must lie in [0, 1]")
-    root = math.sqrt(max(1.0 - c * c, 0.0))
-    return math.sqrt(0.5 * (1.0 + root)), math.sqrt(max(0.5 * (1.0 - root), 0.0))
+    root = shell_radius(c)
+    return math.sqrt(0.5 * (1.0 + root)), math.sqrt(0.5 * (1.0 - root))
 
 
-def _rotated_schmidt(lam1, lam2, u, w) -> TwoQubitState:
-    # (U x W) applied to (lam1, 0, 0, lam2).
-    u00, u01, u10, u11 = u
-    w00, w01, w10, w11 = w
+def _rotated_schmidt(lam1: float, lam2: float, r: list[float]) -> TwoQubitState:
+    """(U x W) applied to (lam1, 0, 0, lam2), with U and W built from one
+    fixedc row: U's four normals, W's four normals, U's phase uniform and
+    W's phase uniform."""
+    u00, u01, u10, u11 = _qubit_unitary(r[0], r[1], r[2], r[3], r[8])
+    w00, w01, w10, w11 = _qubit_unitary(r[4], r[5], r[6], r[7], r[9])
     return TwoQubitState(
         (
             lam1 * u00 * w00 + lam2 * u01 * w01,
@@ -252,8 +248,9 @@ def fixed_concurrence_state(seed: int, index: int, c: float) -> TwoQubitState:
     """
     lam1, lam2 = _schmidt_weights(c)
     gen = _substream(seed, index)
-    u = _haar_qubit_unitary(gen)
-    return _rotated_schmidt(lam1, lam2, u, _haar_qubit_unitary(gen))
+    u, u_phase = _polar_normals(gen, 4), gen.random()
+    w, w_phase = _polar_normals(gen, 4), gen.random()
+    return _rotated_schmidt(lam1, lam2, [*u, *w, u_phase, w_phase])
 
 
 # -------------------------------------------------------------- batched path
@@ -341,13 +338,7 @@ def _stream(spec: SampleSpec, start: int = 0) -> Iterator[TwoQubitState]:
         fallback = lambda i: separable_state(seed, i)
     else:
         c = spec.c
-        lam1, lam2 = _schmidt_weights(c)
-
-        def build(r: list[float]) -> TwoQubitState:
-            u = _qubit_unitary(r[0], r[1], r[2], r[3], r[8])
-            w = _qubit_unitary(r[4], r[5], r[6], r[7], r[9])
-            return _rotated_schmidt(lam1, lam2, u, w)
-
+        build = partial(_rotated_schmidt, *_schmidt_weights(c))
         fallback = lambda i: fixed_concurrence_state(seed, i, c)
     stop = start + spec.count
     for first in range(start, stop, _BLOCK):
@@ -391,9 +382,6 @@ def sample_fixed_concurrence(spec: SampleSpec) -> list[TwoQubitState]:
     return list(_stream(spec))
 
 
-def sample(spec: SampleSpec) -> Samples | list[TwoQubitState]:
-    """The spec's states: a lazy ``Samples`` stream for the random
-    ensembles, a list for the bloch grid."""
-    if spec.ensemble == BLOCH_GRID:
-        return bloch_grid_states(spec.count)
+def sample(spec: SampleSpec) -> Samples:
+    """The spec's states as a lazy ``Samples`` stream."""
     return Samples(spec.count, lambda: _stream(spec))

@@ -292,23 +292,23 @@ def second_subsystem_triad(s: TwoQubitState) -> DualityTriad:
     )
 
 
-def fringe_extrema(s: TwoQubitState, grid: int = 360) -> tuple[float, float]:
+# The fringe scan's uniform grid: e^{i delta} at 360 phases delta over [0, 2*pi).
+_FRINGE_PHASES = np.exp(1j * (np.arange(360) * (2.0 * math.pi / 360)))
+
+
+def fringe_extrema(s: TwoQubitState) -> tuple[float, float]:
     """Detection-probability extrema over a relative phase applied to |1>.
 
     Scans p(delta) = |a0 + e^{i delta} a2|^2/2 + |a1 + e^{i delta} a3|^2/2
-    (the probability of the symmetric path superposition) over a uniform grid
-    plus the analytic extremum phases, and returns (p_max, p_min). The fringe
-    contrast (p_max - p_min)/(p_max + p_min) reproduces ``visibility``.
+    (the probability of the symmetric path superposition) over a uniform
+    360-point grid plus the two analytic extremum phases, and returns
+    (p_max, p_min); the analytic phases make both exact whatever the grid.
+    The fringe contrast (p_max - p_min)/(p_max + p_min) reproduces
+    ``visibility``.
     """
-    if grid < 4:
-        raise ValueError("grid must be at least 4")
     coherence = _invariants(s)[2]
     peak = cmath.phase(coherence) if coherence != 0 else 0.0
-    deltas = np.empty(grid + 2)
-    deltas[:grid] = np.arange(grid) * (2.0 * math.pi / grid)
-    deltas[grid] = peak
-    deltas[grid + 1] = peak + math.pi
-    phase = np.exp(1j * deltas)
+    phase = np.append(_FRINGE_PHASES, np.exp(1j * np.array((peak, peak + math.pi))))
     a0, a1, a2, a3 = s.alpha
     p = 0.5 * np.abs(a0 + phase * a2) ** 2 + 0.5 * np.abs(a1 + phase * a3) ** 2
     return (float(p.max()), float(p.min()))

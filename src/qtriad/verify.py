@@ -16,8 +16,9 @@ the sample:
 * the bilinear form is one stacked ``A[:, None, :] @ _SYY @ A[:, :, None]``,
   which gives the same bits as ``a @ _SYY @ a`` per state.
 * the fringe scan evaluates a ``(block, 362)`` array of phases at once, 16
-  states per block, with the 360 grid phases computed once at import. It
-  uses numpy's complex kernels, as ``fringe_extrema`` does.
+  states per block: the 360 grid phases of ``fringe_extrema``, which share
+  its table, plus each state's two extremum phases, which are computed here
+  independently. It uses numpy's complex kernels, as ``fringe_extrema`` does.
 
 Two moduli stay scalar, one ``math.hypot`` call per state as in
 ``Quaternion.norm``: |q2|, which decides the point at infinity, and |Q|.
@@ -63,6 +64,7 @@ from .sampling import HAAR, SEPARABLE, SampleSpec, sample_haar, sample_separable
 from .states import (
     NORM_TOL,
     TwoQubitState,
+    _FRINGE_PHASES,
     _invariants,
     concurrence,
     distinguishability,
@@ -92,13 +94,10 @@ _SYY = np.kron(_PAULI_Y, _PAULI_Y)
 # States per array pass; bounds the working arrays for any sample size.
 _BLOCK = 64
 
-# The fringe scan's uniform phase grid, as ``fringe_extrema`` builds it, and
-# its states per pass: 16 keeps each (16, 362) complex temporary under
-# glibc's 128 KiB mmap threshold. At 64 states every temporary was mapped and
-# unmapped again, which doubled the scan's cost.
-_FRINGE_GRID = 360
+# States per pass of the fringe scan: 16 keeps each (16, 362) complex
+# temporary under glibc's 128 KiB mmap threshold. At 64 states every
+# temporary was mapped and unmapped again, which doubled the scan's cost.
 _FRINGE_BLOCK = 16
-_GRID_PHASES = np.exp(1j * (np.arange(_FRINGE_GRID) * (2.0 * math.pi / _FRINGE_GRID)))
 
 CONVENTION_NOTE = (
     "S4 chart orientation: the bilinear invariant "
@@ -359,9 +358,9 @@ def _fringe_errors(block) -> np.ndarray:
     peak = np.array(
         [math.atan2(y, x) if x or y else 0.0 for x, y in zip(cr.tolist(), ci.tolist())]
     )
-    phase = np.empty((len(block), _FRINGE_GRID + 2), dtype=complex)
-    phase[:, :_FRINGE_GRID] = _GRID_PHASES
-    phase[:, _FRINGE_GRID:] = np.exp(1j * np.stack((peak, peak + math.pi), 1))
+    phase = np.empty((len(block), len(_FRINGE_PHASES) + 2), dtype=complex)
+    phase[:, :-2] = _FRINGE_PHASES
+    phase[:, -2:] = np.exp(1j * np.stack((peak, peak + math.pi), 1))
     a0, a1, a2, a3 = alpha.T[:, :, None]
     p = 0.5 * np.abs(a0 + phase * a2) ** 2 + 0.5 * np.abs(a1 + phase * a3) ** 2
     p_max, p_min = p.max(axis=1), p.min(axis=1)

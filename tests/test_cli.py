@@ -1,15 +1,17 @@
+import importlib
 import itertools
 import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from qtriad import cli
 from qtriad.cli import main
 from qtriad.dataset import DATASET_COLUMNS
-from qtriad.sampling import fixed_concurrence_state, haar_state
+from qtriad.sampling import ENSEMBLES, fixed_concurrence_state, haar_state
 
 BELL_ARG = "1,0,0,0,0,0,1,0"
 
@@ -376,3 +378,22 @@ def test_usage_error_exit_code():
         capture_output=True,
     )
     assert proc.returncode == 2
+
+
+def test_sample_offers_exactly_the_sampler_ensembles(capsys):
+    parser = cli.build_parser()
+    argv = ["sample", "--count", "1", "--seed", "1", "--out", "x", "--ensemble"]
+    for name in ENSEMBLES:
+        assert parser.parse_args([*argv, name]).ensemble == name
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args([*argv, "bloch"])
+    assert exc.value.code == 2
+
+
+def test_console_script_is_cli_main():
+    tomllib = pytest.importorskip("tomllib")
+    with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    assert scripts == {"qtriad": "qtriad.cli:main"}
+    module, _, name = scripts["qtriad"].partition(":")
+    assert getattr(importlib.import_module(module), name) is main

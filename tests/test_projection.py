@@ -89,6 +89,16 @@ def test_inverse_stereo_minus_e2():
     assert p == S4Point(0.0, 0.0, 0.0, -1.0, 0.0)
 
 
+def test_inverse_stereo_where_norm_sq_overflows():
+    # |Q|^2 = 1e310 overflows; the lift is the north-pole limit, and
+    # x1 = 2*Q0/|Q|^2 is still representable.
+    assert inverse_stereo(Quaternion(1e155)) == S4Point(1.0, 2e-155, 0.0, 0.0, 0.0)
+    p = inverse_stereo(Quaternion.from_components(1e200, -2e200, 3e199, 0.0))
+    assert p.x0 == 1.0
+    expected = [2.0 * c / 5.09 * 1e-200 for c in (1.0, -2.0, 0.3, 0.0)]
+    assert list(p[1:]) == pytest.approx(expected, rel=1e-14)
+
+
 def test_inverse_stereo_outputs_unit_points():
     for _ in range(300):
         q = Quaternion.from_components(*RNG.normal(size=4) * 3)
@@ -205,6 +215,12 @@ def test_triad_from_coords_matches_state_triad():
 def test_triad_from_coords_rejects_off_sphere_points():
     with pytest.raises(ValueError):
         triad_from_coords(S4Point(1.0, 1.0, 0.0, 0.0, 0.0))
+
+
+@pytest.mark.parametrize("x", [1e155, -1e200])
+def test_triad_from_coords_rejects_coordinates_whose_squares_overflow(x):
+    with pytest.raises(ValueError, match="not on the unit sphere"):
+        triad_from_coords(S4Point(0.0, 0.0, x, 0.0, 0.0))
 
 
 # ------------------------------------------------------------------ ball point

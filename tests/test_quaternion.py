@@ -83,6 +83,18 @@ def test_zero_quaternion_inverse_is_domain_error():
         Quaternion(0j, 0j).inverse()
 
 
+@pytest.mark.parametrize("x", [1e200, 1e-200, 3e-162, 1e-170])
+def test_inverse_where_norm_sq_overflows_or_underflows(x):
+    assert Quaternion(x).inverse().z1.real == pytest.approx(1.0 / x, rel=1e-15)
+    q = Quaternion(complex(x, -0.5 * x), complex(0.25 * x, 2.0 * x))
+    assert (q * q.inverse()).isclose(ONE, 1e-15)
+
+
+def test_inverse_beyond_float_range_is_overflow():
+    with pytest.raises(OverflowError, match="out of the float range"):
+        Quaternion(5e-324).inverse()
+
+
 def test_norm_examples():
     assert Quaternion(0j, 0j).norm() == 0.0
     assert Quaternion.from_components(1, 1, 1, 1).norm() == 2.0

@@ -7,7 +7,6 @@ import pytest
 
 from qtriad.projection import ball_point
 from qtriad.sampling import (
-    BLOCH_GRID,
     FIXED_CONCURRENCE,
     HAAR,
     SEPARABLE,
@@ -175,7 +174,8 @@ def test_sample_dispatch():
     assert len(sample(SampleSpec(5, 1, HAAR))) == 5
     assert len(sample(SampleSpec(5, 1, SEPARABLE))) == 5
     assert len(sample(SampleSpec(5, 1, FIXED_CONCURRENCE, 0.5))) == 5
-    assert len(sample(SampleSpec(5, 1, BLOCH_GRID))) == 5
+    with pytest.raises(ValueError):
+        SampleSpec(5, 1, "bloch")
     with pytest.raises(ValueError):
         sample_haar(SampleSpec(5, 1, SEPARABLE))
 

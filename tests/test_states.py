@@ -351,11 +351,6 @@ def test_fringe_contrast_equals_visibility():
         assert abs(contrast - visibility(s)) <= 1e-10
 
 
-def test_fringe_rejects_tiny_grid():
-    with pytest.raises(ValueError):
-        fringe_extrema(BELL, grid=3)
-
-
 # -------------------------------------------------------------------- purity
 
 def test_purity_examples():
