@@ -9,7 +9,7 @@ from itertools import compress
 
 import numpy as np
 
-from .states import DualityTriad, TwoQubitState, triad
+from .states import NORM_TOL, DualityTriad, TwoQubitState, triad
 
 DEFAULT_CLASSIFY_TOL = 1e-9
 _DEGENERATE_TOL = 1e-12
@@ -28,28 +28,26 @@ class StratumLabel(enum.Enum):
     ON_GREAT_DISC = "OnGreatDisc"
 
 
-def classify(s: TwoQubitState, tol: float = DEFAULT_CLASSIFY_TOL) -> frozenset[StratumLabel]:
-    """Label a state by every stratum it lies on, within ``tol``.
+def classify(s: TwoQubitState) -> frozenset[StratumLabel]:
+    """Label a state by every stratum it lies on, within ``DEFAULT_CLASSIFY_TOL``.
 
     Strata overlap (a maximally entangled state is both wave-less and
     particle-less), so the result is a set rather than a single category.
     """
-    return frozenset(_strata(triad(s), tol))
+    return frozenset(_strata(triad(s)))
 
 
 _LABELS = tuple(StratumLabel)
 
 
-def _strata(t: DualityTriad, tol: float) -> tuple[StratumLabel, ...]:
+def _strata(t: DualityTriad) -> tuple[StratumLabel, ...]:
     """``classify`` of any state whose triad is ``t``, as a tuple.
 
     The labels come in ``StratumLabel`` definition order, which is the order
     of the dataset's ``labels`` column.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
     v, d, c = t
-    low, high = tol, 1.0 - tol
+    low, high = DEFAULT_CLASSIFY_TOL, 1.0 - DEFAULT_CLASSIFY_TOL
     # One flag per StratumLabel member, in definition order.
     flags = (
         c <= low, c >= high, v >= high, d >= high, v <= low, d <= low, v <= low, d <= low
@@ -73,13 +71,13 @@ class SchmidtForm:
     def __post_init__(self):
         if not (self.lambda1 >= self.lambda2 >= 0.0):
             raise ValueError("Schmidt coefficients must satisfy lambda1 >= lambda2 >= 0")
-        if abs(self.lambda1**2 + self.lambda2**2 - 1.0) > 1e-9:
+        if abs(self.lambda1**2 + self.lambda2**2 - 1.0) > NORM_TOL:
             raise ValueError("Schmidt coefficients must have unit square sum")
         v1, v2 = (np.array(v) for v in self.basis2)
         gram_err = max(
             abs(np.vdot(v1, v1) - 1.0), abs(np.vdot(v2, v2) - 1.0), abs(np.vdot(v1, v2))
         )
-        if gram_err > 1e-9:
+        if gram_err > NORM_TOL:
             raise ValueError("basis2 must be orthonormal")
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 from typing import IO, Iterable
 
-from .classify import DEFAULT_CLASSIFY_TOL, _strata
+from .classify import _strata
 from .projection import BallPoint, coords_from_state
 from .states import TwoQubitState, triad
 
@@ -43,7 +43,7 @@ def state_record(s: TwoQubitState) -> dict:
         a0.real, a0.imag, a1.real, a1.imag, a2.real, a2.imag, a3.real, a3.imag,
         *t, *x,
         BallPoint(x.x0, x.x1, x.x2).radius,
-        [label.value for label in _strata(t, DEFAULT_CLASSIFY_TOL)],
+        [label.value for label in _strata(t)],
     )))
 
 

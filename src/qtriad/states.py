@@ -24,7 +24,9 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-# Validation band for unit-norm inputs accepted without rescaling.
+# Validation band for unit-norm inputs accepted without rescaling. A
+# ``TwoQubitState`` keeps |psi| within NORM_TOL / 8 of 1, so that |psi|^2 and
+# |psi|^4, which the derived types check against NORM_TOL, stay inside it.
 NORM_TOL = 1e-9
 
 
@@ -48,7 +50,7 @@ class TwoQubitState:
             raise ValueError("a two-qubit state needs exactly 4 amplitudes")
         object.__setattr__(self, "alpha", alpha)
         n, scale = _norm(alpha)
-        if not math.isfinite(n) or abs(n * scale - 1.0) > NORM_TOL:
+        if not math.isfinite(n) or abs(n * scale - 1.0) > NORM_TOL / 8:
             raise ValueError(f"amplitudes are not normalized: |amp| = {n * scale!r}")
 
 
@@ -92,7 +94,7 @@ def make_state(amplitudes: Sequence[complex], normalize: bool = False) -> TwoQub
 
     With ``normalize`` the input is rescaled to unit norm, whatever its finite,
     nonzero scale; without it, inputs whose norm deviates from 1 by more than
-    ``NORM_TOL`` are rejected so that typos do not get silently absorbed.
+    ``NORM_TOL / 8`` are rejected so that typos do not get silently absorbed.
     """
     alpha = tuple(complex(a) for a in amplitudes)
     if len(alpha) != 4:
@@ -243,16 +245,19 @@ def reduced_density_photon(s: TwoQubitState) -> DensityMatrix2:
     return DensityMatrix2(p0, coherence, p1)
 
 
+def _exchanged(s: TwoQubitState) -> TwoQubitState:
+    """The state with the two qubits' roles exchanged: (a0, a2, a1, a3)."""
+    a0, a1, a2, a3 = s.alpha
+    return TwoQubitState((a0, a2, a1, a3))
+
+
 def reduced_density_second(s: TwoQubitState) -> DensityMatrix2:
     """Reduced state of the partner qubit (path qubit traced out).
 
-    Off-diagonal conj(a1)*a0 + conj(a3)*a2, i.e. the partial trace over the
-    first factor written in the same coherence orientation as the photon case.
+    The path qubit's reduced state of the exchanged state: populations
+    |a0|^2 + |a2|^2 and |a1|^2 + |a3|^2, off-diagonal conj(a1)*a0 + conj(a3)*a2.
     """
-    a0, a1, a2, a3 = s.alpha
-    pe = abs(a0) ** 2 + abs(a2) ** 2
-    pf = abs(a1) ** 2 + abs(a3) ** 2
-    return DensityMatrix2(pe, a1.conjugate() * a0 + a3.conjugate() * a2, pf)
+    return reduced_density_photon(_exchanged(s))
 
 
 def visibility(s: TwoQubitState) -> float:
@@ -283,13 +288,11 @@ def triad(s: TwoQubitState) -> DualityTriad:
 def second_subsystem_triad(s: TwoQubitState) -> DualityTriad:
     """(V', D', C) with the roles of the two qubits exchanged.
 
-    V' and D' come from the partner qubit's reduced density matrix; C is
-    symmetric under the exchange, and V'^2 + D'^2 + C^2 = 1 again.
+    V' and D' are the partner qubit's visibility and distinguishability; C is
+    symmetric under the exchange (a2*a1 equals a1*a2 exactly), and
+    V'^2 + D'^2 + C^2 = 1 again.
     """
-    rho = reduced_density_second(s)
-    return DualityTriad(
-        2.0 * abs(rho.rho01), abs(rho.rho00 - rho.rho11), concurrence(s)
-    )
+    return triad(_exchanged(s))
 
 
 # The fringe scan's uniform grid: e^{i delta} at 360 phases delta over [0, 2*pi).

@@ -45,8 +45,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from functools import partial
+from dataclasses import asdict, dataclass
 from itertools import islice
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -128,16 +127,7 @@ class VerificationReport:
 
     def as_dict(self) -> dict:
         return {
-            "checks": [
-                {
-                    "name": c.name,
-                    "samples": c.samples,
-                    "max_error": c.max_error,
-                    "tolerance": c.tolerance,
-                    "passed": c.passed,
-                }
-                for c in self.checks
-            ],
+            "checks": [asdict(c) for c in self.checks],
             "notes": list(self.notes),
             "passed": self.passed,
         }
@@ -294,10 +284,8 @@ def _sphere_gap(x) -> float:
 # block function giving every state's error from the array routes.
 
 
-def _identity_error(s: TwoQubitState, concurrence_fn=None) -> float:
+def _identity_error(s: TwoQubitState) -> float:
     v, d, c = triad(s)
-    if concurrence_fn is not None:
-        c = concurrence_fn(s)
     return abs(v * v + d * d + c * c - 1.0)
 
 
@@ -439,11 +427,9 @@ def _unit_q_errors(block, tolerance: float) -> tuple[np.ndarray, np.ndarray]:
 def check_identity(
     states: Sequence[TwoQubitState],
     tolerance: float = DEFAULT_TOLERANCES["triad_identity"],
-    concurrence_fn: Callable[[TwoQubitState], float] | None = None,
 ) -> CheckResult:
     """max |V^2 + D^2 + C^2 - 1| over the sample."""
-    error = partial(_identity_error, concurrence_fn=concurrence_fn)
-    worst = _max_error(states, _scalar_errors(error), error)
+    worst = _max_error(states, _scalar_errors(_identity_error), _identity_error)
     return _result("triad_identity", len(states), worst, tolerance)
 
 
@@ -535,18 +521,12 @@ def check_unit_q_iff_d0(
 
 
 def verify_suite(
-    count: int,
-    seed: int,
-    tolerance: float | None = None,
-    *,
-    _concurrence_fn: Callable[[TwoQubitState], float] | None = None,
+    count: int, seed: int, tolerance: float | None = None
 ) -> VerificationReport:
     """Run every check over ``count`` seeded samples.
 
     With ``tolerance=None`` each check keeps its own default from
     ``DEFAULT_TOLERANCES``; a float applies uniformly to all checks.
-    ``_concurrence_fn`` swaps the concurrence used by the identity check and
-    exists so tests can prove the harness catches planted corruption.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
@@ -559,7 +539,7 @@ def verify_suite(
     haar = sample_haar(SampleSpec(count, seed, HAAR))
     route, closure = check_dual_route(haar, tol("s4_dual_route"), tol("s4_unit_norm"))
     on_haar = (
-        check_identity(haar, tol("triad_identity"), _concurrence_fn),
+        check_identity(haar, tol("triad_identity")),
         route,
         closure,
         check_concurrence_oracle(haar, tol("concurrence_oracle")),

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qtriad.classify import (
+    DEFAULT_CLASSIFY_TOL,
     SchmidtForm,
     StratumLabel,
     classify,
@@ -70,11 +71,6 @@ def test_classify_basis_state():
     }
 
 
-def test_classify_rejects_bad_tolerance():
-    with pytest.raises(ValueError):
-        classify(BELL, tol=0.0)
-
-
 def _wave_only_state():
     # equatorial path qubit times a random partner state: V = 1 exactly
     v = RNG.normal(size=4)
@@ -125,10 +121,10 @@ def _random_maximally_entangled():
 
 
 def test_classify_agrees_with_projection_geometry():
-    tol = 1e-9
+    tol = DEFAULT_CLASSIFY_TOL
     for _ in range(300):
         s = random_state()
-        labels = classify(s, tol)
+        labels = classify(s)
         q = stereo_project(quaternify(s))
         if StratumLabel.PARTICLE_LESS in labels:
             assert not is_infinite(q)

@@ -132,6 +132,16 @@ def test_analyze_rejects_unnormalized_without_flag(capsys):
     assert "error:" in err
 
 
+def test_analyze_rejects_states_off_the_norm_gate(capsys):
+    # Every derived type accepts what the state gate admits, so a state just
+    # off it stops at construction with the gate's own message.
+    code, _, err = run_cli(capsys, "analyze", "--state", "1.0000000006,0,0,0,0,0,0,0")
+    assert code == 2
+    assert "amplitudes are not normalized" in err
+    code, _, _ = run_cli(capsys, "analyze", "--state", "1.0000000001,0,0,0,0,0,0,0")
+    assert code == 0
+
+
 def test_analyze_rejects_malformed_state(capsys):
     code, _, err = run_cli(capsys, "analyze", "--state", "1,0,0")
     assert code == 2
@@ -142,6 +152,37 @@ def test_analyze_rejects_malformed_state(capsys):
 
 def _write_chi(path, values):
     path.write_text("".join(f"{z.real},{z.imag}\n" for z in values), encoding="utf-8")
+
+
+# The full JSON of each embed test below, recorded before the partner-qubit
+# and classify code was last rewritten.
+_R = 0.7071067811865476
+_EMBED_PINNED = {
+    "half_overlap": {
+        "alpha": [[_R, 0.0], [0.0, 0.0], [0.5, 0.0], [0.5, 0.0]],
+        "analysis": {
+            "V": _R, "D": 1.1102230246251565e-16, "C": _R,
+            "x": [1.1102230246251565e-16, _R, 0.0, -_R, 0.0],
+            "Q": [_R, 0.0, -_R, 0.0],
+            "ball": [1.1102230246251565e-16, _R, 0.0],
+            "radius": _R,
+            "labels": ["ParticleLess", "OnGreatDisc"],
+        },
+    },
+    "higher_dimensional": {
+        "alpha": [[_R, 0.0], [0.0, 0.0], [0.0, 0.0], [_R, 0.0]],
+        "analysis": {
+            "V": 0.0, "D": 0.0, "C": 1.0000000000000002,
+            "x": [0.0, 0.0, 0.0, -1.0000000000000002, 0.0],
+            "Q": [0.0, 0.0, -1.0, 0.0],
+            "ball": [0.0, 0.0, 0.0],
+            "radius": 0.0,
+            "labels": [
+                "MaximallyEntangled", "WaveLess", "ParticleLess", "OnX0Axis", "OnGreatDisc",
+            ],
+        },
+    },
+}
 
 
 def test_embed_half_overlap(tmp_path, capsys):
@@ -165,6 +206,7 @@ def test_embed_half_overlap(tmp_path, capsys):
     assert all(abs(a - e) < 1e-12 for a, e in zip(alpha, expected))
     assert abs(data["analysis"]["V"] - r) < 1e-12
     assert abs(data["analysis"]["C"] - r) < 1e-12
+    assert out == json.dumps(_EMBED_PINNED["half_overlap"], indent=1) + "\n"
 
 
 def test_embed_higher_dimensional_partner(tmp_path, capsys):
@@ -179,6 +221,7 @@ def test_embed_higher_dimensional_partner(tmp_path, capsys):
     assert code == 0
     data = json.loads(out)
     assert abs(data["analysis"]["C"] - 1.0) < 1e-12  # orthogonal chis: Bell-like
+    assert out == json.dumps(_EMBED_PINNED["higher_dimensional"], indent=1) + "\n"
 
 
 def test_embed_missing_file(tmp_path, capsys):

@@ -1,9 +1,9 @@
-"""README's library quickstart, run as written.
+"""README's Python blocks, run as written.
 
-Every expression line of the first Python block that carries a result
-comment (``expr  # result``, or the result alone on the next line) must
-print that result as its ``repr``. In a result, ``...`` stands for any text,
-and ``: `` starts a remark that is not part of it.
+The blocks run in order in one namespace. Every expression line that
+carries a result comment (``expr  # result``, or the result alone on the
+next line) must print that result as its ``repr``. In a result, ``...``
+stands for any text, and ``: `` starts a remark that is not part of it.
 """
 
 import ast
@@ -13,13 +13,14 @@ from pathlib import Path
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def _first_python_block() -> list[str]:
+def _python_lines() -> list[str]:
     text = README.read_text(encoding="utf-8")
-    return re.search(r"```python\n(.*?)```", text, re.S).group(1).splitlines()
+    blocks = re.findall(r"```python\n(.*?)```", text, re.S)
+    return [line for block in blocks for line in block.splitlines()]
 
 
 def _steps(lines: list[str]) -> list[tuple[str, str | None]]:
-    """(code, result comment or None) per statement line of the block."""
+    """(code, result comment or None) per statement line of the blocks."""
     steps = []
     for line in lines:
         code, _, comment = line.partition("#")
@@ -44,14 +45,14 @@ def _matches(result: str, value: str) -> bool:
 def test_quickstart_results_match_their_comments(capsys):
     namespace: dict = {}
     checked = 0
-    for code, comment in _steps(_first_python_block()):
+    for code, comment in _steps(_python_lines()):
         if comment is not None and _is_expression(code):
             value = repr(eval(code, namespace))
             assert _matches(comment, value), f"{code}: got {value}, README says {comment}"
             checked += 1
         else:
             exec(code, namespace)
-    assert checked == 5
+    assert checked == 6
     report = namespace["report"]
     assert report.passed
     assert capsys.readouterr().out == report.format_text() + "\n"

@@ -3,7 +3,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qtriad.classify import classify, schmidt_decompose
+from qtriad.dataset import state_record
+from qtriad.projection import (
+    coords_from_state,
+    inverse_stereo,
+    quaternify,
+    stereo_project,
+    triad_from_coords,
+)
 from qtriad.states import (
     BlochAngles,
     TwoQubitState,
@@ -95,6 +106,43 @@ def test_make_state_normalizes_any_finite_scale(scale):
 def test_make_state_rejects_nonfinite_and_zero(amps, message, normalize):
     with pytest.raises(ValueError, match=message):
         make_state(amps, normalize=normalize)
+
+
+# Unit patterns: the north pole (Q at infinity), a Bell state, a state with
+# exact binary amplitudes, and one with complex amplitudes off both axes.
+_UNIT_PATTERNS = [
+    (1, 0, 0, 0),
+    (1 / math.sqrt(2), 0, 0, 1 / math.sqrt(2)),
+    (0.5, 0.5, 0.5, -0.5),
+    (0.6, 0, 0.48j, 0.64),
+]
+
+
+@pytest.mark.parametrize("pattern", _UNIT_PATTERNS)
+@pytest.mark.parametrize("delta", [1e-10, -1e-10, 1.24e-10, -1.24e-10])
+def test_every_admitted_state_passes_every_derived_function(pattern, delta):
+    # The gate keeps |psi| within NORM_TOL / 8 of 1, so |psi|^2 and |psi|^4,
+    # which the derived types check against NORM_TOL, stay inside it.
+    s = make_state([(1 + delta) * a for a in pattern])
+    inverse_stereo(stereo_project(quaternify(s)))
+    reduced_density_photon(s)
+    reduced_density_second(s)
+    schmidt_decompose(s)
+    triad_from_coords(coords_from_state(s))
+    second_subsystem_triad(s)
+    classify(s)
+    state_record(s)
+    fringe_extrema(s)
+
+
+@pytest.mark.parametrize("pattern", _UNIT_PATTERNS)
+@pytest.mark.parametrize("delta", [1.26e-10, 6e-10, 1.1e-9])
+def test_states_off_the_norm_gate_are_rejected_at_construction(pattern, delta):
+    amps = [complex((1 + delta) * a) for a in pattern]
+    with pytest.raises(ValueError, match="amplitudes are not normalized"):
+        make_state(amps)
+    with pytest.raises(ValueError, match="amplitudes are not normalized"):
+        TwoQubitState(tuple(amps))
 
 
 def test_make_state_without_flag_reports_the_real_norm():
@@ -315,6 +363,30 @@ def test_second_triad_worked_triple():
     assert abs(d - 0.5) < 1e-14
     assert abs(c - 1 / math.sqrt(2)) < 1e-14
     assert abs(v * v + d * d + c * c - 1.0) < 1e-14
+
+
+# Amplitudes at scales from 1e-150 to 1e150 (and zeros) before normalization,
+# so that the normalized parts reach 1e-300 and their squares underflow.
+_SCALED_PARTS = st.tuples(
+    st.floats(-1.0, 1.0), st.sampled_from([0.0, 1e-150, 1e-75, 1.0, 1e75, 1e150])
+).map(lambda p: p[0] * p[1])
+_SCALED_STATES = st.lists(_SCALED_PARTS, min_size=8, max_size=8).filter(any).map(
+    lambda v: make_state([complex(v[k], v[k + 1]) for k in range(0, 8, 2)], normalize=True)
+)
+
+
+@settings(database=None, derandomize=True, max_examples=400)
+@given(_SCALED_STATES)
+def test_partner_side_matches_the_explicit_formulas_by_repr(s):
+    # The partial trace over the path qubit, written out on the partner side.
+    a0, a1, a2, a3 = s.alpha
+    pe = abs(a0) ** 2 + abs(a2) ** 2
+    pf = abs(a1) ** 2 + abs(a3) ** 2
+    off = a1.conjugate() * a0 + a3.conjugate() * a2
+    rho = reduced_density_second(s)
+    assert repr((rho.rho00, rho.rho01, rho.rho11)) == repr((pe, off, pf))
+    expected = (2.0 * abs(off), abs(pe - pf), 2.0 * abs(a1 * a2 - a0 * a3))
+    assert repr(tuple(second_subsystem_triad(s))) == repr(expected)
 
 
 def test_second_subsystem_identity_holds():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from qtriad import verify
 from qtriad.projection import INFINITY_THRESHOLD
-from qtriad.states import concurrence, make_state
+from qtriad.states import DualityTriad, concurrence, make_state, triad
 from qtriad.verify import (
     DEFAULT_TOLERANCES,
     check_bilinear_convention,
@@ -88,10 +88,15 @@ def test_planted_bell_has_exactly_zero_identity_error():
     assert result.passed
 
 
-def test_corrupted_concurrence_is_caught():
-    report = verify_suite(
-        200, 7, _concurrence_fn=lambda s: concurrence(s) + 1e-3
-    )
+def test_corrupted_concurrence_is_caught(monkeypatch):
+    # Only the identity and purity checks read ``verify.triad``, and purity
+    # uses just V and D, so raising C there corrupts the identity check alone.
+    def drifted_triad(s):
+        v, d, c = triad(s)
+        return DualityTriad(v, d, c + 1e-3)
+
+    monkeypatch.setattr(verify, "triad", drifted_triad)
+    report = verify_suite(200, 7)
     assert not report.passed
     identity = next(c for c in report.checks if c.name == "triad_identity")
     assert not identity.passed
