@@ -6,7 +6,6 @@ equal inputs produce byte-identical files and every value round-trips.
 
 from __future__ import annotations
 
-import json
 from typing import IO, Iterable
 
 from .classify import _strata
@@ -24,9 +23,25 @@ DATASET_COLUMNS = (
 CSV_FORMAT = "csv"
 JSON_FORMAT = "json"
 
+_CELL = "%.17g"
+
+# One ``%`` per record. The JSON template is ``json.dumps(record, indent=1)``
+# written out once and nested one level deep. Its ``%r`` equals the
+# encoder's ``float.__repr__`` only for exact, finite Python floats: under
+# numpy 2, ``%r`` of an ``np.float64`` prints ``np.float64(...)``, and the
+# encoder writes ``NaN``/``Infinity`` where ``%r`` writes ``nan``/``inf``.
+# Every cell is finite, because ``TwoQubitState`` gates the norm, and an
+# exact ``float``, because the state converts its amplitudes with
+# ``complex()``. Labels are fixed enum strings, so they need no escaping.
+_CSV_ROW = ",".join([_CELL] * (len(DATASET_COLUMNS) - 1) + ["%s\n"])
+_JSON_RECORD = (
+    " {\n" + "".join(f'  "{c}": %r,\n' for c in DATASET_COLUMNS[:-1])
+    + f'  "{DATASET_COLUMNS[-1]}": %s\n }}'
+)
+
 
 def _fmt(x: float) -> str:
-    return "%.17g" % x
+    return _CELL % x
 
 
 def state_record(s: TwoQubitState) -> dict:
@@ -64,16 +79,13 @@ def emit_dataset(
         destination.write(",".join(DATASET_COLUMNS) + "\n")
     elif fmt != JSON_FORMAT:
         raise ValueError(f"unknown format {fmt!r}")
-    encoder = json.JSONEncoder(indent=1)
     count = 0
     for count, s in enumerate(states, 1):
-        record = state_record(s)
+        *cells, labels = state_record(s).values()
         if fmt == CSV_FORMAT:
-            *cells, labels = record.values()
-            destination.write(",".join([*map(_fmt, cells), ";".join(labels)]) + "\n")
+            destination.write(_CSV_ROW % (*cells, ";".join(labels)))
         else:
-            # Records sit one level deep; JSON strings hold no raw newlines.
-            body = encoder.encode(record).replace("\n", "\n ")
-            destination.write(("[\n " if count == 1 else ",\n ") + body)
+            listed = '[\n   "' + '",\n   "'.join(labels) + '"\n  ]' if labels else "[]"
+            destination.write(("[\n" if count == 1 else ",\n") + _JSON_RECORD % (*cells, listed))
     if fmt == JSON_FORMAT:
         destination.write("\n]\n" if count else "[]\n")

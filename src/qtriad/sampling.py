@@ -42,6 +42,7 @@ fixedc      Schmidt-form state with concurrence C, randomized by independent
 from __future__ import annotations
 
 import math
+import operator
 import threading
 from dataclasses import dataclass
 from functools import partial
@@ -85,6 +86,13 @@ class SampleSpec:
     c: float | None = None
 
     def __post_init__(self):
+        for name in ("count", "seed"):
+            try:
+                value = operator.index(getattr(self, name))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer") from None
+            # numpy integers become ints: the Philox key arithmetic needs them.
+            object.__setattr__(self, name, value)
         if self.count < 1:
             raise ValueError("count must be at least 1")
         if not 0 <= self.seed <= _MAX_SEED:
@@ -130,6 +138,10 @@ def _substream(seed: int, index: int) -> np.random.Generator:
     building costs about 20 us, half of it a seed sequence that gathers OS
     entropy only for the key to override it; the reset costs about 5 us.
     """
+    try:
+        seed, index = operator.index(seed), operator.index(index)
+    except TypeError:
+        raise ValueError("seed and index must be integers") from None
     if not (0 <= seed < 2**128 and 0 <= index < 2**128):
         raise ValueError("seed and index must lie in [0, 2**128)")
     gen = getattr(_per_thread, "gen", None)

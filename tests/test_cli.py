@@ -1,4 +1,5 @@
 import importlib
+import io
 import itertools
 import json
 import math
@@ -6,12 +7,20 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from qtriad import cli
 from qtriad.cli import main
-from qtriad.dataset import DATASET_COLUMNS
-from qtriad.sampling import ENSEMBLES, fixed_concurrence_state, haar_state
+from qtriad.dataset import DATASET_COLUMNS, emit_dataset
+from qtriad.sampling import (
+    ENSEMBLES,
+    HAAR,
+    SampleSpec,
+    fixed_concurrence_state,
+    haar_state,
+    sample,
+)
 
 BELL_ARG = "1,0,0,0,0,0,1,0"
 
@@ -413,6 +422,20 @@ def test_dataset_commands_stream_states_into_the_writer(
     assert not issubclass(seen["type"], (list, tuple))
     assert seen["len"] == count
     assert seen["first"] == [s.alpha for s in first]
+
+
+def test_sample_writes_the_library_stream(tmp_path, capsys):
+    # argparse hands SampleSpec Python ints; a numpy seed draws the same stream.
+    out = tmp_path / "haar.csv"
+    code, _, _ = run_cli(capsys, "sample", "--count", "3", "--seed", "42", "--out", str(out))
+    assert code == 0
+    buf = io.StringIO()
+    emit_dataset(sample(SampleSpec(3, np.uint64(42), HAAR)), "csv", buf)
+    assert out.read_text(encoding="utf-8") == buf.getvalue()
+    with pytest.raises(SystemExit) as excinfo:
+        main(["sample", "--count", "3", "--seed", "1.5", "--out", str(out)])
+    assert excinfo.value.code == 2
+    assert "invalid int value: '1.5'" in capsys.readouterr().err
 
 
 def test_usage_error_exit_code():

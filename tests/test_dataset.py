@@ -178,3 +178,51 @@ _GENERIC_STATES = st.builds(
 def test_record_labels_follow_stratum_definition_order(s):
     chosen = classify(s)
     assert state_record(s)["labels"] == [m.value for m in StratumLabel if m in chosen]
+
+
+# Writer edge cases: signed zeros, subnormal parts beside O(1) ones, and one
+# state per label count from 0 to 5 (MaximallyEntangled, WaveLess and
+# OnX0Axis alone need C within 1e-9 of 1 with D = 3e-5).
+_SCHMIDT_D = 3e-5
+_WRITER_EDGES = (
+    make_state((1, 5e-324j, 0, 0)),
+    make_state((complex(-0.0, -0.0), complex(-0.0, 1.0), complex(0.0, -0.0), -0.0)),
+    make_state((1, 1j, 1, -1j), normalize=True),
+    haar_state(42, 0),
+    make_state((0.6, 0, 0.8, 0)),
+    make_state((0.6, 0, 0, 0.8)),
+    make_state((math.sqrt((1 + _SCHMIDT_D) / 2), 0, 0, math.sqrt((1 - _SCHMIDT_D) / 2))),
+    make_state((1, 0, 0, 0)),
+    make_state((0, 0, 0, 1)),
+    make_state((1, 1, 1, 1), normalize=True),
+    BELL,
+)
+
+
+def test_writer_edges_hold_every_label_count():
+    assert {len(state_record(s)["labels"]) for s in _WRITER_EDGES} == set(range(6))
+
+
+@settings(database=None, derandomize=True, max_examples=200)
+@given(st.lists(
+    st.one_of(
+        st.sampled_from(_WRITER_EDGES),
+        st.builds(haar_state, st.integers(0, 2**64 - 1), st.integers(0, 2**20)),
+        edge_states(),
+        _GENERIC_STATES,
+    ),
+    max_size=5,
+))
+def test_writer_equals_the_encoder(states):
+    records = [state_record(s) for s in states]
+    for record in records:
+        *cells, labels = record.values()
+        # The JSON template's %r equals the encoder's float.__repr__ only on
+        # exact floats.
+        assert all(type(v) is float for v in cells)
+    assert emit_to_string(states, "json") == json.dumps(records, indent=1) + "\n"
+    rows = [
+        ",".join([*map(dataset_module._fmt, cells), ";".join(labels)])
+        for *cells, labels in (r.values() for r in records)
+    ]
+    assert emit_to_string(states) == "".join(line + "\n" for line in [HEADER, *rows])

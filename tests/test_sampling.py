@@ -48,6 +48,24 @@ def test_spec_validation():
     SampleSpec(1, 1, FIXED_CONCURRENCE, 0.5)
 
 
+@pytest.mark.parametrize("count, seed", [
+    (3, 1.5), (3, 1.0), (2.5, 1), (1.0, 1), ("3", 1), (3, "1"), (3, None),
+])
+def test_spec_rejects_non_integer_count_and_seed(count, seed):
+    with pytest.raises(ValueError, match="must be an integer"):
+        SampleSpec(count, seed, HAAR)
+
+
+@pytest.mark.parametrize("seed", [np.uint64(2**64 - 1), np.int64(5), np.uint8(0)])
+def test_spec_accepts_numpy_integer_seeds(seed):
+    spec = SampleSpec(np.int64(3), seed, HAAR)
+    assert type(spec.count) is int and type(spec.seed) is int
+    assert [s.alpha for s in sample(spec)] == [
+        s.alpha for s in sample(SampleSpec(3, int(seed), HAAR))
+    ]
+    assert haar_state(seed, np.uint64(1)).alpha == haar_state(int(seed), 1).alpha
+
+
 def test_same_seed_reproduces_states():
     spec = SampleSpec(50, 4242, HAAR)
     a = sample_haar(spec)
@@ -213,6 +231,9 @@ def test_reset_substream_matches_a_fresh_generator(seed, index):
 def test_substream_rejects_out_of_range_seed_and_index():
     for seed, index in ((-1, 0), (2**128, 0), (0, -1), (0, 2**128)):
         with pytest.raises(ValueError):
+            haar_state(seed, index)
+    for seed, index in ((1.5, 0), (1.0, 0), (0, 2.0), ("1", 0)):
+        with pytest.raises(ValueError, match="must be integers"):
             haar_state(seed, index)
 
 
