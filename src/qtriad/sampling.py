@@ -42,6 +42,7 @@ fixedc      Schmidt-form state with concurrence C, randomized by independent
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 import threading
 from dataclasses import dataclass
@@ -78,7 +79,11 @@ _SHIFT11 = np.uint64(11)
 
 @dataclass(frozen=True, slots=True)
 class SampleSpec:
-    """What to sample: ensemble, size, and the stream seed."""
+    """What to sample: ensemble, size, and the stream seed.
+
+    ``c`` is the concurrence of ``fixedc``, a real number in [0, 1] that is
+    stored as a ``float``; the other ensembles take none.
+    """
 
     count: int
     seed: int
@@ -99,9 +104,13 @@ class SampleSpec:
             raise ValueError("seed must fit in 64 unsigned bits")
         if self.ensemble not in ENSEMBLES:
             raise ValueError(f"unknown ensemble {self.ensemble!r}")
-        if self.ensemble == FIXED_CONCURRENCE:
-            if self.c is None or not 0.0 <= self.c <= 1.0:
-                raise ValueError("fixedc requires a concurrence c in [0, 1]")
+        if self.ensemble != FIXED_CONCURRENCE:
+            if self.c is not None:
+                raise ValueError(f"{self.ensemble} takes no concurrence c")
+            return
+        if not isinstance(self.c, numbers.Real) or not 0 <= self.c <= 1:
+            raise ValueError("fixedc requires a real concurrence c in [0, 1]")
+        object.__setattr__(self, "c", float(self.c))
 
 
 class Samples:

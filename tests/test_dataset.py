@@ -1,6 +1,8 @@
 import io
 import json
 import math
+import struct
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -226,3 +228,115 @@ def test_writer_equals_the_encoder(states):
         for *cells, labels in (r.values() for r in records)
     ]
     assert emit_to_string(states) == "".join(line + "\n" for line in [HEADER, *rows])
+
+
+# The CSV block writer against ``%.17g``, cell by cell and block by block.
+
+
+def _csv_reference(rows, labels):
+    return "".join(dataset_module._CSV_ROW % (*row, label) for row, label in zip(rows, labels))
+
+
+def _assert_block_rows(rows):
+    labels = [";".join(["Separable"] * (k % 3)) for k in range(len(rows))]
+    cells = [v for row in rows for v in row]
+    assert dataset_module._csv_rows(cells, labels) == _csv_reference(rows, labels)
+
+
+def _from_bits(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+_FINITE_BITS = st.integers(0, 2**64 - 1).map(_from_bits).filter(math.isfinite)
+# Exponent fields 1009 .. 1026 span 2**-14 .. 2**4, around the array domain
+# 1e-4 <= |x| < 10.
+_DOMAIN_BITS = st.builds(
+    lambda sign, exponent, mantissa: _from_bits(sign << 63 | exponent << 52 | mantissa),
+    st.integers(0, 1), st.integers(1009, 1026), st.integers(0, 2**52 - 1),
+)
+
+
+@settings(database=None, derandomize=True, max_examples=500)
+@given(st.lists(st.one_of(_FINITE_BITS, _DOMAIN_BITS), min_size=1, max_size=17))
+def test_block_cells_equal_percent_g_by_bit_pattern(values):
+    # The values fill two rows, the second rotated, so each sits in two columns.
+    row = (values * 17)[:17]
+    _assert_block_rows([row, row[1:] + row[:1]])
+
+
+def _ties() -> list[float]:
+    """Doubles whose 17-digit rounding is an exact tie, in every decade of
+    the array domain: x = m / 2**(k + 1) with m odd and 10**e <= x < 10**(e + 1),
+    so x * 10**k (k = 16 - e) is an odd multiple of 1/2."""
+    ties = []
+    for e in range(-4, 1):
+        k = 16 - e
+        low = math.ceil(Fraction(10) ** e * 2 ** (k + 1)) | 1
+        high = math.ceil(Fraction(10) ** (e + 1) * 2 ** (k + 1)) - 1
+        for m in (low, low + 2, (low + high) // 2 | 1, high - 1 + high % 2):
+            x = m / 2 ** (k + 1)
+            assert 10.0**e <= x < 10.0 ** (e + 1)
+            assert (Fraction(x) * 10**k).denominator == 2
+            ties.append(x)
+    return ties
+
+
+def _adversarial() -> list[float]:
+    values = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072009e-308,
+              2.2250738585072014e-308, 1.0, -1.0, 1 - 2**-53, 1 + 2**-52,
+              float(np.nextafter(10.0, 0.0)), 10.0, 9.5, 0.5, 0.25, 0.1, 0.001]
+    for base in [2.0 ** j for j in range(-20, 8)] + [10.0**j for j in range(-6, 19)]:
+        for v in (base, np.nextafter(base, 0.0), np.nextafter(base, np.inf)):
+            values += [float(v), -float(v)]
+    for edge in (1e-5, 1e-4, 1e16, 1e17):
+        v = edge
+        for _ in range(3):
+            v = np.nextafter(v, 0.0)
+        for _ in range(7):
+            values += [float(v), -float(v)]
+            v = np.nextafter(v, np.inf)
+    values += _ties()
+    return values
+
+
+def test_block_cells_equal_percent_g_on_adversarial_values():
+    ties = _ties()
+    cells = np.array(ties * 17).reshape(17, -1).T
+    assert dataset_module._csv_template(cells)[1].all()
+    values = _adversarial()
+    values += [0.5] * (-len(values) % 17)
+    _assert_block_rows([values[k:k + 17] for k in range(0, len(values), 17)])
+    # Each value alone, as every cell of its own row.
+    _assert_block_rows([[v] * 17 for v in values])
+
+
+@pytest.mark.parametrize("count", [0, 1, 255, 256, 257, 600])
+def test_csv_blocks_equal_the_row_template(count):
+    # Each writer edge state at block positions 0, 255 and 256, where present.
+    base = [haar_state(7, i) for i in range(count)]
+    for edge in _WRITER_EDGES:
+        states = [edge if i in (0, 255, 256) else s for i, s in enumerate(base)]
+        records = [list(state_record(s).values()) for s in states]
+        expected = _csv_reference([r[:-1] for r in records], [";".join(r[-1]) for r in records])
+        assert emit_to_string(states) == HEADER + "\n" + expected
+
+
+def test_csv_writer_draws_at_most_one_block_ahead():
+    drawn = 0
+
+    def states():
+        nonlocal drawn
+        for i in range(600):
+            drawn += 1
+            yield haar_state(42, i)
+
+    class Sink:
+        rows = -1  # the header line is not a row
+
+        def write(self, text):
+            assert drawn <= max(self.rows, 0) + 256
+            self.rows += text.count("\n")
+
+    sink = Sink()
+    emit_dataset(states(), "csv", sink)
+    assert (drawn, sink.rows) == (600, 600)

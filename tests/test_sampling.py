@@ -1,6 +1,7 @@
 import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -54,6 +55,30 @@ def test_spec_validation():
 def test_spec_rejects_non_integer_count_and_seed(count, seed):
     with pytest.raises(ValueError, match="must be an integer"):
         SampleSpec(count, seed, HAAR)
+
+
+@pytest.mark.parametrize("c", ["0.5", 1 + 0j, 0.5j, None, float("nan"), math.inf, -1e-300,
+                               1 + 2**-52, Fraction(10**400)])
+def test_fixedc_spec_rejects_non_real_or_out_of_range_c(c):
+    with pytest.raises(ValueError, match="fixedc requires a real concurrence"):
+        SampleSpec(1, 1, FIXED_CONCURRENCE, c)
+
+
+@pytest.mark.parametrize("c", [0, 1, True, np.float64(0.3), np.int64(1), Fraction(1, 4), 0.5])
+def test_fixedc_spec_stores_c_as_float(c):
+    spec = SampleSpec(2, 1, FIXED_CONCURRENCE, c)
+    assert type(spec.c) is float and spec.c == float(c)
+    assert [s.alpha for s in sample(spec)] == [
+        s.alpha for s in sample(SampleSpec(2, 1, FIXED_CONCURRENCE, float(c)))
+    ]
+
+
+@pytest.mark.parametrize("ensemble", [HAAR, SEPARABLE])
+@pytest.mark.parametrize("c", ["junk", 0.5, 0, 1 + 0j])
+def test_haar_and_separable_specs_take_no_c(ensemble, c):
+    with pytest.raises(ValueError, match=f"{ensemble} takes no concurrence c"):
+        SampleSpec(1, 1, ensemble, c)
+    assert SampleSpec(1, 1, ensemble, None).c is None
 
 
 @pytest.mark.parametrize("seed", [np.uint64(2**64 - 1), np.int64(5), np.uint8(0)])
