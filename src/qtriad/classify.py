@@ -81,11 +81,10 @@ class SchmidtForm:
             raise ValueError("basis2 must be orthonormal")
 
 
-def _fix_phase(vec: np.ndarray) -> tuple[np.ndarray, complex]:
+def _fix_phase(vec: np.ndarray) -> np.ndarray:
     """Rotate so the leading nonzero component is real positive."""
     lead = vec[0] if abs(vec[0]) > 1e-12 else vec[1]
-    phase = lead / abs(lead)
-    return vec / phase, phase
+    return vec / (lead / abs(lead))
 
 
 def schmidt_decompose(s: TwoQubitState) -> SchmidtForm:
@@ -101,9 +100,7 @@ def schmidt_decompose(s: TwoQubitState) -> SchmidtForm:
     if sv1 - sv2 <= _DEGENERATE_TOL:
         basis = ((1 + 0j, 0j), (0j, 1 + 0j))
     else:
-        w1, _ = _fix_phase(vh[0])
-        w2, _ = _fix_phase(vh[1])
-        basis = (tuple(complex(x) for x in w1), tuple(complex(x) for x in w2))
+        basis = tuple(tuple(complex(x) for x in _fix_phase(v)) for v in vh)
     return SchmidtForm(float(sv1), float(sv2), basis)
 
 

@@ -202,34 +202,37 @@ def emit_dataset(
 ) -> None:
     """Write one record per state to an open text stream.
 
-    ``states`` is iterated once and never held whole: JSON writes each
-    record before the next state is drawn, and CSV holds at most one block
-    of ``_BLOCK`` (256) records. CSV gets a header line even for no states,
-    and its cells are the exact ``%.17g`` text, made by array code per block
-    with a per-cell ``%`` for the cells outside its domain. JSON is a list
-    of objects keyed by the same column names (labels as a list), written
-    exactly as ``json.dump(records, indent=1)`` would. In both, labels keep
-    the ``StratumLabel`` definition order of ``state_record``; CSV joins
-    them with semicolons.
+    ``states`` is iterated once and never held whole: both formats draw a
+    block of at most ``_BLOCK`` (256) states, then build and write its
+    records, so no more than one block is drawn ahead of what is written.
+    CSV gets a header line even for no states, and its cells are the exact
+    ``%.17g`` text, made by array code per block with a per-cell ``%`` for
+    the cells outside its domain. JSON is a list of objects keyed by the
+    same column names (labels as a list), written a record at a time exactly
+    as ``json.dump(records, indent=1)`` would. In both, labels keep the
+    ``StratumLabel`` definition order of ``state_record``; CSV joins them
+    with semicolons. An unknown ``fmt`` raises before anything is drawn or
+    written.
     """
-    if fmt == CSV_FORMAT:
-        destination.write(",".join(DATASET_COLUMNS) + "\n")
-        states = iter(states)
-        while True:
-            cells: list[float] = []
-            labels: list[str] = []
-            for s in islice(states, _BLOCK):
-                *row, names = state_record(s).values()
+    if fmt not in (CSV_FORMAT, JSON_FORMAT):
+        raise ValueError(f"unknown format {fmt!r}")
+    csv = fmt == CSV_FORMAT
+    destination.write(",".join(DATASET_COLUMNS) + "\n" if csv else "[")
+    states = iter(states)
+    lead = "\n"
+    while block := list(islice(states, _BLOCK)):
+        cells: list[float] = []
+        labels: list[str] = []
+        for s in block:
+            *row, names = state_record(s).values()
+            if csv:
                 cells += row
                 labels.append(";".join(names))
-            if not labels:
-                return
+            else:
+                listed = '[\n   "' + '",\n   "'.join(names) + '"\n  ]' if names else "[]"
+                destination.write(lead + _JSON_RECORD % (*row, listed))
+                lead = ",\n"
+        if csv:
             destination.write(_csv_rows(cells, labels))
-    if fmt != JSON_FORMAT:
-        raise ValueError(f"unknown format {fmt!r}")
-    count = 0
-    for count, s in enumerate(states, 1):
-        *cells, labels = state_record(s).values()
-        listed = '[\n   "' + '",\n   "'.join(labels) + '"\n  ]' if labels else "[]"
-        destination.write(("[\n" if count == 1 else ",\n") + _JSON_RECORD % (*cells, listed))
-    destination.write("\n]\n" if count else "[]\n")
+    if not csv:
+        destination.write("]\n" if lead == "\n" else "\n]\n")

@@ -143,6 +143,27 @@ class CorrelatedState:
             raise ValueError("|mu|^2 + |nu|^2 must equal 1")
 
 
+def _ldexp(z: complex, e: int) -> complex:
+    return complex(math.ldexp(z.real, e), math.ldexp(z.imag, e))
+
+
+def _split(z: complex) -> tuple[complex, int]:
+    """(u, e) with z = u * 2**e and u's larger part in [0.5, 1); e = 0 for z = 0."""
+    e = math.frexp(max(abs(z.real), abs(z.imag)))[1]
+    return _ldexp(z, -e), e
+
+
+def _weight(z: complex, n: float, scale: float) -> tuple[complex, int]:
+    """``_split(z * n * scale)`` without overflow, given ``(n, scale) = _norm(chi)``.
+
+    z is split first, so its product with n stays finite, and above 2**-501
+    for z != 0 because n >= 2**-500.
+    """
+    u, e = _split(z)
+    u, e2 = _split(u * n)
+    return u, e + e2 + math.frexp(scale)[1] - 1
+
+
 def make_correlated(
     mu: complex,
     nu: complex,
@@ -154,7 +175,8 @@ def make_correlated(
 
     Rescaling folds each chi's norm into its branch weight and then scales
     (mu, nu) to unit combined weight, which leaves the physical ray untouched.
-    Zero-norm chi vectors (or a combined zero weight) are rejected.
+    Weights and chi entries may have any finite size. Zero-norm chi vectors
+    (or a combined zero weight) are rejected.
     """
     c1 = tuple(complex(c) for c in chi1)
     c2 = tuple(complex(c) for c in chi2)
@@ -169,11 +191,21 @@ def make_correlated(
         # Only the ratio of the two weights survives the division by w, so
         # the larger scale is divided out instead of multiplied back in.
         big = max(scale1, scale2)
-        m *= n1 * (scale1 / big)
-        n *= n2 * (scale2 / big)
-        w = math.hypot(abs(m), abs(n))
-        if w == 0.0:
-            raise ValueError("mu and nu cannot both vanish")
+        f1, f2 = n1 * (scale1 / big), n2 * (scale2 / big)
+        fm, fn = m * f1, n * f2
+        w = math.hypot(abs(fm), abs(fn))
+        if min(f1, f2) >= 2.0**-1022 and 2.0**-1022 <= w < math.inf:
+            m, n = fm, fn
+        else:
+            # A folded weight or w overflowed, or a fold factor or w fell
+            # below the normal range and kept only a subnormal's bits: carry
+            # each weight as u * 2**e instead and divide out the larger e.
+            weights = [_weight(m, n1, scale1), _weight(n, n2, scale2)]
+            if not any(u for u, _ in weights):
+                raise ValueError("mu and nu cannot both vanish")
+            top = max(e for u, e in weights if u)
+            m, n = (_ldexp(u, e - top) for u, e in weights)
+            w = math.hypot(abs(m), abs(n))
         m /= w
         n /= w
     return CorrelatedState(m, n, c1, c2)

@@ -233,6 +233,21 @@ def test_embed_higher_dimensional_partner(tmp_path, capsys):
     assert out == json.dumps(_EMBED_PINNED["higher_dimensional"], indent=1) + "\n"
 
 
+def test_embed_branch_weights_near_the_float_maximum(tmp_path, capsys):
+    chi1 = tmp_path / "chi1.txt"
+    chi2 = tmp_path / "chi2.txt"
+    _write_chi(chi1, [1 + 0j, 0j])
+    _write_chi(chi2, [1 + 0j, 0j])
+    code, out, _ = run_cli(
+        capsys, "embed", "--mu", "1.5e308,0", "--nu", "1.5e308,0",
+        "--chi1", str(chi1), "--chi2", str(chi2),
+    )
+    assert code == 0
+    alpha = [complex(re, im) for re, im in json.loads(out)["alpha"]]
+    r = 1 / math.sqrt(2)
+    assert all(abs(a - e) < 1e-15 for a, e in zip(alpha, [r, 0, r, 0]))
+
+
 def test_embed_missing_file(tmp_path, capsys):
     chi1 = tmp_path / "chi1.txt"
     _write_chi(chi1, [1 + 0j])

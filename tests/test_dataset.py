@@ -128,8 +128,16 @@ def test_state_record_consistency():
 
 
 def test_unknown_format_rejected():
+    drawn = []
+
+    def states():
+        drawn.append(BELL)
+        yield BELL
+
+    buf = io.StringIO()
     with pytest.raises(ValueError):
-        emit_to_string([BELL], "xml")
+        emit_dataset(states(), "xml", buf)
+    assert (buf.getvalue(), drawn) == ("", [])
 
 
 # A value in [0, 1], drawn often at exactly 0 or 1, within 2 tol of 0, tol,
@@ -312,31 +320,36 @@ def test_block_cells_equal_percent_g_on_adversarial_values():
 
 @pytest.mark.parametrize("count", [0, 1, 255, 256, 257, 600])
 def test_csv_blocks_equal_the_row_template(count):
-    # Each writer edge state at block positions 0, 255 and 256, where present.
+    # Each writer edge state at block positions 0, 255 and 256, where present,
+    # in both formats.
     base = [haar_state(7, i) for i in range(count)]
     for edge in _WRITER_EDGES:
         states = [edge if i in (0, 255, 256) else s for i, s in enumerate(base)]
-        records = [list(state_record(s).values()) for s in states]
-        expected = _csv_reference([r[:-1] for r in records], [";".join(r[-1]) for r in records])
+        records = [state_record(s) for s in states]
+        rows = [list(r.values()) for r in records]
+        expected = _csv_reference([r[:-1] for r in rows], [";".join(r[-1]) for r in rows])
         assert emit_to_string(states) == HEADER + "\n" + expected
+        assert emit_to_string(states, "json") == json.dumps(records, indent=1) + "\n"
 
 
 def test_csv_writer_draws_at_most_one_block_ahead():
-    drawn = 0
+    # Records written so far: CSV lines after the header, JSON label keys.
+    for fmt, marker, written in (("csv", "\n", -1), ("json", '"labels"', 0)):
+        drawn = 0
 
-    def states():
-        nonlocal drawn
-        for i in range(600):
-            drawn += 1
-            yield haar_state(42, i)
+        def states():
+            nonlocal drawn
+            for i in range(600):
+                drawn += 1
+                yield haar_state(42, i)
 
-    class Sink:
-        rows = -1  # the header line is not a row
+        class Sink:
+            rows = written
 
-        def write(self, text):
-            assert drawn <= max(self.rows, 0) + 256
-            self.rows += text.count("\n")
+            def write(self, text):
+                assert drawn <= max(self.rows, 0) + 256
+                self.rows += text.count(marker)
 
-    sink = Sink()
-    emit_dataset(states(), "csv", sink)
-    assert (drawn, sink.rows) == (600, 600)
+        sink = Sink()
+        emit_dataset(states(), fmt, sink)
+        assert (drawn, sink.rows) == (600, 600)

@@ -183,6 +183,31 @@ def test_make_correlated_ignores_the_scale_of_chi(scale, chi1, chi2):
         assert abs(a - b) <= 1e-15
 
 
+# Branch weights whose fold or combined norm overflows, or is subnormal.
+@pytest.mark.parametrize(
+    "mu, nu, chi1, chi2, expected",
+    [
+        (1.2e308, 1.6e308, (1, 0, 0), (0.6, 0.8j, 0), (0.6, 0.8)),
+        (1e-320, 1e-320, (1, 0, 0), (0.6, 0.8j, 0), (2**-0.5, 2**-0.5)),
+        (5e-324, 5e-324j, (1, 0, 0), (0.6, 0.8j, 0), (2**-0.5, 2**-0.5 * 1j)),
+        (1.5e308, 1.5e308, (1, 1, 1), (1, 0, 0), (3**0.5 / 2, 0.5)),
+    ],
+)
+def test_make_correlated_normalizes_extreme_branch_weights(mu, nu, chi1, chi2, expected):
+    c = make_correlated(mu, nu, chi1, chi2, normalize=True)
+    assert abs(c.mu - expected[0]) <= 1e-15
+    assert abs(c.nu - expected[1]) <= 1e-15
+
+
+def test_make_correlated_keeps_a_weight_whose_chi_norm_underflows_the_fold():
+    # |chi1| overflows and |chi2| = 5e-324, so chi2's fold factor 2**-2098
+    # underflows; the weights themselves are 1.4e8 and 4.9e-16.
+    c = make_correlated(1e-300, 1e308, (1e308, 1e308), (5e-324, 0), normalize=True)
+    expected = 1e308 * 5e-324 / (1e-300 * math.hypot(1e308, 1e308))
+    assert c.mu == 1
+    assert abs(c.nu - expected) <= 1e-15 * expected
+
+
 # ---------------------------------------------------------- reduced densities
 
 def test_reduced_photon_basis_state():
