@@ -1,13 +1,14 @@
 """Flat-file emission of per-state analysis records (CSV or JSON).
 
-Column order is fixed and floats are printed with 17 significant digits, so
-equal inputs produce byte-identical files and every value round-trips.
+Column order is fixed. CSV floats are printed with 17 significant digits and
+JSON floats as ``repr`` prints them, so equal inputs produce byte-identical
+files and every value round-trips.
 """
 
 from __future__ import annotations
 
 from itertools import islice
-from typing import IO, Iterable
+from typing import IO, Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -27,39 +28,49 @@ CSV_FORMAT = "csv"
 JSON_FORMAT = "json"
 
 _CELL = "%.17g"
-
-# One ``%`` per JSON record: ``json.dumps(record, indent=1)`` written out
-# once and nested one level deep. Its ``%r`` equals the encoder's
-# ``float.__repr__`` only for exact, finite Python floats: under numpy 2,
-# ``%r`` of an ``np.float64`` prints ``np.float64(...)``, and the encoder
-# writes ``NaN``/``Infinity`` where ``%r`` writes ``nan``/``inf``. Every cell
-# is finite, because ``TwoQubitState`` gates the norm, and an exact
-# ``float``, because the state converts its amplitudes with ``complex()``.
-# Labels are fixed enum strings, so they need no escaping. ``_CSV_ROW`` is
-# the CSV row that ``_csv_rows`` writes, a block at a time, byte for byte.
+# The CSV row that ``_rows`` writes, a block at a time, byte for byte.
 _CSV_ROW = ",".join([_CELL] * (len(DATASET_COLUMNS) - 1) + ["%s\n"])
-_JSON_RECORD = (
-    " {\n" + "".join(f'  "{c}": %r,\n' for c in DATASET_COLUMNS[:-1])
-    + f'  "{DATASET_COLUMNS[-1]}": %s\n }}'
-)
 
 
 def _fmt(x: float) -> str:
     return _CELL % x
 
 
-# CSV cells are formatted as arrays, ``_BLOCK`` rows at a time. A cell with
-# 1e-4 <= |x| < 10 has decimal exponent E in [-4, 0], where ``%.17g`` writes
-# fixed notation with the 17 digits D = round(|x| * 10**k), k = 16 - E. Each
-# 10**k (1e16 .. 1e20) is an exact double, and Dekker's product over a
-# Veltkamp split (by 2**27 + 1, no FMA needed) gives |x| * 10**k exactly as
-# p + err. p >= 1e16 > 2**53 is an integer, so D = p + floor(err), plus one
-# when err - floor(err) > 0.5. That difference is exact except when err is
-# in (-0.5, 0), where the true fraction is above 0.5 and the rounded one is
-# at least 0.5. Every other cell is a fallback and gets ``_CELL % x``: zeros,
-# |x| < 1e-4 or >= 10, subnormals, a computed fraction of exactly 0.5 (an
-# exact tie, which ``%`` rounds half-even, or a fraction just above 0.5 that
-# rounded to it) and D outside [10**16, 10**17).
+# Cells are formatted as arrays, ``_BLOCK`` rows at a time. A cell with
+# 1e-4 <= |x| < 10 has decimal exponent E in [-4, 0], where ``%.17g`` and
+# ``repr`` both write fixed notation. ``%.17g`` writes the 17 digits
+# D = round(|x| * 10**k), k = 16 - E. Each 10**k (1e16 .. 1e20) is an exact
+# double, and Dekker's product over a Veltkamp split (by 2**27 + 1, no FMA
+# needed) gives |x| * 10**k exactly as p + err. p >= 1e16 > 2**53 is an
+# integer, so D = p + floor(err), plus one when err - floor(err) > 0.5. That
+# difference is exact except when err is in (-0.5, 0), where the true
+# fraction is above 0.5 and the rounded one is at least 0.5.
+#
+# JSON cells are ``repr(x)``: the fewest digits that read back as x, and of
+# those the string nearest x. D is within 0.5 of p + err, so the nearest
+# n-digit m (n = 16, 15) is D's quotient by 10**(17 - n), plus one where
+# p + err passes the quotient's half unit; err against that exact small
+# integer decides it. For m < 2**53, m / 10.0**(k + n - 17) is the correctly
+# rounded value of the digit string (Clinger's fast path: both operands are
+# exact doubles), so it equals x exactly when the string reads back as x.
+# Scaled by 10**k, the strings that read back lie within H of p + err, with
+# H = ulp(x) / 2 * 10**k at most 10.9 here. So the nearest n-digit string
+# reads back if any n-digit string does, and as a shorter string is a longer
+# one padded with zeros, the first n whose nearest m misses ends the search.
+# A 16-digit m >= 2**53 always reads back: such an x lies in a binade where
+# H is above 5, half the gap between 16-digit neighbours; and m < 10**16, as
+# each decade's largest double is more than 5 below 10**17. Half the gap
+# between 15-digit neighbours is 50 > H, so a string of 15 or fewer digits
+# that reads back is the nearest 15-digit m, padded; its zeros go with D's
+# trailing zeros. The rounding interval of a power of two is narrower below
+# it, which breaks the symmetry these steps rely on; the tests check all 17
+# powers of two in the domain.
+#
+# Every other cell falls back to its format's own conversion, ``%.17g`` or
+# ``repr``: zeros, |x| < 1e-4 or >= 10, subnormals, D outside
+# [10**16, 10**17), a computed fraction of exactly 0.5 (an exact tie, which
+# ``%`` rounds half-even, or a fraction just above 0.5 that rounded to it)
+# and, for JSON, an exact tie at 16 or 15 digits.
 _BLOCK = 256
 _FLOATS = len(DATASET_COLUMNS) - 1
 # |x| >= 10**E exactly when |x| >= 10.0**E: each of these doubles lies above
@@ -79,21 +90,92 @@ _SCALE = np.array([float(10 ** (21 - i)) for i in range(6)])
 _SCALE_HI, _SCALE_LO = _halves(_SCALE)
 
 
-# A cell's 24-byte slot: separator, sign, then "0." and up to three zeros
-# and the lead digit (E < 0) or the lead digit and "." (E = 0), then 16
+# ``_product`` and ``_spell`` are functions of their own so that their
+# (n, 17) temporaries are freed on return, before the block's text is built;
+# this keeps the writer's peak RSS about 0.4 MB lower.
+def _product(ax: np.ndarray, i: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """p as an integer and err, with p + err = ax * 10**k exactly."""
+    p = ax * _SCALE[i]
+    ah, al = _halves(ax)
+    sh, sl = _SCALE_HI[i], _SCALE_LO[i]
+    return p.astype(np.int64), ((ah * sh - p) + ah * sl + al * sh) + al * sl
+
+
+def _digits(x: np.ndarray, shortest: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """D, the decade index i = E + 5 and the in-domain mask of cells ``x``.
+
+    With ``shortest``, D is repr's digits padded with zeros to 17.
+    """
+    ax = np.abs(x)
+    ok = (ax >= 1e-4) & (ax < 10.0)
+    ax = np.where(ok, ax, 1.0)
+    i = np.searchsorted(_DECADES, ax, "right")
+    top, err = _product(ax, i)
+    whole = np.floor(err)
+    frac = err - whole
+    d = top + whole.astype(np.int64) + (frac > 0.5)
+    ok &= (frac != 0.5) & (d >= 10**16) & (d < 10**17)
+    if shortest:
+        nearest, reads, scale = d, True, _SCALE[i]
+        for unit in (10, 100):
+            q = nearest // unit
+            # p + err lies above q * unit + unit / 2 exactly when err > half,
+            # and on it when err == half, a tie.
+            half = (unit // 2 + q * unit - top).astype(np.float64)
+            m = q + (err > half)
+            ok &= err != half
+            scale /= 10
+            reads &= (m / scale == ax) | (m >= 2**53)
+            d = np.where(reads, m * unit, d)
+    return d, i, ok
+
+
+class _Style(NamedTuple):
+    """One format's text around the float cells of a ``_template`` row."""
+
+    shortest: bool  # repr's digits, else ``%.17g``'s
+    start: bytes  # opens each row
+    keys: np.ndarray  # (17, P) uint8: the text before each cell, zero-padded
+    whole: int  # the change to the head of 1 .. 9
+    fallback: Callable[[float], str]  # a fallback cell's text
+    mid: bytes  # follows the float cells, before the row's suffix
+
+
+# A cell's slot: its key text, then 24 bytes: sign, then "0." and up to three
+# zeros and the lead digit (E < 0) or the lead digit and "." (E = 0), then 16
 # digits as four 4-digit groups. Zero bytes are padding, dropped once per
-# block. The first 8 bytes are one little-endian int64, built from ``_HEAD``.
+# block. The 8 bytes after the key are one little-endian int64, built from
+# ``_HEAD``. A fallback cell's text fills the 24 bytes, which hold the
+# longest: "-1.2345678901234567e-308".
 def _head(text: str) -> int:
     return int.from_bytes(text.encode().ljust(8, b"\0"), "little")
 
 
 _SLOT = 24
 _HEAD = np.array(
-    [0] + [_head(",\0" + "0." + "0" * (4 - i)) for i in range(1, 5)] + [_head(",\0\0.")]
+    [0] + [_head("\0" + "0." + "0" * (4 - i)) for i in range(1, 5)] + [_head("\0\0.")]
 )
-_LEAD_SHIFT = np.array([0, 56, 56, 56, 56, 16])
-_FALLBACK_HEAD = _head("," + _CELL)
-_ROW_END = np.frombuffer(b",\n", np.uint8)
+_LEAD_SHIFT = np.array([0, 56, 56, 56, 56, 8])
+_CSV = _Style(
+    shortest=False,
+    start=b"",
+    keys=np.array([[0]] + [[ord(",")]] * (_FLOATS - 1), np.uint8),
+    whole=-(ord(".") << 16),
+    fallback=_fmt,
+    mid=b",",
+)
+# ``json.dumps(records, indent=1)``. Each row opens with the comma that
+# separates it from the record before. Labels are fixed ASCII enum strings,
+# so they need no escaping.
+_JSON = _Style(
+    shortest=True,
+    start=b",\n {",
+    keys=np.array([list(f'{sep}\n  "{c}": '.encode().ljust(17, b"\0"))
+                   for sep, c in zip(["", *"," * (_FLOATS - 1)], DATASET_COLUMNS)], np.uint8),
+    whole=ord("0") << 24,
+    fallback=repr,
+    mid=f',\n  "{DATASET_COLUMNS[-1]}": '.encode(),
+)
 
 
 def _groups() -> np.ndarray:
@@ -110,73 +192,57 @@ def _groups() -> np.ndarray:
 _GROUPS = _groups()
 
 
-def _digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """D, the decade index i = E + 5 and the in-domain mask of cells ``x``."""
-    ax = np.abs(x)
-    ok = (ax >= 1e-4) & (ax < 10.0)
-    ax = np.where(ok, ax, 1.0)
-    i = np.searchsorted(_DECADES, ax, "right")
-    p = ax * _SCALE[i]
-    ah, al = _halves(ax)
-    sh, sl = _SCALE_HI[i], _SCALE_LO[i]
-    err = ((ah * sh - p) + ah * sl + al * sh) + al * sl
-    whole = np.floor(err)
-    frac = err - whole
-    d = p.astype(np.int64) + whole.astype(np.int64) + (frac > 0.5)
-    ok &= (frac != 0.5) & (d >= 10**16) & (d < 10**17)
-    return d, i, ok
-
-
-def _csv_template(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rows ``x`` (n, 17) as padded text, and the mask of fallback cells.
-
-    The text is a ``uint8`` array whose zero bytes are padding. A fallback
-    cell reads ``%.17g`` and each row ends in a comma and a newline.
-    """
-    n = len(x)
-    d, i, ok = _digits(x)
+def _spell(d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """D's lead digit, its 16 other digits as four ASCII words without the
+    trailing zeros, and the mask of D with only zeros after the lead."""
     lead = d // 10**16
     rest = d - lead * 10**16
     hi = rest // 10**8
     pair = np.stack((hi, rest - hi * 10**8), -1, dtype=np.int32)
-    groups = np.empty((n, _FLOATS, 4), np.int32)
+    groups = np.empty((*d.shape, 4), np.int32)
     groups[..., ::2] = pair // 10**4
     groups[..., 1::2] = pair - groups[..., ::2] * 10**4
     # Trailing zeros go: those of the last group, and those of an earlier
     # group when every group after it is zero.
-    tail = np.ones((n, _FLOATS), bool)
+    tail = np.ones(d.shape, bool)
     for j in (3, 2, 1, 0):
         groups[..., j] += 10000 * tail
         tail &= groups[..., j] == 10000
-    buf = np.empty((n, _FLOATS * _SLOT + len(_ROW_END)), np.uint8)
-    slots = buf[:, : _FLOATS * _SLOT].reshape(n, _FLOATS, _SLOT)
-    slots[..., 8:].view(np.uint32)[...] = _GROUPS[groups]
-    head = _HEAD[i] + ((lead + ord("0")) << _LEAD_SHIFT[i]) + (x < 0) * (ord("-") << 8)
-    # 1 .. 9 print without a point.
-    head -= ((i == 5) & tail) * (ord(".") << 24)
+    return lead, _GROUPS[groups], tail
+
+
+def _template(x: np.ndarray, suffixes: list[str], style: _Style) -> np.ndarray:
+    """Rows ``x`` (n, 17), each followed by its suffix, as padded text: a
+    ``uint8`` array whose zero bytes are padding."""
+    n = len(x)
+    d, i, ok = _digits(x, style.shortest)
+    lead, words, tail = _spell(d)
+    suffix = np.array(suffixes, "S")
+    start, width = len(style.start), style.keys.shape[1] + _SLOT
+    cells = start + _FLOATS * width
+    buf = np.empty((n, cells + len(style.mid) + suffix.itemsize), np.uint8)
+    buf[:, :start] = np.frombuffer(style.start, np.uint8)
+    slots = buf[:, start:cells].reshape(n, _FLOATS, width)
+    slots[..., :-_SLOT] = style.keys
+    text = slots[..., -_SLOT:]
+    text[..., 8:].view(np.uint32)[...] = words
+    head = _HEAD[i] + ((lead + ord("0")) << _LEAD_SHIFT[i]) + (x < 0) * ord("-")
+    # Whole numbers: 1 .. 9 for CSV, 1.0 .. 9.0 for JSON.
+    head += ((i == 5) & tail) * style.whole
+    text[..., :8].view("<i8")[..., 0] = head
     bad = ~ok
-    head[bad] = _FALLBACK_HEAD
-    slots[bad, 8:] = 0
-    head[:, 0] -= ord(",")
-    slots[..., :8].view("<i8")[..., 0] = head
-    buf[:, -len(_ROW_END):] = _ROW_END
-    return buf, bad
-
-
-def _csv_rows(cells: list[float], labels: list[str]) -> str:
-    """``_CSV_ROW`` of each row, given the rows' float cells end to end."""
-    x = np.fromiter(cells, np.float64, len(cells)).reshape(len(labels), _FLOATS)
-    buf, bad = _csv_template(x)
-    rows = buf.tobytes().translate(None, b"\0").decode("ascii").split("\n")
     if bad.any():
-        fallback = iter(x[bad].tolist())
-        for r, k in enumerate(bad.sum(1).tolist()):
-            if k:
-                rows[r] %= tuple(islice(fallback, k))
-    # ``rows`` ends with the empty text after the last newline. One join,
-    # rather than a ``%`` over the block, since ``%`` grows its result by
-    # reallocation and fragments the heap.
-    return "\n".join(map(str.__add__, rows, [*labels, ""]))
+        fallback = [*map(style.fallback, x[bad].tolist())]
+        text[bad] = np.array(fallback, f"S{_SLOT}").view(np.uint8).reshape(-1, _SLOT)
+    buf[:, cells : cells + len(style.mid)] = np.frombuffer(style.mid, np.uint8)
+    buf[:, buf.shape[1] - suffix.itemsize :] = suffix.view(np.uint8).reshape(n, -1)
+    return buf
+
+
+def _rows(cells: list[float], suffixes: list[str], style: _Style) -> str:
+    """Each row's float cells, given end to end, then its suffix."""
+    x = np.fromiter(cells, np.float64, len(cells)).reshape(len(suffixes), _FLOATS)
+    return _template(x, suffixes, style).tobytes().translate(None, b"\0").decode("ascii")
 
 
 def state_record(s: TwoQubitState) -> dict:
@@ -205,11 +271,13 @@ def emit_dataset(
     ``states`` is iterated once and never held whole: both formats draw a
     block of at most ``_BLOCK`` (256) states, then build and write its
     records, so no more than one block is drawn ahead of what is written.
-    CSV gets a header line even for no states, and its cells are the exact
-    ``%.17g`` text, made by array code per block with a per-cell ``%`` for
-    the cells outside its domain. JSON is a list of objects keyed by the
-    same column names (labels as a list), written a record at a time exactly
-    as ``json.dump(records, indent=1)`` would. In both, labels keep the
+    Each block's records are made as one text by array code: CSV cells are
+    the exact ``%.17g`` text and JSON cells the shortest ``repr`` text, with
+    a per-cell ``%.17g`` or ``repr`` for the cells outside the array domain
+    (the comment above ``_BLOCK`` gives the domain and the fallback rule).
+    CSV gets a header line even for no states. JSON is a list of objects
+    keyed by the same column names (labels as a list), byte-identical to
+    ``json.dump(records, indent=1)``. In both, labels keep the
     ``StratumLabel`` definition order of ``state_record``; CSV joins them
     with semicolons. An unknown ``fmt`` raises before anything is drawn or
     written.
@@ -219,20 +287,20 @@ def emit_dataset(
     csv = fmt == CSV_FORMAT
     destination.write(",".join(DATASET_COLUMNS) + "\n" if csv else "[")
     states = iter(states)
-    lead = "\n"
+    # A JSON row opens with a comma, which the first record goes without.
+    skip = 0 if csv else 1
     while block := list(islice(states, _BLOCK)):
         cells: list[float] = []
-        labels: list[str] = []
+        suffixes: list[str] = []
         for s in block:
             *row, names = state_record(s).values()
+            cells += row
             if csv:
-                cells += row
-                labels.append(";".join(names))
+                suffixes.append(";".join(names) + "\n")
             else:
                 listed = '[\n   "' + '",\n   "'.join(names) + '"\n  ]' if names else "[]"
-                destination.write(lead + _JSON_RECORD % (*row, listed))
-                lead = ",\n"
-        if csv:
-            destination.write(_csv_rows(cells, labels))
+                suffixes.append(listed + "\n }")
+        destination.write(_rows(cells, suffixes, _CSV if csv else _JSON)[skip:])
+        skip = 0
     if not csv:
-        destination.write("]\n" if lead == "\n" else "\n]\n")
+        destination.write("]\n" if skip else "\n]\n")

@@ -164,6 +164,13 @@ def _weight(z: complex, n: float, scale: float) -> tuple[complex, int]:
     return u, e + e2 + math.frexp(scale)[1] - 1
 
 
+def _stays_normal(z: complex, folded: complex) -> bool:
+    """Whether each nonzero part of z stays normal once folded."""
+    return (not z.real or abs(folded.real) >= 2.0**-1022) and (
+        not z.imag or abs(folded.imag) >= 2.0**-1022
+    )
+
+
 def make_correlated(
     mu: complex,
     nu: complex,
@@ -194,12 +201,18 @@ def make_correlated(
         f1, f2 = n1 * (scale1 / big), n2 * (scale2 / big)
         fm, fn = m * f1, n * f2
         w = math.hypot(abs(fm), abs(fn))
-        if min(f1, f2) >= 2.0**-1022 and 2.0**-1022 <= w < math.inf:
+        if (
+            min(f1, f2) >= 2.0**-1022
+            and 2.0**-1022 <= w < math.inf
+            and _stays_normal(m, fm)
+            and _stays_normal(n, fn)
+        ):
             m, n = fm, fn
         else:
-            # A folded weight or w overflowed, or a fold factor or w fell
-            # below the normal range and kept only a subnormal's bits: carry
-            # each weight as u * 2**e instead and divide out the larger e.
+            # A folded weight or w overflowed, or a fold factor, a folded
+            # part or w fell below the normal range and kept only a
+            # subnormal's bits: carry each weight as u * 2**e instead and
+            # divide out the larger e.
             weights = [_weight(m, n1, scale1), _weight(n, n2, scale2)]
             if not any(u for u, _ in weights):
                 raise ValueError("mu and nu cannot both vanish")

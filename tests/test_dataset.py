@@ -17,6 +17,7 @@ from qtriad.dataset import DATASET_COLUMNS, emit_dataset, state_record
 from qtriad.sampling import (
     FIXED_CONCURRENCE,
     SampleSpec,
+    bloch_grid_states,
     haar_state,
     sample_fixed_concurrence,
 )
@@ -248,7 +249,8 @@ def _csv_reference(rows, labels):
 def _assert_block_rows(rows):
     labels = [";".join(["Separable"] * (k % 3)) for k in range(len(rows))]
     cells = [v for row in rows for v in row]
-    assert dataset_module._csv_rows(cells, labels) == _csv_reference(rows, labels)
+    text = dataset_module._rows(cells, [label + "\n" for label in labels], dataset_module._CSV)
+    assert text == _csv_reference(rows, labels)
 
 
 def _from_bits(bits: int) -> float:
@@ -272,13 +274,14 @@ def test_block_cells_equal_percent_g_by_bit_pattern(values):
     _assert_block_rows([row, row[1:] + row[:1]])
 
 
-def _ties() -> list[float]:
-    """Doubles whose 17-digit rounding is an exact tie, in every decade of
-    the array domain: x = m / 2**(k + 1) with m odd and 10**e <= x < 10**(e + 1),
-    so x * 10**k (k = 16 - e) is an odd multiple of 1/2."""
+def _ties(digits: int = 17) -> list[float]:
+    """Doubles whose rounding to ``digits`` significant digits is an exact tie,
+    in every decade of the array domain: x = m / 2**(k + 1) with m odd and
+    10**e <= x < 10**(e + 1), so x * 10**k (k = digits - 1 - e) is an odd
+    multiple of 1/2."""
     ties = []
     for e in range(-4, 1):
-        k = 16 - e
+        k = digits - 1 - e
         low = math.ceil(Fraction(10) ** e * 2 ** (k + 1)) | 1
         high = math.ceil(Fraction(10) ** (e + 1) * 2 ** (k + 1)) - 1
         for m in (low, low + 2, (low + high) // 2 | 1, high - 1 + high % 2):
@@ -310,12 +313,72 @@ def _adversarial() -> list[float]:
 def test_block_cells_equal_percent_g_on_adversarial_values():
     ties = _ties()
     cells = np.array(ties * 17).reshape(17, -1).T
-    assert dataset_module._csv_template(cells)[1].all()
+    assert not dataset_module._digits(cells, False)[2].any()
     values = _adversarial()
     values += [0.5] * (-len(values) % 17)
     _assert_block_rows([values[k:k + 17] for k in range(0, len(values), 17)])
     # Each value alone, as every cell of its own row.
     _assert_block_rows([[v] * 17 for v in values])
+
+
+# The JSON block writer against ``repr``, cell by cell.
+
+
+def _json_reference(rows):
+    """Each row as the writer's JSON record: ``json.dumps`` of a one-record
+    list without its brackets, opened by the separating comma."""
+    records = [dict(zip(DATASET_COLUMNS, [*row, []])) for row in rows]
+    return "".join("," + json.dumps([r], indent=1)[1:-2] for r in records)
+
+
+def _assert_json_rows(rows):
+    cells = [v for row in rows for v in row]
+    text = dataset_module._rows(cells, ["[]\n }"] * len(rows), dataset_module._JSON)
+    assert text == _json_reference(rows)
+
+
+@settings(database=None, derandomize=True, max_examples=500)
+@given(st.lists(st.one_of(_FINITE_BITS, _DOMAIN_BITS), min_size=1, max_size=17))
+def test_json_cells_equal_repr_by_bit_pattern(values):
+    row = (values * 17)[:17]
+    _assert_json_rows([row, row[1:] + row[:1]])
+
+
+def _json_adversarial() -> list[float]:
+    values = _adversarial() + [0.1, 0.3, 1 / 3, 2 / 3, 9.999999999999998, 1e-323, 2.5e-320]
+    values += [float(w) for w in range(1, 10)]
+    values += [v for digits in (16, 15, 14) for v in _ties(digits)]
+    for e in range(-5, 1):
+        # 16-digit m crosses 2**53 at 9.007199254740992 * 10**e, and each
+        # string below rounds, at 14 to 17 digits, up into the next decade.
+        for text in ("9.007199254740992", "9.007199254740993", "9.5", "9.87654321",
+                     "9.999999999999", "9.99999999999995", "9.999999999999995",
+                     "9.9999999999999995", "9.99999999999999951"):
+            v = float(f"{text}e{e}")
+            for w in (v, np.nextafter(v, 0.0), np.nextafter(v, np.inf)):
+                values += [float(w), -float(w)]
+        v = 10.0 ** (e + 1)
+        for _ in range(8):
+            v = np.nextafter(v, 0.0)
+            values += [float(v), -float(v)]
+    return values
+
+
+def test_json_cells_equal_repr_on_adversarial_values():
+    values = _json_adversarial()
+    # Every 16- and 15-digit tie falls back.
+    ties = [v for digits in (16, 15) for v in _ties(digits)]
+    cells = np.array((ties * 17)[: 17 * len(ties)]).reshape(len(ties), 17)
+    assert not dataset_module._digits(cells, True)[2].any()
+    values += [0.5] * (-len(values) % 17)
+    _assert_json_rows([values[k:k + 17] for k in range(0, len(values), 17)])
+    _assert_json_rows([[v] * 17 for v in values])
+
+
+def test_json_whole_numbers_keep_their_point_zero():
+    wholes = np.array([float(w) for w in range(-9, 10) if w] * 17).reshape(-1, 17)
+    assert dataset_module._digits(wholes, True)[2].all()
+    _assert_json_rows(wholes.tolist())
 
 
 @pytest.mark.parametrize("count", [0, 1, 255, 256, 257, 600])
@@ -329,6 +392,22 @@ def test_csv_blocks_equal_the_row_template(count):
         rows = [list(r.values()) for r in records]
         expected = _csv_reference([r[:-1] for r in rows], [";".join(r[-1]) for r in rows])
         assert emit_to_string(states) == HEADER + "\n" + expected
+        assert emit_to_string(states, "json") == json.dumps(records, indent=1) + "\n"
+
+
+@pytest.mark.parametrize("count", [255, 256, 257, 513])
+def test_json_blocks_equal_the_encoder(count):
+    # haar states with the writer edge states from position 256 on, wrapped
+    # into the first block when there is no second.
+    mixed = [haar_state(11, i) for i in range(count)]
+    for k, edge in enumerate(_WRITER_EDGES):
+        mixed[(256 + 17 * k) % count] = edge
+    # Product states on the Bloch grid: exact zeros in every row.
+    grid = bloch_grid_states(count)
+    x = np.array([list(state_record(s).values())[:-1] for s in grid])
+    assert not dataset_module._digits(x, True)[2].all(axis=1).any()
+    for states in (mixed, grid):
+        records = [state_record(s) for s in states]
         assert emit_to_string(states, "json") == json.dumps(records, indent=1) + "\n"
 
 

@@ -1,5 +1,6 @@
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -206,6 +207,18 @@ def test_make_correlated_keeps_a_weight_whose_chi_norm_underflows_the_fold():
     expected = 1e308 * 5e-324 / (1e-300 * math.hypot(1e308, 1e308))
     assert c.mu == 1
     assert abs(c.nu - expected) <= 1e-15 * expected
+
+
+def test_make_correlated_keeps_a_folded_weight_that_falls_below_the_normal_range():
+    # mu * |chi1| = 1.2 * 2**-1060 is subnormal while w = |nu| stays normal.
+    mu, nu = 2**-1000 * 1.2345 * (1 + 3 * 2**-52), 1.5 * 2**-1021
+    c = make_correlated(mu, nu, (2**-60,), (1.0,), normalize=True)
+    # mu / w = r / sqrt(1 + r**2) with r = mu * 2**-60 / nu ~ 2**-39, which
+    # lies between r * (1 - r**2) and r; both round to the same double.
+    r = Fraction(mu) * Fraction(2) ** -60 / Fraction(nu)
+    assert float(r * (1 - r * r)) == float(r)
+    assert c.mu == float(r)
+    assert c.nu == 1
 
 
 # ---------------------------------------------------------- reduced densities
