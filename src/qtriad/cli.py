@@ -117,8 +117,7 @@ def _cmd_embed(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    c = args.c if args.ensemble == FIXED_CONCURRENCE else None
-    states = sample(SampleSpec(args.count, args.seed, args.ensemble, c))
+    states = sample(SampleSpec(args.count, args.seed, args.ensemble, args.c))
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         emit_dataset(states, args.format, fh)
     return 0

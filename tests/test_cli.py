@@ -293,6 +293,18 @@ def test_sample_fixedc_requires_c(tmp_path, capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("ensemble", ["haar", "separable"])
+def test_sample_rejects_c_for_an_ensemble_without_one(tmp_path, capsys, ensemble):
+    out_file = tmp_path / "x.csv"
+    code, _, err = run_cli(
+        capsys, "sample", "--ensemble", ensemble, "--c", "0.5", "--count", "5",
+        "--seed", "9", "--out", str(out_file),
+    )
+    assert code == 2
+    assert f"error: {ensemble} takes no concurrence c" in err
+    assert not out_file.exists()
+
+
 def test_sample_is_byte_identical_across_runs(tmp_path):
     # end-to-end determinism through the real entry point
     files = []

@@ -57,11 +57,20 @@ def test_spec_rejects_non_integer_count_and_seed(count, seed):
         SampleSpec(count, seed, HAAR)
 
 
-@pytest.mark.parametrize("c", ["0.5", 1 + 0j, 0.5j, None, float("nan"), math.inf, -1e-300,
-                               1 + 2**-52, Fraction(10**400)])
+BAD_C = ["0.5", 1 + 0j, 0.5j, None, float("nan"), math.inf, -1e-300, 1 + 2**-52,
+         Fraction(10**400)]
+
+
+@pytest.mark.parametrize("c", BAD_C)
 def test_fixedc_spec_rejects_non_real_or_out_of_range_c(c):
     with pytest.raises(ValueError, match="fixedc requires a real concurrence"):
         SampleSpec(1, 1, FIXED_CONCURRENCE, c)
+
+
+@pytest.mark.parametrize("c", BAD_C)
+def test_fixed_concurrence_state_rejects_what_the_spec_rejects(c):
+    with pytest.raises(ValueError, match="fixedc requires a real concurrence"):
+        fixed_concurrence_state(0, 0, c)
 
 
 @pytest.mark.parametrize("c", [0, 1, True, np.float64(0.3), np.int64(1), Fraction(1, 4), 0.5])

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from qtriad import verify
 from qtriad.projection import INFINITY_THRESHOLD
+from qtriad.sampling import HAAR, SEPARABLE, SampleSpec, sample, sample_haar, sample_separable
 from qtriad.states import DualityTriad, concurrence, make_state, triad
 from qtriad.verify import (
     DEFAULT_TOLERANCES,
@@ -18,6 +19,7 @@ from qtriad.verify import (
     check_dual_route,
     check_fringe,
     check_identity,
+    check_purity,
     check_separable_plane,
     check_unit_q_iff_d0,
     concurrence_bilinear,
@@ -302,3 +304,84 @@ def test_checks_take_any_sized_iterable_in_blocks():
     states = [make_state((0.6, 0.0, 0.0, 0.8j))] * (verify._BLOCK + 1)
     assert check_fringe(states) == check_fringe(tuple(states))
     assert check_unit_q_iff_d0(states).samples == 2 * len(states)
+
+
+# ------------------------------------------------------------ streamed suite
+
+
+def test_suite_draws_at_most_one_chunk_ahead(monkeypatch):
+    # States drawn so far, and states that a check has seen: identity runs on
+    # every haar chunk, separable_plane on every separable one.
+    drawn = checked = 0
+    count = 2 * verify._CHUNK + 1
+
+    def counting_sample(spec):
+        nonlocal drawn
+        for state in sample(spec):
+            drawn += 1
+            yield state
+
+    def counted(check):
+        def run(states, *args):
+            nonlocal checked
+            assert drawn <= checked + verify._CHUNK
+            checked += len(states)
+            return check(states, *args)
+
+        return run
+
+    monkeypatch.setattr(verify, "sample", counting_sample)
+    monkeypatch.setattr(verify, "check_identity", counted(check_identity))
+    monkeypatch.setattr(verify, "check_separable_plane", counted(check_separable_plane))
+    report = verify_suite(count, 5)
+    assert report.passed
+    assert (drawn, checked) == (2 * count, 2 * count)
+
+
+@pytest.mark.parametrize(
+    "count", [verify._CHUNK - 1, verify._CHUNK, verify._CHUNK + 1, 2 * verify._CHUNK + 1]
+)
+def test_suite_equals_the_checks_on_whole_samples(count):
+    haar = sample_haar(SampleSpec(count, 21, HAAR))
+    separable = sample_separable(SampleSpec(count, 21, SEPARABLE))
+    whole = (
+        check_identity(haar),
+        *check_dual_route(haar),
+        check_concurrence_oracle(haar),
+        check_bilinear_convention(haar),
+        check_fringe(haar),
+        check_purity(haar),
+        check_separable_plane(separable),
+        check_unit_q_iff_d0(haar),
+    )
+    assert repr(verify_suite(count, 21).checks) == repr(whole)
+
+
+def _part(error, samples=3):
+    return verify._result("part", samples, error, 1e-10)
+
+
+def test_merge_keeps_the_first_peak_and_adds_the_samples():
+    merged = verify._merge([_part(1e-12, 1), _part(3e-11, 2), _part(2e-11, 4)])
+    assert merged == verify._result("part", 7, 3e-11, 1e-10)
+    assert type(merged.max_error) is float
+    assert verify._merge([_part(0.0)]) == _part(0.0)
+
+
+def test_merge_keeps_an_early_nan_over_a_later_larger_error():
+    merged = verify._merge([_part(1e-12), _part(math.nan), _part(1.0), _part(math.inf)])
+    assert math.isnan(merged.max_error)
+    assert merged.samples == 12
+    assert not merged.passed
+
+
+def test_merge_takes_a_later_nan_over_a_finite_peak():
+    merged = verify._merge([_part(1e-12), _part(0.5), _part(math.nan)])
+    assert math.isnan(merged.max_error)
+    assert not merged.passed
+
+
+@pytest.mark.parametrize("count, message", [(0, "at least 1"), (2.5, "an integer")])
+def test_suite_takes_the_count_rule_of_the_spec(count, message):
+    with pytest.raises(ValueError, match=f"count must be {message}"):
+        verify_suite(count, 1)
