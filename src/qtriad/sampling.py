@@ -91,17 +91,15 @@ class SampleSpec:
     c: float | None = None
 
     def __post_init__(self):
-        for name in ("count", "seed"):
-            try:
-                value = operator.index(getattr(self, name))
-            except TypeError:
-                raise ValueError(f"{name} must be an integer") from None
-            # numpy integers become ints: the Philox key arithmetic needs them.
-            object.__setattr__(self, name, value)
-        if self.count < 1:
-            raise ValueError("count must be at least 1")
-        if not 0 <= self.seed <= _MAX_SEED:
+        object.__setattr__(self, "count", _count(self.count))
+        try:
+            seed = operator.index(self.seed)
+        except TypeError:
+            raise ValueError("seed must be an integer") from None
+        if not 0 <= seed <= _MAX_SEED:
             raise ValueError("seed must fit in 64 unsigned bits")
+        # numpy integers become ints: the Philox key arithmetic needs them.
+        object.__setattr__(self, "seed", seed)
         if self.ensemble not in ENSEMBLES:
             raise ValueError(f"unknown ensemble {self.ensemble!r}")
         if self.ensemble != FIXED_CONCURRENCE:
@@ -109,6 +107,17 @@ class SampleSpec:
                 raise ValueError(f"{self.ensemble} takes no concurrence c")
             return
         object.__setattr__(self, "c", _concurrence(self.c))
+
+
+def _count(count) -> int:
+    # The one rule for a sample count: an integer of at least 1, as an int.
+    try:
+        count = operator.index(count)
+    except TypeError:
+        raise ValueError("count must be an integer") from None
+    if count < 1:
+        raise ValueError("count must be at least 1")
+    return count
 
 
 def _concurrence(c) -> float:
@@ -383,8 +392,7 @@ def _stream(spec: SampleSpec, start: int = 0) -> Iterator[TwoQubitState]:
 
 def bloch_grid_states(count: int) -> list[TwoQubitState]:
     """Deterministic theta grid over [0, pi] at phi = 0 (product states)."""
-    if count < 1:
-        raise ValueError("count must be at least 1")
+    count = _count(count)
     if count == 1:
         return [bloch_state(BlochAngles(0.0, 0.0))]
     step = math.pi / (count - 1)

@@ -8,8 +8,8 @@ with an oracle route: the stereographic composition
 bilinear form, or the fringe scan. ``verify_suite`` draws each ensemble
 from ``sample`` a chunk of ``_CHUNK`` states at a time, runs the checks on
 each chunk and merges each check's results, so its memory does not grow with
-the count. Within a chunk, the oracle routes run as array code over blocks
-of at most ``_BLOCK`` states:
+the count. Each check runs its oracle route as array code over the whole
+chunk, the fringe scan ``_FRINGE_BLOCK`` states at a time:
 
 * the stereographic route is float64 arithmetic on the real components that
   repeats the ``Quaternion`` pair rule term by term. numpy's complex kernels
@@ -17,10 +17,11 @@ of at most ``_BLOCK`` states:
   Python's complex arithmetic on part of the inputs.
 * the bilinear form is one stacked ``A[:, None, :] @ _SYY @ A[:, :, None]``,
   which gives the same bits as ``a @ _SYY @ a`` per state.
-* the fringe scan evaluates a ``(block, 362)`` array of phases at once, 16
-  states per block: the 360 grid phases of ``fringe_extrema``, which share
-  its table, plus each state's two extremum phases, which are computed here
-  independently. It uses numpy's complex kernels, as ``fringe_extrema`` does.
+* the fringe scan evaluates a ``(16, 362)`` array of phases at once, one
+  16-state slice after another: the 360 grid phases of ``fringe_extrema``,
+  which share its table, plus each state's two extremum phases, which are
+  computed here independently. It uses numpy's complex kernels, as
+  ``fringe_extrema`` does.
 
 Two moduli stay scalar, one ``math.hypot`` call per state as in
 ``Quaternion.norm``: |q2|, which decides the point at infinity, and |Q|.
@@ -32,12 +33,12 @@ scan's peak phases use ``math.atan2``, since ``np.arctan2`` may round
 differently.
 
 Each check keeps its per-state error function, the scalar reference route
-built on ``Quaternion``, ``fringe_extrema`` and ``reduced_density_photon``. The
-array pass finds the first state with the largest error, and the check
-reports that function's value there, so every ``max_error`` comes from the
-scalar route; ``tests/test_verify.py`` pins the array errors to it bit for
-bit. The identity and purity checks have no oracle route of their own: their
-errors are the scalar functions' values.
+built on ``Quaternion``, ``fringe_extrema`` and ``reduced_density_photon``. Its
+witness is the first state whose array error is NaN, else the first with the
+largest error, and the check reports that function's value there, so every
+``max_error`` comes from the scalar route; ``tests/test_verify.py`` pins the
+array errors to it bit for bit. The identity and purity checks have no
+oracle route of their own: their errors are the scalar functions' values.
 
 Each check reports its worst-case error so a report stays useful even when
 everything passes. Failures are reported, never raised.
@@ -47,6 +48,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass
 from itertools import islice
 from typing import Callable, Iterable, Iterator, Sequence
@@ -92,17 +94,15 @@ DEFAULT_TOLERANCES = {
 _PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _SYY = np.kron(_PAULI_Y, _PAULI_Y)
 
-# States per array pass; bounds the working arrays for any sample size.
-_BLOCK = 64
-
-# States per chunk of the suite's stream, which bounds the states it holds.
-# Each chunk costs about 0.5 ms of CPU time: every check call evaluates its
-# scalar route once more at its witness and starts its array passes afresh.
+# States per chunk of the suite's stream, which bounds the states it holds
+# and every check's working arrays. Each chunk costs about 0.5 ms of CPU time:
+# every check call evaluates its scalar route once more at its witness and
+# starts its array passes afresh.
 # At 8000 states on a 2-core x86_64 machine, 256-state chunks took about 5%
 # more CPU time than a single whole-sample chunk, and 1024-state chunks 2%.
 _CHUNK = 1024
 
-# States per pass of the fringe scan: 16 keeps each (16, 362) complex
+# States per slice of the fringe scan: 16 keeps each (16, 362) complex
 # temporary under glibc's 128 KiB mmap threshold. At 64 states every
 # temporary was mapped and unmapped again, which doubled the scan's cost.
 _FRINGE_BLOCK = 16
@@ -164,64 +164,39 @@ def _result(name, samples, max_error, tolerance) -> CheckResult:
     return CheckResult(name, samples, max_error, tolerance, max_error <= tolerance)
 
 
-# ------------------------------------------------------------ block machinery
+# ----------------------------------------------------------- chunks, witness
 
 
-def _blocks(
-    states: Iterable[TwoQubitState], size: int = _BLOCK
-) -> Iterator[list[TwoQubitState]]:
+def _chunks(states: Iterable[TwoQubitState]) -> Iterator[list[TwoQubitState]]:
     it = iter(states)
-    while block := list(islice(it, size)):
-        yield block
+    while chunk := list(islice(it, _CHUNK)):
+        yield chunk
 
 
 def _amplitudes(states: Sequence[TwoQubitState]) -> np.ndarray:
-    return np.array([s.alpha for s in states], dtype=complex)
+    return np.array([s.alpha for s in states], dtype=complex).reshape(-1, 4)
 
 
-class _Witness:
-    """The first state at which per-state errors, seen a block at a time,
-    peak. A NaN error counts as the peak and stays it."""
+def _witness(errors) -> int | None:
+    """Index of the first NaN in ``errors``, else of their first maximum;
+    None when there are none."""
+    return int(np.argmax(errors)) if len(errors) else None
 
-    __slots__ = ("peak", "state")
 
-    def __init__(self):
-        self.peak = -math.inf
-        self.state = None
-
-    def see(self, block: Sequence[TwoQubitState], errors: np.ndarray) -> None:
-        k = int(np.argmax(errors))  # the first NaN, if any
-        if not errors[k] <= self.peak and self.peak == self.peak:
-            self.peak, self.state = errors[k], block[k]
-
-    def error(self, fn: Callable[[TwoQubitState], float]) -> float:
-        """``fn`` at the peak state; 0.0 when no state was seen."""
-        return 0.0 if self.state is None else fn(self.state)
+def _max_error(states, errors, error: Callable) -> float:
+    """``error`` at the witness of ``errors``, one per state; 0.0 when there
+    are no states. ``states`` need only be re-iterable, as a ``Samples`` is."""
+    k = _witness(errors)
+    return 0.0 if k is None else error(next(islice(states, k, None)))
 
 
 def _merge(parts: Sequence[CheckResult]) -> CheckResult:
     """One check's results on consecutive chunks as one result over them all."""
-    # Each part stands for its witness: the first part with the peak error,
-    # by the rule of ``_Witness.see``, gives the merged error.
-    worst = _Witness()
-    for part in parts:
-        worst.see((part,), np.array([part.max_error]))
+    # Each part stands for its chunk's witness state, so the witness of the
+    # parts' errors is that of the whole sample.
+    worst = parts[_witness([p.max_error for p in parts])].max_error
     samples = sum(p.samples for p in parts)
-    return _result(parts[0].name, samples, worst.error(lambda p: p.max_error), parts[0].tolerance)
-
-
-def _max_error(states, block_errors, error, size: int = _BLOCK) -> float:
-    """``error`` at the first state where ``block_errors`` (one float per
-    state of a block of ``size``) peaks."""
-    worst = _Witness()
-    for block in _blocks(states, size):
-        worst.see(block, block_errors(block))
-    return worst.error(error)
-
-
-def _scalar_errors(error: Callable[[TwoQubitState], float]):
-    """Block errors of a check that has only a scalar route."""
-    return lambda block: np.array([error(s) for s in block])
+    return _result(parts[0].name, samples, worst, parts[0].tolerance)
 
 
 # ------------------------------------------------------------- oracle routes
@@ -300,8 +275,8 @@ def _sphere_gap(x) -> float:
 
 # ------------------------------------------------------ errors, per check
 #
-# Each check has a scalar error function of one state (the reference) and a
-# block function giving every state's error from the array routes.
+# Each check has a scalar error function of one state (the reference) and an
+# array function giving every state's error from the array routes.
 
 
 def _identity_error(s: TwoQubitState) -> float:
@@ -320,9 +295,9 @@ def _dual_route_error(s: TwoQubitState) -> tuple[float, float]:
     )
 
 
-def _dual_route_errors(block) -> tuple[np.ndarray, np.ndarray]:
-    direct = np.array([coords_from_state(s) for s in block])
-    lifted = _lift(*_stereo(_amplitudes(block)))
+def _dual_route_errors(states) -> tuple[np.ndarray, np.ndarray]:
+    direct = np.reshape([coords_from_state(s) for s in states], (-1, 5))
+    lifted = _lift(*_stereo(_amplitudes(states)))
     return (
         np.abs(direct - lifted).max(axis=1),
         np.maximum(_sphere_gap(direct.T), _sphere_gap(lifted.T)),
@@ -333,9 +308,9 @@ def _concurrence_oracle_error(s: TwoQubitState) -> float:
     return abs(concurrence(s) - concurrence_bilinear(s))
 
 
-def _concurrence_oracle_errors(block) -> np.ndarray:
-    b = _bilinear(_amplitudes(block))
-    c = np.array([concurrence(s) for s in block])
+def _concurrence_oracle_errors(states) -> np.ndarray:
+    b = _bilinear(_amplitudes(states))
+    c = np.array([concurrence(s) for s in states])
     return np.abs(c - np.hypot(b.real, b.imag))
 
 
@@ -346,9 +321,9 @@ def _bilinear_convention_error(s: TwoQubitState) -> float:
     return abs(complex(x.x3, x.x4) - b)
 
 
-def _bilinear_convention_errors(block) -> np.ndarray:
-    b = _bilinear(_amplitudes(block))
-    x = np.array([coords_from_state(s)[3:] for s in block])
+def _bilinear_convention_errors(states) -> np.ndarray:
+    b = _bilinear(_amplitudes(states))
+    x = np.reshape([coords_from_state(s)[3:] for s in states], (-1, 2))
     return np.hypot(x[:, 0] - b.real, x[:, 1] - b.imag)
 
 
@@ -357,8 +332,8 @@ def _fringe_error(s: TwoQubitState) -> float:
     return abs((p_max - p_min) / (p_max + p_min) - visibility(s))
 
 
-def _fringe_errors(block) -> np.ndarray:
-    alpha = _amplitudes(block)
+def _fringe_errors(states) -> np.ndarray:
+    alpha = _amplitudes(states)
     a0r, a0i, a1r, a1i, a2r, a2i, a3r, a3i = alpha.view(np.float64).T
     # The analytic extremum phases: that of conj(a2)*a0 + conj(a3)*a1.
     cr = (a2r * a0r - -a2i * a0i) + (a3r * a1r - -a3i * a1i)
@@ -366,14 +341,19 @@ def _fringe_errors(block) -> np.ndarray:
     peak = np.array(
         [math.atan2(y, x) if x or y else 0.0 for x, y in zip(cr.tolist(), ci.tolist())]
     )
-    phase = np.empty((len(block), len(_FRINGE_PHASES) + 2), dtype=complex)
-    phase[:, :-2] = _FRINGE_PHASES
-    phase[:, -2:] = np.exp(1j * np.stack((peak, peak + math.pi), 1))
-    a0, a1, a2, a3 = alpha.T[:, :, None]
-    p = 0.5 * np.abs(a0 + phase * a2) ** 2 + 0.5 * np.abs(a1 + phase * a3) ** 2
-    p_max, p_min = p.max(axis=1), p.min(axis=1)
-    v = np.array([visibility(s) for s in block])
-    return np.abs((p_max - p_min) / (p_max + p_min) - v)
+    ends = np.exp(1j * np.stack((peak, peak + math.pi), 1))
+    # The scan, one slice of _FRINGE_BLOCK states at a time (see there).
+    contrast = np.empty(len(alpha))
+    for i in range(0, len(alpha), _FRINGE_BLOCK):
+        a0, a1, a2, a3 = alpha[i : i + _FRINGE_BLOCK].T[:, :, None]
+        phase = np.empty((len(a0), len(_FRINGE_PHASES) + 2), dtype=complex)
+        phase[:, :-2] = _FRINGE_PHASES
+        phase[:, -2:] = ends[i : i + _FRINGE_BLOCK]
+        p = 0.5 * np.abs(a0 + phase * a2) ** 2 + 0.5 * np.abs(a1 + phase * a3) ** 2
+        p_max, p_min = p.max(axis=1), p.min(axis=1)
+        contrast[i : i + _FRINGE_BLOCK] = (p_max - p_min) / (p_max + p_min)
+    v = np.array([visibility(s) for s in states])
+    return np.abs(contrast - v)
 
 
 def _purity_error(s: TwoQubitState) -> float:
@@ -389,9 +369,9 @@ def _separable_plane_error(s: TwoQubitState) -> float:
     return max(det, abs(q.z2.real), abs(q.z2.imag))
 
 
-def _separable_plane_errors(block) -> np.ndarray:
-    finite, (_, _, q2, q3) = _stereo(_amplitudes(block))
-    det = np.array([abs(_invariants(s)[3]) for s in block])
+def _separable_plane_errors(states) -> np.ndarray:
+    finite, (_, _, q2, q3) = _stereo(_amplitudes(states))
+    det = np.array([abs(_invariants(s)[3]) for s in states])
     return np.where(finite, np.maximum(det, np.maximum(np.abs(q2), np.abs(q3))), math.inf)
 
 
@@ -426,10 +406,10 @@ def _unit_q_error(s: TwoQubitState, tolerance: float) -> tuple[float, int]:
     return worst, checked
 
 
-def _unit_q_errors(block, tolerance: float) -> tuple[np.ndarray, np.ndarray]:
-    """Per state of the block: its error and its count of finite Q."""
+def _unit_q_errors(states, tolerance: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per state: its error and its count of finite Q."""
     rows, starts = [], []
-    for s in block:
+    for s in states:
         starts.append(len(rows))
         rows.extend(_unit_q_variants(s))
     finite, q = _stereo(_amplitudes(rows))
@@ -449,7 +429,8 @@ def check_identity(
     tolerance: float = DEFAULT_TOLERANCES["triad_identity"],
 ) -> CheckResult:
     """max |V^2 + D^2 + C^2 - 1| over the sample."""
-    worst = _max_error(states, _scalar_errors(_identity_error), _identity_error)
+    errors = np.array([_identity_error(s) for s in states])
+    worst = _max_error(states, errors, _identity_error)
     return _result("triad_identity", len(states), worst, tolerance)
 
 
@@ -459,19 +440,15 @@ def check_dual_route(
     norm_tolerance: float = DEFAULT_TOLERANCES["s4_unit_norm"],
 ) -> tuple[CheckResult, CheckResult]:
     """Direct coordinates vs the projection composition, plus sphere closure."""
-    route, closure = _Witness(), _Witness()
-    for block in _blocks(states):
-        route_errors, closure_errors = _dual_route_errors(block)
-        route.see(block, route_errors)
-        closure.see(block, closure_errors)
+    route, closure = _dual_route_errors(states)
     return (
         _result(
             "s4_dual_route", len(states),
-            route.error(lambda s: _dual_route_error(s)[0]), tolerance,
+            _max_error(states, route, lambda s: _dual_route_error(s)[0]), tolerance,
         ),
         _result(
             "s4_unit_norm", len(states),
-            closure.error(lambda s: _dual_route_error(s)[1]), norm_tolerance,
+            _max_error(states, closure, lambda s: _dual_route_error(s)[1]), norm_tolerance,
         ),
     )
 
@@ -481,7 +458,7 @@ def check_concurrence_oracle(
     tolerance: float = DEFAULT_TOLERANCES["concurrence_oracle"],
 ) -> CheckResult:
     """Determinant concurrence vs the explicit bilinear route."""
-    worst = _max_error(states, _concurrence_oracle_errors, _concurrence_oracle_error)
+    worst = _max_error(states, _concurrence_oracle_errors(states), _concurrence_oracle_error)
     return _result("concurrence_oracle", len(states), worst, tolerance)
 
 
@@ -490,7 +467,7 @@ def check_bilinear_convention(
     tolerance: float = DEFAULT_TOLERANCES["bilinear_convention"],
 ) -> CheckResult:
     """x3 + i*x4 must equal the full complex bilinear invariant."""
-    worst = _max_error(states, _bilinear_convention_errors, _bilinear_convention_error)
+    worst = _max_error(states, _bilinear_convention_errors(states), _bilinear_convention_error)
     return _result("bilinear_convention", len(states), worst, tolerance)
 
 
@@ -499,7 +476,7 @@ def check_fringe(
     tolerance: float = DEFAULT_TOLERANCES["fringe_visibility"],
 ) -> CheckResult:
     """Fringe-contrast visibility vs the algebraic coherence form."""
-    worst = _max_error(states, _fringe_errors, _fringe_error, _FRINGE_BLOCK)
+    worst = _max_error(states, _fringe_errors(states), _fringe_error)
     return _result("fringe_visibility", len(states), worst, tolerance)
 
 
@@ -508,7 +485,8 @@ def check_purity(
     tolerance: float = DEFAULT_TOLERANCES["purity_relation"],
 ) -> CheckResult:
     """V^2 + D^2 against 2*Tr(rho^2) - 1 of the reduced path state."""
-    worst = _max_error(states, _scalar_errors(_purity_error), _purity_error)
+    errors = np.array([_purity_error(s) for s in states])
+    worst = _max_error(states, errors, _purity_error)
     return _result("purity_relation", len(states), worst, tolerance)
 
 
@@ -517,7 +495,7 @@ def check_separable_plane(
     tolerance: float = DEFAULT_TOLERANCES["separable_plane"],
 ) -> CheckResult:
     """Product states must project into the complex plane (no e2/e3 part)."""
-    worst = _max_error(states, _separable_plane_errors, _separable_plane_error)
+    worst = _max_error(states, _separable_plane_errors(states), _separable_plane_error)
     return _result("separable_plane", len(states), worst, tolerance)
 
 
@@ -530,14 +508,9 @@ def check_unit_q_iff_d0(
     Random states rarely sit near the D = 0 manifold, so each sample also
     contributes a rescaled zero-imbalance variant that must land on |Q| = 1.
     """
-    worst = _Witness()
-    checked = 0
-    for block in _blocks(states):
-        errors, counts = _unit_q_errors(block, tolerance)
-        worst.see(block, errors)
-        checked += int(counts.sum())
-    error = worst.error(lambda s: _unit_q_error(s, tolerance)[0])
-    return _result("unit_q_iff_d0", checked, error, tolerance)
+    errors, counts = _unit_q_errors(states, tolerance)
+    worst = _max_error(states, errors, lambda s: _unit_q_error(s, tolerance)[0])
+    return _result("unit_q_iff_d0", int(counts.sum()), worst, tolerance)
 
 
 def verify_suite(
@@ -548,7 +521,9 @@ def verify_suite(
     With ``tolerance=None`` each check keeps its own default from
     ``DEFAULT_TOLERANCES``; a float applies uniformly to all checks.
     """
-    if tolerance is not None and not 0.0 <= tolerance < math.inf:
+    if tolerance is not None and not (
+        isinstance(tolerance, numbers.Real) and 0.0 <= tolerance < math.inf
+    ):
         raise ValueError(f"tolerance must be finite and >= 0, got {tolerance!r}")
 
     def tol(name: str) -> float:
@@ -556,7 +531,7 @@ def verify_suite(
 
     def run(ensemble, checks):
         # ``checks`` on each chunk of the ensemble's stream, merged per check.
-        chunks = _blocks(sample(SampleSpec(count, seed, ensemble)), _CHUNK)
+        chunks = _chunks(sample(SampleSpec(count, seed, ensemble)))
         return [_merge(parts) for parts in zip(*map(checks, chunks))]
 
     *on_haar, unit_q = run(HAAR, lambda chunk: (

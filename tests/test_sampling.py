@@ -222,6 +222,17 @@ def test_bloch_grid_spans_theta():
         assert c < 1e-14
 
 
+@pytest.mark.parametrize("count, message", [
+    (2.5, "an integer"), ("3", "an integer"), (None, "an integer"), (0, "at least 1"),
+    (-1, "at least 1"),
+])
+def test_bloch_grid_takes_the_count_rule_of_the_spec(count, message):
+    with pytest.raises(ValueError, match=f"^count must be {message}$"):
+        bloch_grid_states(count)
+    with pytest.raises(ValueError, match=f"^count must be {message}$"):
+        SampleSpec(count, 1, HAAR)
+
+
 def test_sample_dispatch():
     assert len(sample(SampleSpec(5, 1, HAAR))) == 5
     assert len(sample(SampleSpec(5, 1, SEPARABLE))) == 5

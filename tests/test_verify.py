@@ -10,8 +10,16 @@ from hypothesis import strategies as st
 
 from qtriad import verify
 from qtriad.projection import INFINITY_THRESHOLD
-from qtriad.sampling import HAAR, SEPARABLE, SampleSpec, sample, sample_haar, sample_separable
-from qtriad.states import DualityTriad, concurrence, make_state, triad
+from qtriad.sampling import (
+    HAAR,
+    SEPARABLE,
+    SampleSpec,
+    haar_state,
+    sample,
+    sample_haar,
+    sample_separable,
+)
+from qtriad.states import DualityTriad, concurrence, make_state, triad, visibility
 from qtriad.verify import (
     DEFAULT_TOLERANCES,
     check_bilinear_convention,
@@ -70,7 +78,7 @@ def test_uniform_tolerance_override():
     assert report.passed
 
 
-@pytest.mark.parametrize("tolerance", [math.nan, math.inf, -math.inf, -1e-6])
+@pytest.mark.parametrize("tolerance", [math.nan, math.inf, -math.inf, -1e-6, "1e-3", 1e-3j])
 def test_unusable_tolerance_is_rejected(tolerance):
     with pytest.raises(ValueError, match="tolerance"):
         verify_suite(10, 1, tolerance=tolerance)
@@ -152,36 +160,28 @@ def test_bilinear_route_is_independent():
 
 UNIT_Q_TOL = DEFAULT_TOLERANCES["unit_q_iff_d0"]
 
-# check: (block errors from the array routes, the scalar per-state error
-# function, states per block), as the check runs them.
+# check: (errors of every state from the array routes, the scalar per-state
+# error function).
 ROUTES = {
-    "dual_route": (verify._dual_route_errors, verify._dual_route_error, verify._BLOCK),
-    "concurrence_oracle": (
-        verify._concurrence_oracle_errors, verify._concurrence_oracle_error, verify._BLOCK,
-    ),
+    "dual_route": (verify._dual_route_errors, verify._dual_route_error),
+    "concurrence_oracle": (verify._concurrence_oracle_errors, verify._concurrence_oracle_error),
     "bilinear_convention": (
-        verify._bilinear_convention_errors, verify._bilinear_convention_error, verify._BLOCK,
+        verify._bilinear_convention_errors, verify._bilinear_convention_error,
     ),
-    "fringe": (verify._fringe_errors, verify._fringe_error, verify._FRINGE_BLOCK),
-    "separable_plane": (
-        verify._separable_plane_errors, verify._separable_plane_error, verify._BLOCK,
-    ),
+    "fringe": (verify._fringe_errors, verify._fringe_error),
+    "separable_plane": (verify._separable_plane_errors, verify._separable_plane_error),
     "unit_q_iff_d0": (
         partial(verify._unit_q_errors, tolerance=UNIT_Q_TOL),
         partial(verify._unit_q_error, tolerance=UNIT_Q_TOL),
-        verify._BLOCK,
     ),
 }
 
 
-def _array_rows(block_errors, states, size):
-    """Each state's outputs of the array routes, a block at a time."""
-    rows = []
-    for block in verify._blocks(states, size):
-        out = block_errors(block)
-        columns = out if isinstance(out, tuple) else (out,)
-        rows.extend(zip(*(c.tolist() for c in columns)))
-    return rows
+def _array_rows(errors, states):
+    """Each state's outputs of the array routes, from one call over them all."""
+    out = errors(states)
+    columns = out if isinstance(out, tuple) else (out,)
+    return list(zip(*(c.tolist() for c in columns)))
 
 
 def _scalar_rows(error, states):
@@ -237,18 +237,18 @@ def route_edge_states(draw):
     return make_state(amps, normalize=True)
 
 
-# Lengths at and around the block edges: 1, 63, 64, 65 (and 15, 16, 17 of
-# the fringe scan's 16-state blocks), or anything up to 65.
+# Lengths at and around the edges of the fringe scan's 16-state slices: 1,
+# 15, 16, 17, 31, 32, 33, 63, 64, 65, or anything up to 65.
 _SAMPLES = st.one_of(
-    st.sampled_from([1, 15, 16, 17, 63, 64, 65]), st.integers(1, 65)
+    st.sampled_from([1, 15, 16, 17, 31, 32, 33, 63, 64, 65]), st.integers(1, 65)
 ).flatmap(lambda n: st.lists(route_edge_states(), min_size=n, max_size=n))
 
 
 @settings(database=None, derandomize=True, max_examples=60, deadline=None)
 @given(_SAMPLES)
 def test_array_routes_match_scalar_routes_bit_for_bit(states):
-    for name, (block_errors, error, size) in ROUTES.items():
-        assert _bits(_array_rows(block_errors, states, size)) == _bits(
+    for name, (errors, error) in ROUTES.items():
+        assert _bits(_array_rows(errors, states)) == _bits(
             _scalar_rows(error, states)
         ), name
 
@@ -300,10 +300,61 @@ def test_array_route_rejects_an_unnormalized_spinor():
         verify._stereo(np.array([[1.0, 1.0, 0.0, 0.0]], dtype=complex))
 
 
+PUBLIC_CHECKS = (
+    check_identity, check_dual_route, check_concurrence_oracle, check_bilinear_convention,
+    check_fringe, check_purity, check_separable_plane, check_unit_q_iff_d0,
+)
+
+
+@pytest.mark.parametrize("check", PUBLIC_CHECKS, ids=lambda check: check.__name__)
+def test_check_on_no_states_reports_nothing(check):
+    out = check([])
+    for result in out if isinstance(out, tuple) else (out,):
+        assert (result.samples, repr(result.max_error), result.passed) == (0, "0.0", True)
+
+
+def _plant_visibility(monkeypatch, planted):
+    """``verify.visibility`` with the values of ``planted``, keyed by a
+    state's amplitudes, in both fringe routes."""
+    monkeypatch.setattr(verify, "visibility", lambda s: planted.get(s.alpha, visibility(s)))
+
+
+def test_nan_in_a_later_fringe_slice_is_the_witness(monkeypatch):
+    # The NaN sits in the second 16-state slice of the scan; a larger finite
+    # error (about 1) planted in the first slice must not win over it.
+    states = sample_haar(SampleSpec(3 * verify._FRINGE_BLOCK, 8, HAAR))
+    _plant_visibility(monkeypatch, {
+        states[3].alpha: 2.0, states[verify._FRINGE_BLOCK + 4].alpha: math.nan,
+    })
+    result = check_fringe(states)
+    assert math.isnan(result.max_error)
+    assert result.samples == len(states) and not result.passed
+
+
+def test_nan_in_a_later_suite_chunk_fails_the_fringe_check(monkeypatch):
+    # The NaN state is the haar state in the second fringe slice of the
+    # suite's second chunk.
+    count = verify._CHUNK + 3 * verify._FRINGE_BLOCK
+    target = haar_state(9, verify._CHUNK + verify._FRINGE_BLOCK + 4)
+    _plant_visibility(monkeypatch, {target.alpha: math.nan})
+    report = verify_suite(count, 9)
+    fringe = next(c for c in report.checks if c.name == "fringe_visibility")
+    assert math.isnan(fringe.max_error)
+    assert fringe.samples == count and not fringe.passed
+    assert all(c.passed for c in report.checks if c.name != "fringe_visibility")
+
+
 def test_checks_take_any_sized_iterable_in_blocks():
-    states = [make_state((0.6, 0.0, 0.0, 0.8j))] * (verify._BLOCK + 1)
+    states = [make_state((0.6, 0.0, 0.0, 0.8j))] * (verify._FRINGE_BLOCK + 1)
     assert check_fringe(states) == check_fringe(tuple(states))
     assert check_unit_q_iff_d0(states).samples == 2 * len(states)
+
+
+def test_checks_take_a_lazy_sample_stream():
+    spec = SampleSpec(2 * verify._FRINGE_BLOCK + 3, 4, HAAR)
+    states = sample_haar(spec)
+    for check in PUBLIC_CHECKS:
+        assert repr(check(sample(spec))) == repr(check(states)), check.__name__
 
 
 # ------------------------------------------------------------ streamed suite
