@@ -137,10 +137,8 @@ def _cmd_shells(args) -> int:
     if not levels:
         raise ValueError("--levels needs at least one concurrence value")
     n = args.count_per_level
-    if n < 1:
-        raise ValueError("--count-per-level must be at least 1")
-    # States are drawn while the file is written, so every level and the
-    # seed are checked before --out is opened.
+    # States are drawn while the file is written, so every level, the count
+    # per level and the seed are checked here, before --out is opened.
     specs = [SampleSpec(n, args.seed, FIXED_CONCURRENCE, level) for level in levels]
 
     def draw():

@@ -21,8 +21,7 @@ class Quaternion:
     Multiplication follows the pair rule
         (a1 + a2*e2)(b1 + b2*e2) = (a1*b1 - a2*conj(b2)) + (a1*b2 + a2*conj(b1))*e2
     which encodes e1*e2 = e3 and the anticommutation of the imaginary units.
-    Scalars (int/float/complex) multiply as quaternions with zero e2 part, so
-    q * c and c * q differ for non-real c, as they must.
+    Both factors are quaternions; a scalar c multiplies as ``Quaternion(c)``.
     """
 
     z1: complex = 0j
@@ -98,21 +97,13 @@ class Quaternion:
         )
 
     def __mul__(self, other):
-        if isinstance(other, Quaternion):
-            b1, b2 = other.z1, other.z2
-        elif isinstance(other, (int, float, complex)):
-            b1, b2 = complex(other), 0j
-        else:
+        if not isinstance(other, Quaternion):
             return NotImplemented
+        b1, b2 = other.z1, other.z2
         return Quaternion(
             self.z1 * b1 - self.z2 * b2.conjugate(),
             self.z1 * b2 + self.z2 * b1.conjugate(),
         )
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, float, complex)):
-            return Quaternion(complex(other) * self.z1, complex(other) * self.z2)
-        return NotImplemented
 
     def __add__(self, other):
         if isinstance(other, Quaternion):

@@ -97,8 +97,6 @@ def make_state(amplitudes: Sequence[complex], normalize: bool = False) -> TwoQub
     ``NORM_TOL / 8`` are rejected so that typos do not get silently absorbed.
     """
     alpha = tuple(complex(a) for a in amplitudes)
-    if len(alpha) != 4:
-        raise ValueError("expected 4 amplitudes")
     n, scale = _norm(alpha)
     if not math.isfinite(n):
         raise ValueError("amplitudes must be finite")
@@ -344,6 +342,16 @@ def second_subsystem_triad(s: TwoQubitState) -> DualityTriad:
 _FRINGE_PHASES = np.exp(1j * (np.arange(360) * (2.0 * math.pi / 360)))
 
 
+def _fringe_scan(alpha: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """``fringe_extrema``'s p(delta) of n rows of amplitudes, ``(n, 362)``: at
+    the 360 grid phases, then at each row's two phases in ``ends``, ``(n, 2)``."""
+    a0, a1, a2, a3 = alpha.T[:, :, None]
+    phase = np.empty((len(alpha), len(_FRINGE_PHASES) + 2), dtype=complex)
+    phase[:, :-2] = _FRINGE_PHASES
+    phase[:, -2:] = ends
+    return 0.5 * np.abs(a0 + phase * a2) ** 2 + 0.5 * np.abs(a1 + phase * a3) ** 2
+
+
 def fringe_extrema(s: TwoQubitState) -> tuple[float, float]:
     """Detection-probability extrema over a relative phase applied to |1>.
 
@@ -356,9 +364,8 @@ def fringe_extrema(s: TwoQubitState) -> tuple[float, float]:
     """
     coherence = _invariants(s)[2]
     peak = cmath.phase(coherence) if coherence != 0 else 0.0
-    phase = np.append(_FRINGE_PHASES, np.exp(1j * np.array((peak, peak + math.pi))))
-    a0, a1, a2, a3 = s.alpha
-    p = 0.5 * np.abs(a0 + phase * a2) ** 2 + 0.5 * np.abs(a1 + phase * a3) ** 2
+    ends = np.exp(1j * np.array([(peak, peak + math.pi)]))
+    p = _fringe_scan(np.array([s.alpha]), ends)
     return (float(p.max()), float(p.min()))
 
 

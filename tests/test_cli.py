@@ -408,6 +408,7 @@ def test_shells_rejects_empty_levels(tmp_path, capsys):
         ["shells", "--levels", "0.5,nan", "--count-per-level", "5", "--seed", "4"],
         ["shells", "--levels", "0.5", "--count-per-level", "5", "--seed", "-1"],
         ["sample", "--count", "0", "--seed", "4"],
+        ["shells", "--levels", "0.5", "--count-per-level", "0", "--seed", "4"],
     ],
 )
 def test_invalid_input_leaves_no_output_file(tmp_path, capsys, argv):

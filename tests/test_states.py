@@ -86,6 +86,13 @@ def test_make_state_rejects_zero_and_wrong_arity():
         make_state((1, 0, 0))
 
 
+@pytest.mark.parametrize("amps", [(0.6, 0.8, 0.0), (0.6, 0.8, 0.0, 0.0, 0.0), (1, 1, 1)])
+@pytest.mark.parametrize("normalize", [False, True])
+def test_make_state_leaves_the_arity_rule_to_the_state(amps, normalize):
+    with pytest.raises(ValueError, match="a two-qubit state needs exactly 4 amplitudes"):
+        make_state(amps, normalize=normalize)
+
+
 @pytest.mark.parametrize("scale", [1e200, 1e-200, 5e-324, 1.7e308])
 def test_make_state_normalizes_any_finite_scale(scale):
     s = make_state((scale, 0, 0, scale), normalize=True)

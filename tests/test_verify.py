@@ -1,6 +1,7 @@
 import cmath
 import json
 import math
+from fractions import Fraction
 from functools import partial
 
 import numpy as np
@@ -19,7 +20,15 @@ from qtriad.sampling import (
     sample_haar,
     sample_separable,
 )
-from qtriad.states import DualityTriad, concurrence, make_state, triad, visibility
+from qtriad.states import (
+    NORM_TOL,
+    DualityTriad,
+    TwoQubitState,
+    concurrence,
+    make_state,
+    triad,
+    visibility,
+)
 from qtriad.verify import (
     DEFAULT_TOLERANCES,
     check_bilinear_convention,
@@ -82,6 +91,14 @@ def test_uniform_tolerance_override():
 def test_unusable_tolerance_is_rejected(tolerance):
     with pytest.raises(ValueError, match="tolerance"):
         verify_suite(10, 1, tolerance=tolerance)
+
+
+def test_uniform_tolerance_is_stored_as_a_float():
+    assert verify_suite(10, 1, Fraction(1, 1000)).to_json() == verify_suite(10, 1, 0.001).to_json()
+    report = json.loads(verify_suite(10, 1, np.float32(1e-3)).to_json())
+    assert {c["tolerance"] for c in report["checks"]} == {float(np.float32(1e-3))}
+    text = verify_suite(10, 1, 0).to_json()
+    assert text.count('"tolerance": 0.0,') == 9 and '"tolerance": 0,' not in text
 
 
 @pytest.mark.parametrize("tolerance", [0.0, 1e-20])
@@ -209,9 +226,18 @@ def _qubit(draw):
 def route_edge_states(draw):
     """States on and around the edges the routes treat apart: |q2| at 0, just
     under and over the point-at-infinity threshold and at 1e-7; D at and near
-    0; C = 0 (products); lambda1 = lambda2 (C = 1); or generic."""
+    0; C = 0 (products); lambda1 = lambda2 (C = 1); |psi| at both edges of
+    the ``TwoQubitState`` norm gate, where ``verify._stereo`` needs no norm
+    check and |Q| stays finite; or generic."""
     u, w = draw(_qubit()), draw(_qubit())
-    kind = draw(st.sampled_from(["pole", "balanced", "product", "equal_schmidt", "generic"]))
+    kind = draw(st.sampled_from(
+        ["pole", "balanced", "product", "equal_schmidt", "norm_edge", "generic"]
+    ))
+    if kind == "norm_edge":
+        r = draw(st.sampled_from([1.01e-14, 1e-7, math.sqrt(0.5)]))
+        k = math.sqrt(1.0 - r * r)
+        f = 1.0 + draw(st.sampled_from([0.99, -0.99])) * NORM_TOL / 8
+        return TwoQubitState((f * k * u[0], f * k * u[1], f * r * w[0], f * r * w[1]))
     if kind == "pole":
         r = draw(st.sampled_from([0.0, 0.99e-14, 1.01e-14, 1e-7]))
         k = math.sqrt(1.0 - r * r)
@@ -293,11 +319,6 @@ def test_point_at_infinity_in_the_array_route():
     # Neither state has a balanced variant (p1 < 1e-12); only near has a
     # finite Q.
     assert check_unit_q_iff_d0([pole, near]).samples == 1
-
-
-def test_array_route_rejects_an_unnormalized_spinor():
-    with pytest.raises(ValueError, match="spinor must be normalized"):
-        verify._stereo(np.array([[1.0, 1.0, 0.0, 0.0]], dtype=complex))
 
 
 PUBLIC_CHECKS = (
