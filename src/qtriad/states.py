@@ -45,13 +45,19 @@ class TwoQubitState:
     alpha: tuple[complex, complex, complex, complex]
 
     def __post_init__(self):
-        alpha = tuple(map(complex, self.alpha))
-        if len(alpha) != 4:
-            raise ValueError("a two-qubit state needs exactly 4 amplitudes")
+        alpha = _four(self.alpha)
         object.__setattr__(self, "alpha", alpha)
         n, scale = _norm(alpha)
         if not math.isfinite(n) or abs(n * scale - 1.0) > NORM_TOL / 8:
             raise ValueError(f"amplitudes are not normalized: |amp| = {n * scale!r}")
+
+
+def _four(amplitudes: Sequence[complex]) -> tuple[complex, ...]:
+    """The amplitudes as complex numbers; raises ValueError unless there are 4."""
+    alpha = tuple(map(complex, amplitudes))
+    if len(alpha) != 4:
+        raise ValueError("a two-qubit state needs exactly 4 amplitudes")
+    return alpha
 
 
 def _norm(v: Sequence[complex]) -> tuple[float, float]:
@@ -96,7 +102,7 @@ def make_state(amplitudes: Sequence[complex], normalize: bool = False) -> TwoQub
     nonzero scale; without it, inputs whose norm deviates from 1 by more than
     ``NORM_TOL / 8`` are rejected so that typos do not get silently absorbed.
     """
-    alpha = tuple(complex(a) for a in amplitudes)
+    alpha = _four(amplitudes)
     n, scale = _norm(alpha)
     if not math.isfinite(n):
         raise ValueError("amplitudes must be finite")

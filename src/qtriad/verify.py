@@ -2,45 +2,40 @@
 independent route, over seeded random ensembles.
 
 Each check compares the direct route, the public functions under test
-(``triad``, ``coords_from_state``, ``visibility``, ...) called once per state,
-with an oracle route: the stereographic composition
-``inverse_stereo(stereo_project(quaternify(s)))``, the sigma_y x sigma_y
-bilinear form, or the fringe scan. ``verify_suite`` draws each ensemble
-from ``sample`` a chunk of ``_CHUNK`` states at a time, runs the checks on
-each chunk and merges each check's results, so its memory does not grow with
-the count. Each check runs its oracle route as array code over the whole
-chunk, the fringe scan ``_FRINGE_BLOCK`` states at a time:
+(``triad`` and ``coords_from_state``), with an oracle route: the
+stereographic composition ``inverse_stereo(stereo_project(quaternify(s)))``,
+the sigma_y x sigma_y bilinear form, or the fringe scan. ``verify_suite``
+draws each ensemble from ``sample`` a chunk of ``_CHUNK`` states at a time,
+runs the checks on each chunk and merges each check's results, so its memory
+does not grow with the count. A chunk (``_Chunk``) computes what its checks
+share once: the amplitude array, one ``triad`` and one ``coords_from_state``
+call per state, the stereographic route and the bilinear form. The rest of
+each oracle route is array code over the whole chunk:
 
 * the stereographic route is float64 arithmetic on the real components that
-  repeats the ``Quaternion`` pair rule term by term. numpy's complex kernels
-  are not used there: their products and moduli round differently from
-  Python's complex arithmetic on part of the inputs.
+  repeats the ``Quaternion`` pair rule term by term, since numpy's complex
+  products and moduli round differently from Python's on part of the inputs.
 * the bilinear form is one stacked ``A[:, None, :] @ _SYY @ A[:, :, None]``,
   which gives the same bits as ``a @ _SYY @ a`` per state.
-* the fringe scan is ``fringe_extrema``'s own, ``states._fringe_scan``, run
-  on one 16-state slice after another: a ``(16, 362)`` array of the 360 grid
-  phases plus each state's two extremum phases, which are computed here
-  independently of ``fringe_extrema``'s.
+* the fringe scan is ``states._fringe_scan`` on ``_FRINGE_BLOCK``-state
+  slices, with extremum phases computed apart from ``fringe_extrema``'s.
+* ``unit_q_iff_d0`` builds the balanced variants as arrays, with the
+  arithmetic of ``_invariants`` and ``TwoQubitState``'s norm gate.
 
-Two moduli stay scalar, one ``math.hypot`` call per state as in
-``Quaternion.norm``: |q2|, which decides the point at infinity, and |Q|.
-``math.hypot`` has its own extended-precision algorithm, and neither
-``np.hypot`` nor the square root of the summed squares rounds like it on
-every input. The moduli of complex numbers use ``np.hypot``, which is the C
-library's ``hypot`` that Python's ``abs(complex)`` calls too; the fringe
-scan's peak phases use ``math.atan2``, since ``np.arctan2`` may round
-differently.
+|q2|, which decides the point at infinity, and |Q| stay one ``math.hypot``
+call per state, as in ``Quaternion.norm``: no numpy function rounds like it
+on every input. Complex moduli use ``np.hypot``, the C library's ``hypot``
+that ``abs(complex)`` calls too, and the extremum phases ``math.atan2``.
 
 Each check keeps its per-state error function, the scalar reference route
-built on ``Quaternion``, ``fringe_extrema`` and ``reduced_density_photon``. Its
-witness is the first state whose array error is NaN, else the first with the
-largest error, and the check reports that function's value there, so every
-``max_error`` comes from the scalar route; ``tests/test_verify.py`` pins the
-array errors to it bit for bit. The identity and purity checks have no
-oracle route of their own: their errors are the scalar functions' values.
+built on ``Quaternion``, ``fringe_extrema`` and ``reduced_density_photon``,
+which reads the same ``triad`` and ``coords_from_state`` as the array route.
+Its witness is the first state whose array error is NaN, else the first with
+the largest error, and the check reports that function's value there;
+``tests/test_verify.py`` pins the array errors to it bit for bit.
 
-Each check reports its worst-case error so a report stays useful even when
-everything passes. Failures are reported, never raised.
+Each check reports its worst-case error, so a report stays useful even when
+everything passes; failures are reported, never raised.
 """
 
 from __future__ import annotations
@@ -49,7 +44,8 @@ import json
 import math
 import numbers
 from dataclasses import asdict, dataclass
-from itertools import islice
+from functools import cached_property
+from itertools import chain, islice
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -64,16 +60,14 @@ from .projection import (
 from .quaternion import is_infinite
 from .sampling import HAAR, SEPARABLE, SampleSpec, sample
 from .states import (
+    NORM_TOL,
     TwoQubitState,
     _fringe_scan,
     _invariants,
-    concurrence,
-    distinguishability,
     fringe_extrema,
     purity,
     reduced_density_photon,
     triad,
-    visibility,
 )
 
 # Default tolerance of each check, keyed by check name.
@@ -93,11 +87,12 @@ _PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _SYY = np.kron(_PAULI_Y, _PAULI_Y)
 
 # States per chunk of the suite's stream, which bounds the states it holds
-# and every check's working arrays. Each chunk costs about 0.5 ms of CPU time:
-# every check call evaluates its scalar route once more at its witness and
-# starts its array passes afresh.
-# At 8000 states on a 2-core x86_64 machine, 256-state chunks took about 5%
-# more CPU time than a single whole-sample chunk, and 1024-state chunks 2%.
+# and every check's working arrays. Each chunk costs about 0.5 ms of CPU time
+# beyond its states' own: every check call evaluates its scalar route once
+# more at its witness and starts its array passes afresh, while the values
+# the checks share are computed once per chunk.
+# At 8000 states on a 2-core x86_64 machine, 256-state chunks took about 10%
+# more CPU time than a single whole-sample chunk, and 1024-state chunks 1.4%.
 _CHUNK = 1024
 
 # States per slice of the fringe scan: 16 keeps each (16, 362) complex
@@ -165,14 +160,36 @@ def _result(name, samples, max_error, tolerance) -> CheckResult:
 # ----------------------------------------------------------- chunks, witness
 
 
-def _chunks(states: Iterable[TwoQubitState]) -> Iterator[list[TwoQubitState]]:
-    it = iter(states)
-    while chunk := list(islice(it, _CHUNK)):
-        yield chunk
-
-
 def _amplitudes(states: Sequence[TwoQubitState]) -> np.ndarray:
     return np.array([s.alpha for s in states], dtype=complex).reshape(-1, 4)
+
+
+def _rows(f: Callable, states: Iterable[TwoQubitState], width: int) -> np.ndarray:
+    """(n, width): the floats of ``f(s)`` for each of n states."""
+    return np.fromiter(chain.from_iterable(map(f, states)), float).reshape(-1, width)
+
+
+class _Chunk(list):
+    """States, with what the checks share computed once, by the first check
+    that reads it: the amplitudes, one ``triad`` and one ``coords_from_state``
+    per state as rows, the stereographic route and the bilinear form."""
+
+    alpha = cached_property(_amplitudes)
+    triads = cached_property(lambda self: _rows(triad, self, 3))
+    coords = cached_property(lambda self: _rows(coords_from_state, self, 5))
+    stereo = cached_property(lambda self: _stereo(self.alpha))
+    bilinear = cached_property(lambda self: _bilinear(self.alpha))
+
+
+def _chunk(states: Iterable[TwoQubitState]) -> _Chunk:
+    """``states`` drawn once into a ``_Chunk``; a chunk is returned as it is."""
+    return states if isinstance(states, _Chunk) else _Chunk(states)
+
+
+def _chunks(states: Iterable[TwoQubitState]) -> Iterator[_Chunk]:
+    it = iter(states)
+    while chunk := _Chunk(islice(it, _CHUNK)):
+        yield chunk
 
 
 def _witness(errors) -> int | None:
@@ -181,11 +198,17 @@ def _witness(errors) -> int | None:
     return int(np.argmax(errors)) if len(errors) else None
 
 
-def _max_error(states, errors, error: Callable) -> float:
+def _max_error(states: Sequence[TwoQubitState], errors, error: Callable) -> float:
     """``error`` at the witness of ``errors``, one per state; 0.0 when there
-    are no states. ``states`` need only be re-iterable, as a ``Samples`` is."""
+    are no states."""
     k = _witness(errors)
-    return 0.0 if k is None else error(next(islice(states, k, None)))
+    return 0.0 if k is None else error(states[k])
+
+
+def _check(name: str, states, errors: Callable, error: Callable, tolerance: float) -> CheckResult:
+    """Check ``name``: ``error`` at the witness of the chunk's array ``errors``."""
+    chunk = _chunk(states)
+    return _result(name, len(chunk), _max_error(chunk, errors(chunk), error), tolerance)
 
 
 def _merge(parts: Sequence[CheckResult]) -> CheckResult:
@@ -207,9 +230,9 @@ def _stereo(alpha: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     ``INFINITY_THRESHOLD`` and ``q`` holds the components (Q0, Q1, Q2, Q3) of
     Q = q1 * q2^{-1}, meaningful on those rows only.
 
-    The rows are ``TwoQubitState`` amplitudes, so |psi| is within NORM_TOL / 8
-    of 1 and the spinor is normalized; on the finite rows |Q| = |q1| / |q2| is
-    at most about 1e14. Neither raise of the scalar route can fire here.
+    The rows have passed ``TwoQubitState``'s norm gate, so |psi| is within
+    NORM_TOL / 8 of 1 and the spinor is normalized; on the finite rows
+    |Q| = |q1| / |q2| is at most about 1e14. Neither raise of the scalar route can fire here.
     """
     a0r, a0i, a1r, a1i, a2r, a2i, a3r, a3i = alpha.view(np.float64).T
     # quaternify: q1 = a0 + a1*e2, q2 = a2 + a3*e2.
@@ -275,6 +298,11 @@ def _identity_error(s: TwoQubitState) -> float:
     return abs(v * v + d * d + c * c - 1.0)
 
 
+def _identity_errors(states) -> np.ndarray:
+    v, d, c = _chunk(states).triads.T
+    return np.abs(v * v + d * d + c * c - 1.0)
+
+
 def _dual_route_error(s: TwoQubitState) -> tuple[float, float]:
     """(route, closure): the largest coordinate gap between the direct and
     the lifted point, and the larger of their distances from the sphere."""
@@ -287,8 +315,8 @@ def _dual_route_error(s: TwoQubitState) -> tuple[float, float]:
 
 
 def _dual_route_errors(states) -> tuple[np.ndarray, np.ndarray]:
-    direct = np.reshape([coords_from_state(s) for s in states], (-1, 5))
-    lifted = _lift(*_stereo(_amplitudes(states)))
+    chunk = _chunk(states)
+    direct, lifted = chunk.coords, _lift(*chunk.stereo)
     return (
         np.abs(direct - lifted).max(axis=1),
         np.maximum(_sphere_gap(direct.T), _sphere_gap(lifted.T)),
@@ -296,13 +324,13 @@ def _dual_route_errors(states) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _concurrence_oracle_error(s: TwoQubitState) -> float:
-    return abs(concurrence(s) - concurrence_bilinear(s))
+    return abs(triad(s).C - concurrence_bilinear(s))
 
 
 def _concurrence_oracle_errors(states) -> np.ndarray:
-    b = _bilinear(_amplitudes(states))
-    c = np.array([concurrence(s) for s in states])
-    return np.abs(c - np.hypot(b.real, b.imag))
+    chunk = _chunk(states)
+    b = chunk.bilinear
+    return np.abs(chunk.triads[:, 2] - np.hypot(b.real, b.imag))
 
 
 def _bilinear_convention_error(s: TwoQubitState) -> float:
@@ -313,18 +341,19 @@ def _bilinear_convention_error(s: TwoQubitState) -> float:
 
 
 def _bilinear_convention_errors(states) -> np.ndarray:
-    b = _bilinear(_amplitudes(states))
-    x = np.reshape([coords_from_state(s)[3:] for s in states], (-1, 2))
-    return np.hypot(x[:, 0] - b.real, x[:, 1] - b.imag)
+    chunk = _chunk(states)
+    b, x = chunk.bilinear, chunk.coords
+    return np.hypot(x[:, 3] - b.real, x[:, 4] - b.imag)
 
 
 def _fringe_error(s: TwoQubitState) -> float:
     p_max, p_min = fringe_extrema(s)
-    return abs((p_max - p_min) / (p_max + p_min) - visibility(s))
+    return abs((p_max - p_min) / (p_max + p_min) - triad(s).V)
 
 
 def _fringe_errors(states) -> np.ndarray:
-    alpha = _amplitudes(states)
+    chunk = _chunk(states)
+    alpha = chunk.alpha
     a0r, a0i, a1r, a1i, a2r, a2i, a3r, a3i = alpha.view(np.float64).T
     # The analytic extremum phases: that of conj(a2)*a0 + conj(a3)*a1.
     cr = (a2r * a0r - -a2i * a0i) + (a3r * a1r - -a3i * a1i)
@@ -339,13 +368,19 @@ def _fringe_errors(states) -> np.ndarray:
         p = _fringe_scan(alpha[i : i + _FRINGE_BLOCK], ends[i : i + _FRINGE_BLOCK])
         p_max, p_min = p.max(axis=1), p.min(axis=1)
         contrast[i : i + _FRINGE_BLOCK] = (p_max - p_min) / (p_max + p_min)
-    v = np.array([visibility(s) for s in states])
-    return np.abs(contrast - v)
+    return np.abs(contrast - chunk.triads[:, 0])
 
 
 def _purity_error(s: TwoQubitState) -> float:
     v, d, _ = triad(s)
     return abs(v * v + d * d - (2.0 * purity(reduced_density_photon(s)) - 1.0))
+
+
+def _purity_errors(states) -> np.ndarray:
+    chunk = _chunk(states)
+    v, d, _ = chunk.triads.T
+    p = np.array([purity(reduced_density_photon(s)) for s in chunk])
+    return np.abs(v * v + d * d - (2.0 * p - 1.0))
 
 
 def _separable_plane_error(s: TwoQubitState) -> float:
@@ -357,8 +392,9 @@ def _separable_plane_error(s: TwoQubitState) -> float:
 
 
 def _separable_plane_errors(states) -> np.ndarray:
-    finite, (_, _, q2, q3) = _stereo(_amplitudes(states))
-    det = np.array([abs(_invariants(s)[3]) for s in states])
+    chunk = _chunk(states)
+    finite, (_, _, q2, q3) = chunk.stereo
+    det = np.array([abs(_invariants(s)[3]) for s in chunk])
     return np.where(finite, np.maximum(det, np.maximum(np.abs(q2), np.abs(q3))), math.inf)
 
 
@@ -384,7 +420,7 @@ def _unit_q_error(s: TwoQubitState, tolerance: float) -> tuple[float, int]:
         if is_infinite(q):
             continue
         checked += 1
-        d = distinguishability(t)
+        d = triad(t).D
         unit_gap = abs(q.norm() - 1.0)
         if d <= tolerance:
             worst = max(worst, unit_gap)
@@ -393,19 +429,51 @@ def _unit_q_error(s: TwoQubitState, tolerance: float) -> tuple[float, int]:
     return worst, checked
 
 
-def _unit_q_errors(states, tolerance: float) -> tuple[np.ndarray, np.ndarray]:
-    """Per state: its error and its count of finite Q."""
-    rows, starts = [], []
-    for s in states:
-        starts.append(len(rows))
-        rows.extend(_unit_q_variants(s))
-    finite, q = _stereo(_amplitudes(rows))
-    norm = np.fromiter(map(math.hypot, *(c.tolist() for c in q)), float, len(rows))
+def _populations(alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(p0, p1) of rows of amplitudes as ``_invariants`` forms them: ``abs(a)
+    ** 2`` is a Python power of ``hypot``, which ``h * h`` does not always match."""
+    h = np.hypot(alpha.real, alpha.imag).ravel().tolist()
+    w = np.reshape([x**2 for x in h], (-1, 4))
+    return w[:, 0] + w[:, 1], w[:, 2] + w[:, 3]
+
+
+def _balanced(alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_unit_q_variants``' balanced variants over rows of amplitudes:
+    ``(has, variants)``, the rows that have one and their amplitudes."""
+    p0, p1 = _populations(alpha)
+    has = ~((p0 < 1e-12) | (p1 < 1e-12))
+    f = np.sqrt(0.5 / np.stack((p0, p0, p1, p1), 1)[has])
+    re, im = alpha.real[has], alpha.imag[has]
+    # a * f as Python multiplies a complex by a float, by complex(f, 0.0).
+    v = np.stack((re * f - im * 0.0, re * 0.0 + im * f), 2).reshape(-1, 8).view(complex)
+    # TwoQubitState's norm gate, the squares summed left to right as in _norm.
+    sq = v.real * v.real + v.imag * v.imag
+    n = np.sqrt(((sq[:, 0] + sq[:, 1]) + sq[:, 2]) + sq[:, 3])
+    bad = ~(np.abs(n - 1.0) <= NORM_TOL / 8)
+    if bad.any():
+        TwoQubitState(tuple(v[bad.argmax()]))  # raises the gate's ValueError
+    return has, v
+
+
+def _unit_q_rows(finite, q, d, tolerance: float) -> np.ndarray:
+    """Each row's unit_q error, from its Q and its D; 0 where Q is infinite."""
+    norm = np.fromiter(map(math.hypot, *(c.tolist() for c in q)), float, len(d))
     gap = np.abs(norm - 1.0)
-    d = np.array([distinguishability(t) for t in rows])
     error = np.where(d <= tolerance, gap, np.where(gap <= tolerance, d, 0.0))
     error[~finite] = 0.0
-    return np.maximum.reduceat(error, starts), np.add.reduceat(finite, starts)
+    return error
+
+
+def _unit_q_errors(states, tolerance: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per state: its error and its count of finite Q."""
+    chunk = _chunk(states)
+    errors = _unit_q_rows(*chunk.stereo, chunk.triads[:, 1], tolerance)
+    counts = chunk.stereo[0].astype(int)
+    has, variants = _balanced(chunk.alpha)
+    (finite, q), (p0, p1) = _stereo(variants), _populations(variants)
+    errors[has] = np.maximum(errors[has], _unit_q_rows(finite, q, np.abs(p0 - p1), tolerance))
+    counts[has] += finite
+    return errors, counts
 
 
 # ------------------------------------------------------------------- checks
@@ -416,9 +484,7 @@ def check_identity(
     tolerance: float = DEFAULT_TOLERANCES["triad_identity"],
 ) -> CheckResult:
     """max |V^2 + D^2 + C^2 - 1| over the sample."""
-    errors = np.array([_identity_error(s) for s in states])
-    worst = _max_error(states, errors, _identity_error)
-    return _result("triad_identity", len(states), worst, tolerance)
+    return _check("triad_identity", states, _identity_errors, _identity_error, tolerance)
 
 
 def check_dual_route(
@@ -427,15 +493,16 @@ def check_dual_route(
     norm_tolerance: float = DEFAULT_TOLERANCES["s4_unit_norm"],
 ) -> tuple[CheckResult, CheckResult]:
     """Direct coordinates vs the projection composition, plus sphere closure."""
-    route, closure = _dual_route_errors(states)
+    chunk = _chunk(states)
+    route, closure = _dual_route_errors(chunk)
     return (
         _result(
-            "s4_dual_route", len(states),
-            _max_error(states, route, lambda s: _dual_route_error(s)[0]), tolerance,
+            "s4_dual_route", len(chunk),
+            _max_error(chunk, route, lambda s: _dual_route_error(s)[0]), tolerance,
         ),
         _result(
-            "s4_unit_norm", len(states),
-            _max_error(states, closure, lambda s: _dual_route_error(s)[1]), norm_tolerance,
+            "s4_unit_norm", len(chunk),
+            _max_error(chunk, closure, lambda s: _dual_route_error(s)[1]), norm_tolerance,
         ),
     )
 
@@ -445,8 +512,8 @@ def check_concurrence_oracle(
     tolerance: float = DEFAULT_TOLERANCES["concurrence_oracle"],
 ) -> CheckResult:
     """Determinant concurrence vs the explicit bilinear route."""
-    worst = _max_error(states, _concurrence_oracle_errors(states), _concurrence_oracle_error)
-    return _result("concurrence_oracle", len(states), worst, tolerance)
+    errors, error = _concurrence_oracle_errors, _concurrence_oracle_error
+    return _check("concurrence_oracle", states, errors, error, tolerance)
 
 
 def check_bilinear_convention(
@@ -454,8 +521,8 @@ def check_bilinear_convention(
     tolerance: float = DEFAULT_TOLERANCES["bilinear_convention"],
 ) -> CheckResult:
     """x3 + i*x4 must equal the full complex bilinear invariant."""
-    worst = _max_error(states, _bilinear_convention_errors(states), _bilinear_convention_error)
-    return _result("bilinear_convention", len(states), worst, tolerance)
+    errors, error = _bilinear_convention_errors, _bilinear_convention_error
+    return _check("bilinear_convention", states, errors, error, tolerance)
 
 
 def check_fringe(
@@ -463,8 +530,7 @@ def check_fringe(
     tolerance: float = DEFAULT_TOLERANCES["fringe_visibility"],
 ) -> CheckResult:
     """Fringe-contrast visibility vs the algebraic coherence form."""
-    worst = _max_error(states, _fringe_errors(states), _fringe_error)
-    return _result("fringe_visibility", len(states), worst, tolerance)
+    return _check("fringe_visibility", states, _fringe_errors, _fringe_error, tolerance)
 
 
 def check_purity(
@@ -472,9 +538,7 @@ def check_purity(
     tolerance: float = DEFAULT_TOLERANCES["purity_relation"],
 ) -> CheckResult:
     """V^2 + D^2 against 2*Tr(rho^2) - 1 of the reduced path state."""
-    errors = np.array([_purity_error(s) for s in states])
-    worst = _max_error(states, errors, _purity_error)
-    return _result("purity_relation", len(states), worst, tolerance)
+    return _check("purity_relation", states, _purity_errors, _purity_error, tolerance)
 
 
 def check_separable_plane(
@@ -482,8 +546,8 @@ def check_separable_plane(
     tolerance: float = DEFAULT_TOLERANCES["separable_plane"],
 ) -> CheckResult:
     """Product states must project into the complex plane (no e2/e3 part)."""
-    worst = _max_error(states, _separable_plane_errors(states), _separable_plane_error)
-    return _result("separable_plane", len(states), worst, tolerance)
+    errors, error = _separable_plane_errors, _separable_plane_error
+    return _check("separable_plane", states, errors, error, tolerance)
 
 
 def check_unit_q_iff_d0(
@@ -495,8 +559,9 @@ def check_unit_q_iff_d0(
     Random states rarely sit near the D = 0 manifold, so each sample also
     contributes a rescaled zero-imbalance variant that must land on |Q| = 1.
     """
-    errors, counts = _unit_q_errors(states, tolerance)
-    worst = _max_error(states, errors, lambda s: _unit_q_error(s, tolerance)[0])
+    chunk = _chunk(states)
+    errors, counts = _unit_q_errors(chunk, tolerance)
+    worst = _max_error(chunk, errors, lambda s: _unit_q_error(s, tolerance)[0])
     return _result("unit_q_iff_d0", int(counts.sum()), worst, tolerance)
 
 

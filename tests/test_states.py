@@ -93,6 +93,15 @@ def test_make_state_leaves_the_arity_rule_to_the_state(amps, normalize):
         make_state(amps, normalize=normalize)
 
 
+@pytest.mark.parametrize("amps", [(), (0, 0, 0), (0,) * 5, (math.nan, 1, 0), (math.inf,) * 5])
+@pytest.mark.parametrize("normalize", [False, True])
+def test_arity_is_checked_before_the_finite_and_zero_rules(amps, normalize):
+    with pytest.raises(ValueError, match="a two-qubit state needs exactly 4 amplitudes"):
+        make_state(amps, normalize=normalize)
+    with pytest.raises(ValueError, match="a two-qubit state needs exactly 4 amplitudes"):
+        TwoQubitState(amps)
+
+
 @pytest.mark.parametrize("scale", [1e200, 1e-200, 5e-324, 1.7e308])
 def test_make_state_normalizes_any_finite_scale(scale):
     s = make_state((scale, 0, 0, scale), normalize=True)

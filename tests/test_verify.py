@@ -1,6 +1,7 @@
 import cmath
 import json
 import math
+from collections import Counter
 from fractions import Fraction
 from functools import partial
 
@@ -10,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qtriad import verify
-from qtriad.projection import INFINITY_THRESHOLD
+from qtriad.cli import main
+from qtriad.projection import INFINITY_THRESHOLD, coords_from_state
 from qtriad.sampling import (
     HAAR,
     SEPARABLE,
@@ -27,7 +29,6 @@ from qtriad.states import (
     concurrence,
     make_state,
     triad,
-    visibility,
 )
 from qtriad.verify import (
     DEFAULT_TOLERANCES,
@@ -116,8 +117,8 @@ def test_planted_bell_has_exactly_zero_identity_error():
 
 
 def test_corrupted_concurrence_is_caught(monkeypatch):
-    # Only the identity and purity checks read ``verify.triad``, and purity
-    # uses just V and D, so raising C there corrupts the identity check alone.
+    # C of ``verify.triad`` is read by the identity check and, against the
+    # bilinear route, by the concurrence oracle; no other check reads it.
     def drifted_triad(s):
         v, d, c = triad(s)
         return DualityTriad(v, d, c + 1e-3)
@@ -125,11 +126,51 @@ def test_corrupted_concurrence_is_caught(monkeypatch):
     monkeypatch.setattr(verify, "triad", drifted_triad)
     report = verify_suite(200, 7)
     assert not report.passed
-    identity = next(c for c in report.checks if c.name == "triad_identity")
-    assert not identity.passed
-    assert 1e-4 < identity.max_error < 1e-2
+    for name in ("triad_identity", "concurrence_oracle"):
+        check = next(c for c in report.checks if c.name == name)
+        assert not check.passed
+        assert 1e-4 < check.max_error < 1e-2
     # every other check is untouched by the corruption
-    assert all(c.passed for c in report.checks if c.name != "triad_identity")
+    assert all(
+        c.passed for c in report.checks if c.name not in ("triad_identity", "concurrence_oracle")
+    )
+
+
+def _drifted(field):
+    """``verify.triad`` with ``field`` off by 1e-3."""
+    def drifted(s):
+        t = triad(s)
+        return t._replace(**{field: getattr(t, field) + 1e-3})
+
+    return "triad", drifted
+
+
+def _flipped_x2(s):
+    x = coords_from_state(s)
+    return x._replace(x2=-x.x2)
+
+
+# fault: (name in verify, its planted stand-in, the checks that must fail).
+PLANTED = {
+    "V": (*_drifted("V"), {"triad_identity", "fringe_visibility", "purity_relation"}),
+    "D": (*_drifted("D"), {"triad_identity", "purity_relation", "unit_q_iff_d0"}),
+    "C": (*_drifted("C"), {"triad_identity", "concurrence_oracle"}),
+    "x2": ("coords_from_state", _flipped_x2, {"s4_dual_route"}),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(PLANTED))
+def test_planted_fault_fails_exactly_the_checks_that_read_it(monkeypatch, capsys, fault):
+    # Each shared value of the direct route is read by the array route and
+    # by the scalar reference at the witness alike, so a fault in it fails
+    # every check that reads it and no other.
+    name, planted, failing = PLANTED[fault]
+    monkeypatch.setattr(verify, name, planted)
+    report = verify_suite(300, 7)
+    assert {c.name for c in report.checks if not c.passed} == failing
+    assert main(["verify", "--count", "300", "--seed", "7", "--format", "json"]) == 1
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert {c["name"] for c in checks if not c["passed"]} == failing
 
 
 def test_report_text_format():
@@ -281,6 +322,40 @@ def test_array_routes_match_scalar_routes_bit_for_bit(states):
 
 @settings(database=None, derandomize=True, max_examples=30, deadline=None)
 @given(_SAMPLES)
+def test_shared_direct_route_matches_scalar_routes_bit_for_bit(states):
+    # The identity and purity errors from the chunk's triads, and the
+    # balanced variants built as arrays, against their scalar forms.
+    for errors, error in (
+        (verify._identity_errors, verify._identity_error),
+        (verify._purity_errors, verify._purity_error),
+    ):
+        assert _bits(_array_rows(errors, states)) == _bits(_scalar_rows(error, states))
+    _assert_balanced_variants_match(states)
+
+
+def _assert_balanced_variants_match(states):
+    has, variants = verify._balanced(verify._amplitudes(states))
+    scalar = [verify._unit_q_variants(s)[1:] for s in states]
+    assert has.tolist() == [bool(v) for v in scalar]
+    assert _bits(map(complex, row) for row in variants) == _bits(v[0].alpha for v in scalar if v)
+
+
+def test_balanced_variants_match_the_scalar_variants_on_a_sample():
+    # Squaring |a| as h * h in place of Python's power moves the bits of a
+    # variant on about 0.1% of haar states; 4096 states show it.
+    _assert_balanced_variants_match(sample_haar(SampleSpec(4096, 3, HAAR)))
+
+
+def test_balanced_variants_keep_the_norm_gate():
+    # The first row has no variant; the second's is all NaN, and the gate
+    # raises TwoQubitState's own error for it.
+    alpha = np.array([[0.6, 0.8j, 0.0, 0.0], [math.nan, 0.0, 0.6, 0.8]], dtype=complex)
+    with pytest.raises(ValueError, match=r"not normalized: \|amp\| = nan$"):
+        verify._balanced(alpha)
+
+
+@settings(database=None, derandomize=True, max_examples=30, deadline=None)
+@given(_SAMPLES)
 def test_checks_report_the_scalar_maximum(states):
     # The witness reports what the old per-state loop reported: the largest
     # scalar error (0.0 at least) and, for unit_q_iff_d0, the finite Q count.
@@ -335,9 +410,13 @@ def test_check_on_no_states_reports_nothing(check):
 
 
 def _plant_visibility(monkeypatch, planted):
-    """``verify.visibility`` with the values of ``planted``, keyed by a
+    """V of ``verify.triad`` with the values of ``planted``, keyed by a
     state's amplitudes, in both fringe routes."""
-    monkeypatch.setattr(verify, "visibility", lambda s: planted.get(s.alpha, visibility(s)))
+    def planted_triad(s):
+        v, d, c = triad(s)
+        return DualityTriad(planted.get(s.alpha, v), d, c)
+
+    monkeypatch.setattr(verify, "triad", planted_triad)
 
 
 def test_nan_in_a_later_fringe_slice_is_the_witness(monkeypatch):
@@ -362,7 +441,10 @@ def test_nan_in_a_later_suite_chunk_fails_the_fringe_check(monkeypatch):
     fringe = next(c for c in report.checks if c.name == "fringe_visibility")
     assert math.isnan(fringe.max_error)
     assert fringe.samples == count and not fringe.passed
-    assert all(c.passed for c in report.checks if c.name != "fringe_visibility")
+    # The identity and purity checks read the same NaN V; every other check
+    # passes.
+    failed = {c.name for c in report.checks if not c.passed}
+    assert failed == {"triad_identity", "fringe_visibility", "purity_relation"}
 
 
 def test_checks_take_any_sized_iterable_in_blocks():
@@ -408,6 +490,51 @@ def test_suite_draws_at_most_one_chunk_ahead(monkeypatch):
     report = verify_suite(count, 5)
     assert report.passed
     assert (drawn, checked) == (2 * count, 2 * count)
+
+
+SCALAR_ERRORS = (
+    "_identity_error", "_dual_route_error", "_concurrence_oracle_error",
+    "_bilinear_convention_error", "_fringe_error", "_purity_error",
+    "_separable_plane_error", "_unit_q_error",
+)
+
+
+def test_suite_evaluates_the_direct_route_once_per_state(monkeypatch):
+    # Outside the witness calls of the scalar error functions, the suite
+    # calls triad and coords_from_state once per haar state and builds no
+    # TwoQubitState; each check makes one witness call per chunk.
+    count = 2 * verify._CHUNK + 1
+    witness, outside, active = Counter(), Counter(), []
+
+    def at_witness(name, error):
+        def run(*args):
+            witness[name] += 1
+            active.append(name)
+            try:
+                return error(*args)
+            finally:
+                active.pop()
+
+        return run
+
+    def counted(name, fn):
+        def run(*args):
+            outside[name] += not active
+            return fn(*args)
+
+        return run
+
+    for name in SCALAR_ERRORS:
+        monkeypatch.setattr(verify, name, at_witness(name, getattr(verify, name)))
+    for name in ("triad", "coords_from_state", "TwoQubitState"):
+        monkeypatch.setattr(verify, name, counted(name, getattr(verify, name)))
+    assert verify_suite(count, 5).passed
+    assert +outside == {"triad": count, "coords_from_state": count}
+    chunks = 3
+    # _dual_route_error stands witness for two results, route and closure.
+    assert witness == {
+        name: 2 * chunks if name == "_dual_route_error" else chunks for name in SCALAR_ERRORS
+    }
 
 
 @pytest.mark.parametrize(
