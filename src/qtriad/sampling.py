@@ -18,17 +18,31 @@ Sample ``i`` of a run is a pure function of ``(seed, i)``:
   blocks of 16.
 
 The streams are computed in this package, a block of ``_BLOCK`` consecutive
-indices at a time, with the Philox rounds, the uniforms and the polar
-acceptance as array code; ``tests/test_sampling.py`` pins those words and
-uniforms to ``numpy.random.Philox`` and ``Generator.random``. The per-index
-functions (``haar_state`` and the rest) draw from ``numpy.random.Philox``
-itself; the batched stream hands them every index whose first 16-uniform
-block has too few accepted pairs, and the two agree bit for bit.
-``math.log``, ``math.hypot``, ``math.cos`` and ``math.sin`` are called one
-value at a time on both paths, because their numpy counterparts round
-differently. The same (seed, index) therefore reproduces the same state bit
-for bit in every run, and on every platform whose numpy and whose
-``math.log``, ``math.hypot``, ``math.cos`` and ``math.sin`` agree.
+indices at a time (``_blocks``), with the Philox rounds, the uniforms and the
+polar acceptance as array code; ``tests/test_sampling.py`` pins those words
+and uniforms to ``numpy.random.Philox`` and ``Generator.random``. The
+per-index functions (``haar_state`` and the rest) draw from
+``numpy.random.Philox`` itself; the batched stream hands them every index
+whose first 16-uniform block has too few accepted pairs, and the two agree
+bit for bit.
+
+A block's amplitudes are assembled as an ``(n, 4)`` complex array by array
+code that repeats the per-index builders' Python complex arithmetic
+operation for operation, on the real components:
+
+* a complex product is (ar*br - ai*bi, ar*bi + ai*br);
+* a float f times a complex is the product with complex(f, 0.0);
+* complex(x, y) / w is ((x + y*0.0) / w, (y - x*0.0) / w), CPython 3.11's
+  division by complex(w, 0.0).
+
+The zero terms can set the sign of a zero part, so they stay. ``math.log``,
+``math.hypot``, ``math.cos`` and ``math.sin`` are called one value (or one
+row) at a time on both paths, because their numpy counterparts round
+differently. Each block then passes ``TwoQubitState``'s norm gate as arrays,
+and the sampled states (``_stream``) are a view of the blocks: one
+``TwoQubitState`` per row. The same (seed, index) therefore reproduces the
+same state bit for bit in every run, and on every platform whose numpy and
+whose ``math.log``, ``math.hypot``, ``math.cos`` and ``math.sin`` agree.
 
 Ensembles
 ---------
@@ -52,7 +66,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .classify import shell_radius
-from .states import BlochAngles, TwoQubitState, bloch_state
+from .states import BlochAngles, TwoQubitState, _gate, bloch_state
 
 HAAR = "haar"
 SEPARABLE = "separable"
@@ -212,8 +226,8 @@ def _normalized_pair(n0, n1, n2, n3) -> tuple[complex, complex]:
     return a / w, b / w
 
 
-# State assembly from drawn normals (and phase uniforms), shared by the
-# per-index functions and the batched stream so both round identically.
+# State assembly from drawn normals (and phase uniforms) for the per-index
+# functions; ``_blocks`` repeats it as array code below.
 
 
 def _haar(n: list[float]) -> TwoQubitState:
@@ -362,19 +376,95 @@ _LAYOUT = {
 }
 
 
-def _stream(spec: SampleSpec, start: int = 0) -> Iterator[TwoQubitState]:
-    """States of ``spec`` at indices ``start .. start + spec.count - 1``."""
+# Array assembly: ``_haar``, ``_separable`` and ``_rotated_schmidt`` over
+# rows of drawn normals, operation for operation, on (re, im) pairs of float
+# arrays (see the module docstring for the rules).
+
+
+def _quotient(x: np.ndarray, y: np.ndarray, w: np.ndarray):
+    """complex(x, y) / w: Python's division by complex(w, 0.0), w > 0."""
+    return (x + y * 0.0) / w, (y - x * 0.0) / w
+
+
+def _product(a, b):
+    """a * b of (re, im) pairs, as Python multiplies complex numbers."""
+    (ar, ai), (br, bi) = a, b
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _conjugate(a):
+    return a[0], -a[1]
+
+
+def _hypot_rows(*columns: np.ndarray) -> np.ndarray:
+    # One math.hypot call per row, as in the per-index builders.
+    return np.fromiter(map(math.hypot, *(c.tolist() for c in columns)), float, len(columns[0]))
+
+
+def _pack(*amplitudes) -> np.ndarray:
+    """(n, 4) complex rows from four (re, im) pairs."""
+    return np.stack([part for a in amplitudes for part in a], 1).view(complex)
+
+
+def _pair_rows(n0, n1, n2, n3):
+    w = _hypot_rows(n0, n1, n2, n3)
+    return _quotient(n0, n1, w), _quotient(n2, n3, w)
+
+
+def _haar_rows(n: np.ndarray) -> np.ndarray:
+    w = _hypot_rows(*n.T)
+    return _pack(*(_quotient(n[:, k], n[:, k + 1], w) for k in range(0, 8, 2)))
+
+
+def _separable_rows(n: np.ndarray) -> np.ndarray:
+    a, b = _pair_rows(*n[:, :4].T)
+    c, d = _pair_rows(*n[:, 4:8].T)
+    return _pack(_product(a, c), _product(a, d), _product(b, c), _product(b, d))
+
+
+def _unitary_rows(n0, n1, n2, n3, u: np.ndarray):
+    a, b = _pair_rows(n0, n1, n2, n3)
+    t = (2.0 * math.pi * u).tolist()
+    phase = np.array(list(map(math.cos, t))), np.array(list(map(math.sin, t)))
+    minus = -phase[0], -phase[1]
+    return (
+        _product(phase, a),
+        _product(minus, _conjugate(b)),
+        _product(phase, b),
+        _product(phase, _conjugate(a)),
+    )
+
+
+def _rotated_schmidt_rows(lam1: float, lam2: float, r: np.ndarray) -> np.ndarray:
+    u00, u01, u10, u11 = _unitary_rows(*r[:, :4].T, r[:, 8])
+    w00, w01, w10, w11 = _unitary_rows(*r[:, 4:8].T, r[:, 9])
+    l1, l2 = (lam1, 0.0), (lam2, 0.0)
+
+    def entry(u1, w1, u2, w2):
+        # lam1 * u1 * w1 + lam2 * u2 * w2
+        x, y = _product(_product(l1, u1), w1), _product(_product(l2, u2), w2)
+        return x[0] + y[0], x[1] + y[1]
+
+    return _pack(
+        entry(u00, w00, u01, w01),
+        entry(u00, w10, u01, w11),
+        entry(u10, w00, u11, w01),
+        entry(u10, w10, u11, w11),
+    )
+
+
+def _blocks(spec: SampleSpec, start: int = 0) -> Iterator[np.ndarray]:
+    """Amplitudes of ``spec`` at indices ``start .. start + spec.count - 1``,
+    as ``(n, 4)`` complex blocks of ``_BLOCK`` rows (the last may be shorter)."""
     seed = spec.seed
     steps, blocks, phases = _LAYOUT[spec.ensemble]
     if spec.ensemble == HAAR:
-        build = _haar
-        fallback = lambda i: haar_state(seed, i)
+        build, fallback = _haar_rows, partial(haar_state, seed)
     elif spec.ensemble == SEPARABLE:
-        build = _separable
-        fallback = lambda i: separable_state(seed, i)
+        build, fallback = _separable_rows, partial(separable_state, seed)
     else:
         c = spec.c
-        build = partial(_rotated_schmidt, *_schmidt_weights(c))
+        build = partial(_rotated_schmidt_rows, *_schmidt_weights(c))
         fallback = lambda i: fixed_concurrence_state(seed, i, c)
     stop = start + spec.count
     for first in range(start, stop, _BLOCK):
@@ -383,11 +473,21 @@ def _stream(spec: SampleSpec, start: int = 0) -> Iterator[TwoQubitState]:
         ok, normals = _accepted_normals(u, blocks)
         if phases:
             normals = np.concatenate((normals, u[ok][:, phases]), axis=1)
-        rows = iter(normals.tolist())
-        for i, drawn in enumerate(ok.tolist(), first):
-            # A row with a 16-uniform block short of accepted pairs goes to
-            # the per-index function, which draws on from its own generator.
-            yield build(next(rows)) if drawn else fallback(i)
+        alpha = np.empty((n, 4), complex)
+        alpha[ok] = build(normals)
+        # A row with a 16-uniform block short of accepted pairs comes from the
+        # per-index function, which draws on from its own generator.
+        for r in np.flatnonzero(~ok).tolist():
+            alpha[r] = fallback(first + r).alpha
+        _gate(alpha)
+        yield alpha
+
+
+def _stream(spec: SampleSpec, start: int = 0) -> Iterator[TwoQubitState]:
+    """States of ``spec`` at indices ``start .. start + spec.count - 1``."""
+    for alpha in _blocks(spec, start):
+        for row in alpha.tolist():
+            yield TwoQubitState(row)
 
 
 def bloch_grid_states(count: int) -> list[TwoQubitState]:

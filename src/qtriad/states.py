@@ -52,6 +52,18 @@ class TwoQubitState:
             raise ValueError(f"amplitudes are not normalized: |amp| = {n * scale!r}")
 
 
+def _gate(alpha: np.ndarray) -> None:
+    """``TwoQubitState``'s norm gate over n rows of amplitudes, ``(n, 4)``:
+    raises its ValueError for the first row it rejects."""
+    # The squares are summed left to right, as in ``_norm``. Rows with |psi|
+    # near 1 take ``_norm``'s plain branch; any other row fails both gates.
+    sq = alpha.real * alpha.real + alpha.imag * alpha.imag
+    n = np.sqrt(((sq[:, 0] + sq[:, 1]) + sq[:, 2]) + sq[:, 3])
+    bad = ~(np.abs(n - 1.0) <= NORM_TOL / 8)
+    if bad.any():
+        TwoQubitState(tuple(alpha[bad.argmax()]))
+
+
 def _four(amplitudes: Sequence[complex]) -> tuple[complex, ...]:
     """The amplitudes as complex numbers; raises ValueError unless there are 4."""
     alpha = tuple(map(complex, amplitudes))
@@ -283,6 +295,45 @@ def _invariants(s: TwoQubitState) -> tuple[float, float, complex, complex]:
     p0 = abs(a0) ** 2 + abs(a1) ** 2
     p1 = abs(a2) ** 2 + abs(a3) ** 2
     return p0, p1, a2.conjugate() * a0 + a3.conjugate() * a1, a1 * a2 - a0 * a3
+
+
+class _Rows(NamedTuple):
+    """The direct route over n rows of amplitudes: per row, bit for bit,
+    ``_invariants``' p0 and p1, ``triad`` (n, 3), ``coords_from_state``
+    (n, 5), ``purity(reduced_density_photon(s))`` and ``abs(_invariants(s)[3])``."""
+
+    p0: np.ndarray
+    p1: np.ndarray
+    triads: np.ndarray
+    coords: np.ndarray
+    purity: np.ndarray
+    det: np.ndarray
+
+
+def _invariant_rows(alpha: np.ndarray) -> _Rows:
+    """``_invariants`` and what follows from it, over rows of amplitudes."""
+    # abs(a) ** 2 in _invariants is the C library's pow of its hypot, and
+    # np.float_power and np.hypot call those two functions. h * h and
+    # np.power(h, 2) round one product, which differs from pow on about 1
+    # value in 1000.
+    w = np.float_power(np.hypot(alpha.real, alpha.imag), 2.0)
+    p0, p1 = w[:, 0] + w[:, 1], w[:, 2] + w[:, 3]
+    # The coherence and the determinant, each complex product as Python forms
+    # it: (re*re - im*im, re*im + im*re), conj(a2) being (a2r, -a2i).
+    a0r, a0i, a1r, a1i, a2r, a2i, a3r, a3i = alpha.view(np.float64).T
+    cr = (a2r * a0r - -a2i * a0i) + (a3r * a1r - -a3i * a1i)
+    ci = (a2r * a0i + -a2i * a0r) + (a3r * a1i + -a3i * a1r)
+    dr = (a1r * a2r - a1i * a2i) - (a0r * a3r - a0i * a3i)
+    di = (a1r * a2i + a1i * a2r) - (a0r * a3i + a0i * a3r)
+    off, det = np.hypot(cr, ci), np.hypot(dr, di)
+    return _Rows(
+        p0,
+        p1,
+        np.stack((2.0 * off, np.abs(p0 - p1), 2.0 * det), 1),
+        np.stack((p0 - p1, 2.0 * cr, 2.0 * ci, 2.0 * dr, 2.0 * di), 1),
+        p0 * p0 + p1 * p1 + 2.0 * off * off,
+        det,
+    )
 
 
 def reduced_density_photon(s: TwoQubitState) -> DensityMatrix2:

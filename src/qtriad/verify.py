@@ -5,12 +5,15 @@ Each check compares the direct route, the public functions under test
 (``triad`` and ``coords_from_state``), with an oracle route: the
 stereographic composition ``inverse_stereo(stereo_project(quaternify(s)))``,
 the sigma_y x sigma_y bilinear form, or the fringe scan. ``verify_suite``
-draws each ensemble from ``sample`` a chunk of ``_CHUNK`` states at a time,
-runs the checks on each chunk and merges each check's results, so its memory
-does not grow with the count. A chunk (``_Chunk``) computes what its checks
-share once: the amplitude array, one ``triad`` and one ``coords_from_state``
-call per state, the stereographic route and the bilinear form. The rest of
-each oracle route is array code over the whole chunk:
+draws each ensemble as amplitude blocks (``sampling._blocks``) a chunk of
+``_CHUNK`` rows at a time, runs the checks on each chunk and merges each
+check's results, so its memory does not grow with the count. No
+``TwoQubitState`` is built for a drawn state. A chunk (``_Chunk``) holds the
+rows and computes what its checks share once: the direct route by the array
+kernel ``states._invariant_rows``, which gives each row's ``triad``,
+``coords_from_state``, purity and |det| bit for bit, the stereographic route
+and the bilinear form. The rest of each oracle route is array code over the
+whole chunk:
 
 * the stereographic route is float64 arithmetic on the real components that
   repeats the ``Quaternion`` pair rule term by term, since numpy's complex
@@ -20,7 +23,8 @@ each oracle route is array code over the whole chunk:
 * the fringe scan is ``states._fringe_scan`` on ``_FRINGE_BLOCK``-state
   slices, with extremum phases computed apart from ``fringe_extrema``'s.
 * ``unit_q_iff_d0`` builds the balanced variants as arrays, with the
-  arithmetic of ``_invariants`` and ``TwoQubitState``'s norm gate.
+  arithmetic of ``_unit_q_variants`` and ``TwoQubitState``'s norm gate, and
+  takes their D from the kernel.
 
 |q2|, which decides the point at infinity, and |Q| stay one ``math.hypot``
 call per state, as in ``Quaternion.norm``: no numpy function rounds like it
@@ -28,11 +32,14 @@ on every input. Complex moduli use ``np.hypot``, the C library's ``hypot``
 that ``abs(complex)`` calls too, and the extremum phases ``math.atan2``.
 
 Each check keeps its per-state error function, the scalar reference route
-built on ``Quaternion``, ``fringe_extrema`` and ``reduced_density_photon``,
-which reads the same ``triad`` and ``coords_from_state`` as the array route.
-Its witness is the first state whose array error is NaN, else the first with
-the largest error, and the check reports that function's value there;
-``tests/test_verify.py`` pins the array errors to it bit for bit.
+built on ``triad``, ``coords_from_state``, ``Quaternion``,
+``fringe_extrema`` and ``reduced_density_photon``; ``triad`` and
+``coords_from_state`` run only there. Its witness is the first state whose
+array error is NaN, else the first with the largest error. The check
+reports the larger of the array error and the scalar error there, a NaN in
+either winning, so a fault in the kernel alone or in the scalar route alone
+still fails it; ``tests/test_verify.py`` pins the two to each other bit for
+bit, and then they are the same value.
 
 Each check reports its worst-case error, so a report stays useful even when
 everything passes; failures are reported, never raised.
@@ -45,7 +52,7 @@ import math
 import numbers
 from dataclasses import asdict, dataclass
 from functools import cached_property
-from itertools import chain, islice
+from itertools import islice
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -58,11 +65,12 @@ from .projection import (
     stereo_project,
 )
 from .quaternion import is_infinite
-from .sampling import HAAR, SEPARABLE, SampleSpec, sample
+from .sampling import _BLOCK, HAAR, SEPARABLE, SampleSpec, _blocks
 from .states import (
-    NORM_TOL,
     TwoQubitState,
     _fringe_scan,
+    _gate,
+    _invariant_rows,
     _invariants,
     fringe_extrema,
     purity,
@@ -86,13 +94,14 @@ DEFAULT_TOLERANCES = {
 _PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _SYY = np.kron(_PAULI_Y, _PAULI_Y)
 
-# States per chunk of the suite's stream, which bounds the states it holds
-# and every check's working arrays. Each chunk costs about 0.5 ms of CPU time
-# beyond its states' own: every check call evaluates its scalar route once
-# more at its witness and starts its array passes afresh, while the values
-# the checks share are computed once per chunk.
-# At 8000 states on a 2-core x86_64 machine, 256-state chunks took about 10%
-# more CPU time than a single whole-sample chunk, and 1024-state chunks 1.4%.
+# States per chunk of the suite's stream, a multiple of ``_BLOCK``, which
+# bounds the states it holds and every check's working arrays. Each chunk
+# costs about 0.3 ms of CPU time beyond its states' own: every check call
+# evaluates its scalar route once more at its witness and starts its array
+# passes afresh, while the values the checks share are computed once per
+# chunk. At 8000 states on a 2-core x86_64 machine (best of 8 rounds),
+# 256-state chunks took about 15% more CPU time than a single whole-sample
+# chunk, and 1024-state chunks 3.6%.
 _CHUNK = 1024
 
 # States per slice of the fringe scan: 16 keeps each (16, 362) complex
@@ -160,36 +169,40 @@ def _result(name, samples, max_error, tolerance) -> CheckResult:
 # ----------------------------------------------------------- chunks, witness
 
 
-def _amplitudes(states: Sequence[TwoQubitState]) -> np.ndarray:
+def _amplitudes(states: Iterable[TwoQubitState]) -> np.ndarray:
     return np.array([s.alpha for s in states], dtype=complex).reshape(-1, 4)
 
 
-def _rows(f: Callable, states: Iterable[TwoQubitState], width: int) -> np.ndarray:
-    """(n, width): the floats of ``f(s)`` for each of n states."""
-    return np.fromiter(chain.from_iterable(map(f, states)), float).reshape(-1, width)
+class _Chunk:
+    """Rows of amplitudes, with what the checks share computed once, by the
+    first check that reads it: the direct route (``_invariant_rows``), the
+    stereographic route and the bilinear form. ``chunk[k]`` is the state of
+    row k, built for the scalar reference at a witness."""
 
+    def __init__(self, alpha: np.ndarray):
+        self.alpha = alpha
 
-class _Chunk(list):
-    """States, with what the checks share computed once, by the first check
-    that reads it: the amplitudes, one ``triad`` and one ``coords_from_state``
-    per state as rows, the stereographic route and the bilinear form."""
+    def __len__(self) -> int:
+        return len(self.alpha)
 
-    alpha = cached_property(_amplitudes)
-    triads = cached_property(lambda self: _rows(triad, self, 3))
-    coords = cached_property(lambda self: _rows(coords_from_state, self, 5))
+    def __getitem__(self, k: int) -> TwoQubitState:
+        return TwoQubitState(self.alpha[k].tolist())
+
+    rows = cached_property(lambda self: _invariant_rows(self.alpha))
     stereo = cached_property(lambda self: _stereo(self.alpha))
     bilinear = cached_property(lambda self: _bilinear(self.alpha))
 
 
 def _chunk(states: Iterable[TwoQubitState]) -> _Chunk:
-    """``states`` drawn once into a ``_Chunk``; a chunk is returned as it is."""
-    return states if isinstance(states, _Chunk) else _Chunk(states)
+    """``states`` packed once into a ``_Chunk``; a chunk is returned as it is."""
+    return states if isinstance(states, _Chunk) else _Chunk(_amplitudes(states))
 
 
-def _chunks(states: Iterable[TwoQubitState]) -> Iterator[_Chunk]:
-    it = iter(states)
-    while chunk := _Chunk(islice(it, _CHUNK)):
-        yield chunk
+def _chunks(spec: SampleSpec) -> Iterator[_Chunk]:
+    """The spec's states as chunks of ``_CHUNK`` rows, drawn one at a time."""
+    blocks = _blocks(spec)
+    while parts := list(islice(blocks, _CHUNK // _BLOCK)):
+        yield _Chunk(np.concatenate(parts))
 
 
 def _witness(errors) -> int | None:
@@ -198,15 +211,20 @@ def _witness(errors) -> int | None:
     return int(np.argmax(errors)) if len(errors) else None
 
 
-def _max_error(states: Sequence[TwoQubitState], errors, error: Callable) -> float:
-    """``error`` at the witness of ``errors``, one per state; 0.0 when there
-    are no states."""
+def _max_error(chunk: _Chunk, errors, error: Callable) -> float:
+    """The error at the witness of the array ``errors``, one per state: the
+    larger of its array value and the scalar reference ``error``, a NaN in
+    either winning; 0.0 when there are no states."""
     k = _witness(errors)
-    return 0.0 if k is None else error(states[k])
+    if k is None:
+        return 0.0
+    array, scalar = float(errors[k]), error(chunk[k])
+    return array if math.isnan(array) or array > scalar else scalar
 
 
 def _check(name: str, states, errors: Callable, error: Callable, tolerance: float) -> CheckResult:
-    """Check ``name``: ``error`` at the witness of the chunk's array ``errors``."""
+    """Check ``name``: its error at the witness of the chunk's array
+    ``errors``, as ``_max_error`` gives it with the scalar ``error``."""
     chunk = _chunk(states)
     return _result(name, len(chunk), _max_error(chunk, errors(chunk), error), tolerance)
 
@@ -299,7 +317,7 @@ def _identity_error(s: TwoQubitState) -> float:
 
 
 def _identity_errors(states) -> np.ndarray:
-    v, d, c = _chunk(states).triads.T
+    v, d, c = _chunk(states).rows.triads.T
     return np.abs(v * v + d * d + c * c - 1.0)
 
 
@@ -316,7 +334,7 @@ def _dual_route_error(s: TwoQubitState) -> tuple[float, float]:
 
 def _dual_route_errors(states) -> tuple[np.ndarray, np.ndarray]:
     chunk = _chunk(states)
-    direct, lifted = chunk.coords, _lift(*chunk.stereo)
+    direct, lifted = chunk.rows.coords, _lift(*chunk.stereo)
     return (
         np.abs(direct - lifted).max(axis=1),
         np.maximum(_sphere_gap(direct.T), _sphere_gap(lifted.T)),
@@ -330,7 +348,7 @@ def _concurrence_oracle_error(s: TwoQubitState) -> float:
 def _concurrence_oracle_errors(states) -> np.ndarray:
     chunk = _chunk(states)
     b = chunk.bilinear
-    return np.abs(chunk.triads[:, 2] - np.hypot(b.real, b.imag))
+    return np.abs(chunk.rows.triads[:, 2] - np.hypot(b.real, b.imag))
 
 
 def _bilinear_convention_error(s: TwoQubitState) -> float:
@@ -342,7 +360,7 @@ def _bilinear_convention_error(s: TwoQubitState) -> float:
 
 def _bilinear_convention_errors(states) -> np.ndarray:
     chunk = _chunk(states)
-    b, x = chunk.bilinear, chunk.coords
+    b, x = chunk.bilinear, chunk.rows.coords
     return np.hypot(x[:, 3] - b.real, x[:, 4] - b.imag)
 
 
@@ -368,7 +386,7 @@ def _fringe_errors(states) -> np.ndarray:
         p = _fringe_scan(alpha[i : i + _FRINGE_BLOCK], ends[i : i + _FRINGE_BLOCK])
         p_max, p_min = p.max(axis=1), p.min(axis=1)
         contrast[i : i + _FRINGE_BLOCK] = (p_max - p_min) / (p_max + p_min)
-    return np.abs(contrast - chunk.triads[:, 0])
+    return np.abs(contrast - chunk.rows.triads[:, 0])
 
 
 def _purity_error(s: TwoQubitState) -> float:
@@ -377,10 +395,9 @@ def _purity_error(s: TwoQubitState) -> float:
 
 
 def _purity_errors(states) -> np.ndarray:
-    chunk = _chunk(states)
-    v, d, _ = chunk.triads.T
-    p = np.array([purity(reduced_density_photon(s)) for s in chunk])
-    return np.abs(v * v + d * d - (2.0 * p - 1.0))
+    rows = _chunk(states).rows
+    v, d, _ = rows.triads.T
+    return np.abs(v * v + d * d - (2.0 * rows.purity - 1.0))
 
 
 def _separable_plane_error(s: TwoQubitState) -> float:
@@ -394,8 +411,8 @@ def _separable_plane_error(s: TwoQubitState) -> float:
 def _separable_plane_errors(states) -> np.ndarray:
     chunk = _chunk(states)
     finite, (_, _, q2, q3) = chunk.stereo
-    det = np.array([abs(_invariants(s)[3]) for s in chunk])
-    return np.where(finite, np.maximum(det, np.maximum(np.abs(q2), np.abs(q3))), math.inf)
+    plane = np.maximum(chunk.rows.det, np.maximum(np.abs(q2), np.abs(q3)))
+    return np.where(finite, plane, math.inf)
 
 
 def _unit_q_variants(s: TwoQubitState) -> list[TwoQubitState]:
@@ -429,29 +446,16 @@ def _unit_q_error(s: TwoQubitState, tolerance: float) -> tuple[float, int]:
     return worst, checked
 
 
-def _populations(alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(p0, p1) of rows of amplitudes as ``_invariants`` forms them: ``abs(a)
-    ** 2`` is a Python power of ``hypot``, which ``h * h`` does not always match."""
-    h = np.hypot(alpha.real, alpha.imag).ravel().tolist()
-    w = np.reshape([x**2 for x in h], (-1, 4))
-    return w[:, 0] + w[:, 1], w[:, 2] + w[:, 3]
-
-
-def _balanced(alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``_unit_q_variants``' balanced variants over rows of amplitudes:
-    ``(has, variants)``, the rows that have one and their amplitudes."""
-    p0, p1 = _populations(alpha)
+def _balanced(alpha: np.ndarray, p0: np.ndarray, p1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_unit_q_variants``' balanced variants over rows of amplitudes with
+    path populations p0 and p1: ``(has, variants)``, the rows that have one
+    and their amplitudes."""
     has = ~((p0 < 1e-12) | (p1 < 1e-12))
     f = np.sqrt(0.5 / np.stack((p0, p0, p1, p1), 1)[has])
     re, im = alpha.real[has], alpha.imag[has]
     # a * f as Python multiplies a complex by a float, by complex(f, 0.0).
     v = np.stack((re * f - im * 0.0, re * 0.0 + im * f), 2).reshape(-1, 8).view(complex)
-    # TwoQubitState's norm gate, the squares summed left to right as in _norm.
-    sq = v.real * v.real + v.imag * v.imag
-    n = np.sqrt(((sq[:, 0] + sq[:, 1]) + sq[:, 2]) + sq[:, 3])
-    bad = ~(np.abs(n - 1.0) <= NORM_TOL / 8)
-    if bad.any():
-        TwoQubitState(tuple(v[bad.argmax()]))  # raises the gate's ValueError
+    _gate(v)
     return has, v
 
 
@@ -467,11 +471,13 @@ def _unit_q_rows(finite, q, d, tolerance: float) -> np.ndarray:
 def _unit_q_errors(states, tolerance: float) -> tuple[np.ndarray, np.ndarray]:
     """Per state: its error and its count of finite Q."""
     chunk = _chunk(states)
-    errors = _unit_q_rows(*chunk.stereo, chunk.triads[:, 1], tolerance)
+    rows = chunk.rows
+    errors = _unit_q_rows(*chunk.stereo, rows.triads[:, 1], tolerance)
     counts = chunk.stereo[0].astype(int)
-    has, variants = _balanced(chunk.alpha)
-    (finite, q), (p0, p1) = _stereo(variants), _populations(variants)
-    errors[has] = np.maximum(errors[has], _unit_q_rows(finite, q, np.abs(p0 - p1), tolerance))
+    has, variants = _balanced(chunk.alpha, rows.p0, rows.p1)
+    finite, q = _stereo(variants)
+    d = _invariant_rows(variants).triads[:, 1]
+    errors[has] = np.maximum(errors[has], _unit_q_rows(finite, q, d, tolerance))
     counts[has] += finite
     return errors, counts
 
@@ -583,7 +589,7 @@ def verify_suite(
 
     def run(ensemble, checks):
         # ``checks`` on each chunk of the ensemble's stream, merged per check.
-        chunks = _chunks(sample(SampleSpec(count, seed, ensemble)))
+        chunks = _chunks(SampleSpec(count, seed, ensemble))
         return [_merge(parts) for parts in zip(*map(checks, chunks))]
 
     *on_haar, unit_q = run(HAAR, lambda chunk: (

@@ -2,10 +2,12 @@ import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
 
+from qtriad import sampling
 from qtriad.projection import ball_point
 from qtriad.sampling import (
     FIXED_CONCURRENCE,
@@ -25,12 +27,13 @@ from qtriad.sampling import (
     _BLOCK,
     _LAYOUT,
     _accepted_normals,
+    _blocks,
     _philox_words,
     _stream,
     _substream,
     _uniforms,
 )
-from qtriad.states import TwoQubitState, concurrence, distinguishability, triad
+from qtriad.states import NORM_TOL, TwoQubitState, concurrence, distinguishability, triad
 
 
 def test_spec_validation():
@@ -314,6 +317,65 @@ def test_batched_stream_matches_per_index(ensemble, per_index, start, count):
     assert _fallback_rows(spec, start)
     batched = [s.alpha for s in _stream(spec, start)]
     assert batched == [per_index(42, i).alpha for i in range(start, start + count)]
+
+
+# (start, count) at seed 42 per draw layout. haar and separable draw alike,
+# and so do all fixedc levels, so their rows fall back at the same indices.
+# The first two ranges start off a _BLOCK boundary and hold fallback rows:
+# 85 (haar, separable) and 5995 and 4987 (fixedc). From 2**64 - 3 the index
+# carries into the high counter word.
+BLOCK_RANGES = {
+    HAAR: ((85, 1), (37, _BLOCK), (2**64 - 3, _BLOCK + 1)),
+    FIXED_CONCURRENCE: ((5995, 1), (4987 - 100, _BLOCK), (2**64 - 3, _BLOCK + 1)),
+}
+
+
+@pytest.mark.parametrize("ensemble, c, per_index", [
+    (HAAR, None, haar_state),
+    (SEPARABLE, None, separable_state),
+    (FIXED_CONCURRENCE, 0.0, partial(fixed_concurrence_state, c=0.0)),
+    (FIXED_CONCURRENCE, 0.5, partial(fixed_concurrence_state, c=0.5)),
+    (FIXED_CONCURRENCE, 1.0, partial(fixed_concurrence_state, c=1.0)),
+])
+@pytest.mark.parametrize("case", range(3))
+def test_blocks_match_per_index_bit_for_bit(ensemble, c, per_index, case):
+    start, count = BLOCK_RANGES[FIXED_CONCURRENCE if c is not None else HAAR][case]
+    spec = SampleSpec(count, 42, ensemble, c)
+    if case < 2:
+        assert start % _BLOCK and _fallback_rows(spec, start)
+    blocks = list(_blocks(spec, start))
+    assert [len(b) for b in blocks] == [_BLOCK] * (count // _BLOCK) + [count % _BLOCK] * (
+        count % _BLOCK > 0
+    )
+    rows = np.concatenate(blocks)
+    expected = [per_index(42, i).alpha for i in range(start, start + count)]
+    # The parts' repr keeps every bit and tells 0.0 from -0.0.
+    assert [[repr(z.real) + repr(z.imag) for z in row] for row in rows.tolist()] == [
+        [repr(z.real) + repr(z.imag) for z in row] for row in expected
+    ]
+
+
+@pytest.mark.parametrize("nudge, raises", [(1.01, True), (-1.01, True), (0.99, False)])
+def test_blocks_gate_each_row_like_two_qubit_state(monkeypatch, nudge, raises):
+    # One row of the second block off unit norm by nudge * NORM_TOL / 8.
+    haar_rows = sampling._haar_rows
+    calls = []
+
+    def nudged(normals):
+        alpha = haar_rows(normals)
+        calls.append(None)
+        if len(calls) == 2:
+            alpha[3] *= 1.0 + nudge * NORM_TOL / 8
+        return alpha
+
+    monkeypatch.setattr(sampling, "_haar_rows", nudged)
+    blocks = _blocks(SampleSpec(3 * _BLOCK, 42, HAAR))
+    next(blocks)
+    if raises:
+        with pytest.raises(ValueError, match=r"^amplitudes are not normalized: \|amp\| = "):
+            next(blocks)
+    else:
+        assert len(next(blocks)) == _BLOCK
 
 
 def test_sample_is_lazy(deadline):

@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import json
 import math
 from collections import Counter
@@ -26,8 +27,12 @@ from qtriad.states import (
     NORM_TOL,
     DualityTriad,
     TwoQubitState,
+    _invariant_rows,
+    _invariants,
     concurrence,
     make_state,
+    purity,
+    reduced_density_photon,
     triad,
 )
 from qtriad.verify import (
@@ -136,13 +141,33 @@ def test_corrupted_concurrence_is_caught(monkeypatch):
     )
 
 
+def _planted_kernel(change):
+    """``verify._invariant_rows`` with ``change(rows, alpha)`` applied to
+    the rows it returns."""
+    def planted(alpha):
+        rows = _invariant_rows(alpha)
+        change(rows, alpha)
+        return rows
+
+    return planted
+
+
 def _drifted(field):
-    """``verify.triad`` with ``field`` off by 1e-3."""
+    """(the kernel, ``verify.triad``), each with ``field`` off by 1e-3."""
+    column = DualityTriad._fields.index(field)
+
+    def drift_rows(rows, alpha):
+        rows.triads[:, column] += 1e-3
+
     def drifted(s):
         t = triad(s)
         return t._replace(**{field: getattr(t, field) + 1e-3})
 
-    return "triad", drifted
+    return _planted_kernel(drift_rows), ("triad", drifted)
+
+
+def _flip_x2_rows(rows, alpha):
+    rows.coords[:, 2] *= -1.0
 
 
 def _flipped_x2(s):
@@ -150,27 +175,65 @@ def _flipped_x2(s):
     return x._replace(x2=-x.x2)
 
 
-# fault: (name in verify, its planted stand-in, the checks that must fail).
+# fault: (the planted kernel, (the scalar route's name in verify, its planted
+# stand-in), the checks that must fail).
 PLANTED = {
     "V": (*_drifted("V"), {"triad_identity", "fringe_visibility", "purity_relation"}),
     "D": (*_drifted("D"), {"triad_identity", "purity_relation", "unit_q_iff_d0"}),
     "C": (*_drifted("C"), {"triad_identity", "concurrence_oracle"}),
-    "x2": ("coords_from_state", _flipped_x2, {"s4_dual_route"}),
+    "x2": (
+        _planted_kernel(_flip_x2_rows), ("coords_from_state", _flipped_x2), {"s4_dual_route"},
+    ),
 }
 
 
 @pytest.mark.parametrize("fault", sorted(PLANTED))
 def test_planted_fault_fails_exactly_the_checks_that_read_it(monkeypatch, capsys, fault):
-    # Each shared value of the direct route is read by the array route and
-    # by the scalar reference at the witness alike, so a fault in it fails
-    # every check that reads it and no other.
-    name, planted, failing = PLANTED[fault]
-    monkeypatch.setattr(verify, name, planted)
-    report = verify_suite(300, 7)
-    assert {c.name for c in report.checks if not c.passed} == failing
-    assert main(["verify", "--count", "300", "--seed", "7", "--format", "json"]) == 1
-    checks = json.loads(capsys.readouterr().out)["checks"]
-    assert {c["name"] for c in checks if not c["passed"]} == failing
+    # The array routes read the kernel and the scalar references at the
+    # witnesses read verify.triad and verify.coords_from_state; each check
+    # reports the larger of the two. So a fault planted in either site alone
+    # fails every check that reads the faulty value and no other.
+    kernel, (name, planted), failing = PLANTED[fault]
+    for site, value in (("_invariant_rows", kernel), (name, planted)):
+        with monkeypatch.context() as m:
+            m.setattr(verify, site, value)
+            report = verify_suite(300, 7)
+            assert {c.name for c in report.checks if not c.passed} == failing, site
+            assert main(["verify", "--count", "300", "--seed", "7", "--format", "json"]) == 1
+            checks = json.loads(capsys.readouterr().out)["checks"]
+            assert {c["name"] for c in checks if not c["passed"]} == failing, site
+
+
+def _d_offset(x):
+    # A D fault that differs from state to state, from the real part x of a0.
+    return 1e-3 * (1.0 + x * x)
+
+
+def test_unit_q_witness_of_a_kernel_fault_is_the_largest_scalar_error(monkeypatch):
+    # The balanced variants' D comes from the kernel, so a D fault planted
+    # there picks the witness, and the check reports the largest error that
+    # the scalar route gives under the same fault.
+    states = sample_haar(SampleSpec(300, 7, HAAR))
+
+    def drift_rows(rows, alpha):
+        rows.triads[:, 1] += _d_offset(alpha[:, 0].real)
+
+    def drifted(s):
+        t = triad(s)
+        return t._replace(D=t.D + _d_offset(s.alpha[0].real))
+
+    with monkeypatch.context() as m:
+        m.setattr(verify, "triad", drifted)
+        scalar = [verify._unit_q_error(s, UNIT_Q_TOL)[0] for s in states]
+    assert scalar.count(max(scalar)) == 1
+    monkeypatch.setattr(verify, "_invariant_rows", _planted_kernel(drift_rows))
+    result = check_unit_q_iff_d0(states)
+    assert not result.passed
+    assert repr(result.max_error) == repr(max(scalar))
+    # Planted in verify.triad alone, the fault still fails the check.
+    monkeypatch.setattr(verify, "_invariant_rows", _invariant_rows)
+    monkeypatch.setattr(verify, "triad", drifted)
+    assert 1e-3 <= check_unit_q_iff_d0(states).max_error < 3e-3
 
 
 def test_report_text_format():
@@ -333,8 +396,45 @@ def test_shared_direct_route_matches_scalar_routes_bit_for_bit(states):
     _assert_balanced_variants_match(states)
 
 
+def _assert_kernel_matches_the_scalar_direct_route(states):
+    rows = _invariant_rows(verify._amplitudes(states))
+    assert _bits(zip(rows.p0.tolist(), rows.p1.tolist())) == _bits(
+        _invariants(s)[:2] for s in states
+    )
+    assert _bits(rows.triads.tolist()) == _bits(map(triad, states))
+    assert _bits(rows.coords.tolist()) == _bits(map(coords_from_state, states))
+    assert _bits(zip(rows.purity.tolist(), rows.det.tolist())) == _bits(
+        (purity(reduced_density_photon(s)), abs(_invariants(s)[3])) for s in states
+    )
+
+
+@settings(database=None, derandomize=True, max_examples=30, deadline=None)
+@given(_SAMPLES)
+def test_kernel_matches_the_scalar_direct_route_on_edge_states(states):
+    _assert_kernel_matches_the_scalar_direct_route(states)
+
+
+def test_kernel_matches_the_scalar_direct_route_on_100000_haar_states():
+    # Compared as the floats' 64-bit patterns, which is what their repr pins.
+    def scalar(s):
+        p0, p1, _, det = _invariants(s)
+        return (
+            p0, p1, *triad(s), *coords_from_state(s),
+            purity(reduced_density_photon(s)), abs(det),
+        )
+
+    states = iter(sample(SampleSpec(100_000, 42, HAAR)))
+    while chunk := list(itertools.islice(states, 10_000)):
+        rows = _invariant_rows(verify._amplitudes(chunk))
+        kernel = np.column_stack((rows.p0, rows.p1, rows.triads, rows.coords, rows.purity, rows.det))
+        expected = np.array([scalar(s) for s in chunk])
+        assert (kernel.view(np.uint64) == expected.view(np.uint64)).all()
+
+
 def _assert_balanced_variants_match(states):
-    has, variants = verify._balanced(verify._amplitudes(states))
+    alpha = verify._amplitudes(states)
+    rows = _invariant_rows(alpha)
+    has, variants = verify._balanced(alpha, rows.p0, rows.p1)
     scalar = [verify._unit_q_variants(s)[1:] for s in states]
     assert has.tolist() == [bool(v) for v in scalar]
     assert _bits(map(complex, row) for row in variants) == _bits(v[0].alpha for v in scalar if v)
@@ -350,8 +450,9 @@ def test_balanced_variants_keep_the_norm_gate():
     # The first row has no variant; the second's is all NaN, and the gate
     # raises TwoQubitState's own error for it.
     alpha = np.array([[0.6, 0.8j, 0.0, 0.0], [math.nan, 0.0, 0.6, 0.8]], dtype=complex)
+    rows = _invariant_rows(alpha)
     with pytest.raises(ValueError, match=r"not normalized: \|amp\| = nan$"):
-        verify._balanced(alpha)
+        verify._balanced(alpha, rows.p0, rows.p1)
 
 
 @settings(database=None, derandomize=True, max_examples=30, deadline=None)
@@ -409,14 +510,33 @@ def test_check_on_no_states_reports_nothing(check):
         assert (result.samples, repr(result.max_error), result.passed) == (0, "0.0", True)
 
 
-def _plant_visibility(monkeypatch, planted):
-    """V of ``verify.triad`` with the values of ``planted``, keyed by a
-    state's amplitudes, in both fringe routes."""
+def _plant_visibility(monkeypatch, planted, sites=("kernel", "triad")):
+    """V with the values of ``planted``, keyed by a state's amplitudes, in
+    ``sites``: the kernel's rows, which the array routes read, and
+    ``verify.triad``, which the scalar routes read."""
+    def plant_rows(rows, alpha):
+        for r, row in enumerate(alpha.tolist()):
+            rows.triads[r, 0] = planted.get(tuple(row), rows.triads[r, 0])
+
     def planted_triad(s):
         v, d, c = triad(s)
         return DualityTriad(planted.get(s.alpha, v), d, c)
 
-    monkeypatch.setattr(verify, "triad", planted_triad)
+    if "kernel" in sites:
+        monkeypatch.setattr(verify, "_invariant_rows", _planted_kernel(plant_rows))
+    if "triad" in sites:
+        monkeypatch.setattr(verify, "triad", planted_triad)
+
+
+@pytest.mark.parametrize("site", ["kernel", "triad"])
+def test_a_nan_in_either_route_at_the_witness_is_reported(monkeypatch, site):
+    # V is NaN for every state in one route only; the other route's error
+    # at the witness is finite, and the NaN wins over it.
+    states = sample_haar(SampleSpec(20, 8, HAAR))
+    _plant_visibility(monkeypatch, {s.alpha: math.nan for s in states}, (site,))
+    for check in (check_identity, check_fringe, check_purity):
+        result = check(states)
+        assert math.isnan(result.max_error) and not result.passed, check.__name__
 
 
 def test_nan_in_a_later_fringe_slice_is_the_witness(monkeypatch):
@@ -468,12 +588,13 @@ def test_suite_draws_at_most_one_chunk_ahead(monkeypatch):
     # every haar chunk, separable_plane on every separable one.
     drawn = checked = 0
     count = 2 * verify._CHUNK + 1
+    blocks = verify._blocks
 
-    def counting_sample(spec):
+    def counting_blocks(spec):
         nonlocal drawn
-        for state in sample(spec):
-            drawn += 1
-            yield state
+        for block in blocks(spec):
+            drawn += len(block)
+            yield block
 
     def counted(check):
         def run(states, *args):
@@ -484,7 +605,7 @@ def test_suite_draws_at_most_one_chunk_ahead(monkeypatch):
 
         return run
 
-    monkeypatch.setattr(verify, "sample", counting_sample)
+    monkeypatch.setattr(verify, "_blocks", counting_blocks)
     monkeypatch.setattr(verify, "check_identity", counted(check_identity))
     monkeypatch.setattr(verify, "check_separable_plane", counted(check_separable_plane))
     report = verify_suite(count, 5)
@@ -500,11 +621,13 @@ SCALAR_ERRORS = (
 
 
 def test_suite_evaluates_the_direct_route_once_per_state(monkeypatch):
-    # Outside the witness calls of the scalar error functions, the suite
-    # calls triad and coords_from_state once per haar state and builds no
-    # TwoQubitState; each check makes one witness call per chunk.
+    # The suite runs the kernel once on each chunk, and once more on each haar
+    # chunk's balanced variants. triad and coords_from_state run only inside
+    # the witness calls of the scalar error functions, and TwoQubitState only
+    # there and once per witness state; each check makes one witness call per
+    # chunk.
     count = 2 * verify._CHUNK + 1
-    witness, outside, active = Counter(), Counter(), []
+    witness, outside, active, kernel = Counter(), Counter(), [], []
 
     def at_witness(name, error):
         def run(*args):
@@ -524,17 +647,26 @@ def test_suite_evaluates_the_direct_route_once_per_state(monkeypatch):
 
         return run
 
+    def counted_kernel(alpha):
+        kernel.append(len(alpha))
+        return _invariant_rows(alpha)
+
     for name in SCALAR_ERRORS:
         monkeypatch.setattr(verify, name, at_witness(name, getattr(verify, name)))
     for name in ("triad", "coords_from_state", "TwoQubitState"):
         monkeypatch.setattr(verify, name, counted(name, getattr(verify, name)))
+    monkeypatch.setattr(verify, "_invariant_rows", counted_kernel)
     assert verify_suite(count, 5).passed
-    assert +outside == {"triad": count, "coords_from_state": count}
     chunks = 3
     # _dual_route_error stands witness for two results, route and closure.
     assert witness == {
         name: 2 * chunks if name == "_dual_route_error" else chunks for name in SCALAR_ERRORS
     }
+    assert +outside == {"TwoQubitState": sum(witness.values())}
+    # Each haar chunk: its rows, then its variants (every seed-5 haar state
+    # has one); then each separable chunk.
+    sizes = [verify._CHUNK, verify._CHUNK, 1]
+    assert kernel == [n for n in sizes for _ in range(2)] + sizes
 
 
 @pytest.mark.parametrize(
