@@ -7,14 +7,15 @@ files and every value round-trips.
 
 from __future__ import annotations
 
+import math
 from itertools import islice
 from typing import IO, Callable, Iterable, NamedTuple
 
 import numpy as np
 
-from .classify import _strata
-from .projection import BallPoint, coords_from_state
-from .states import TwoQubitState, triad
+from .classify import StratumLabel, _strata
+from .projection import _coords
+from .states import TwoQubitState, _invariants, _triad
 
 DATASET_COLUMNS = (
     "alpha0_re", "alpha0_im", "alpha1_re", "alpha1_im",
@@ -245,21 +246,28 @@ def _rows(cells: list[float], suffixes: list[str], style: _Style) -> str:
     return _template(x, suffixes, style).tobytes().translate(None, b"\0").decode("ascii")
 
 
+# ``label.value`` goes through the Enum property; a dict lookup is cheaper.
+_LABEL_VALUES = {label: label.value for label in StratumLabel}
+
+
 def state_record(s: TwoQubitState) -> dict:
     """One analysis record: amplitudes, triad, sphere coords, radius, labels.
 
-    Keys follow ``DATASET_COLUMNS``. ``labels`` lists the ``StratumLabel``
-    values of the state's strata in definition order, as ``_strata`` gives
-    them, at ``DEFAULT_CLASSIFY_TOL``.
+    Keys follow ``DATASET_COLUMNS``. The cells equal ``triad(s)``,
+    ``coords_from_state(s)`` and ``ball_point(s).radius`` bit for bit, all
+    derived from one ``_invariants(s)`` call. ``labels`` lists the
+    ``StratumLabel`` values of the state's strata in definition order, as
+    ``_strata`` gives them, at ``DEFAULT_CLASSIFY_TOL``.
     """
-    t = triad(s)
-    x = coords_from_state(s)
+    invariants = _invariants(s)
+    t = _triad(*invariants)
+    x = _coords(*invariants)
     a0, a1, a2, a3 = s.alpha
     return dict(zip(DATASET_COLUMNS, (
         a0.real, a0.imag, a1.real, a1.imag, a2.real, a2.imag, a3.real, a3.imag,
         *t, *x,
-        BallPoint(x.x0, x.x1, x.x2).radius,
-        [label.value for label in _strata(t)],
+        math.hypot(x[0], x[1], x[2]),  # BallPoint.radius
+        [_LABEL_VALUES[label] for label in _strata(t)],
     )))
 
 

@@ -108,7 +108,11 @@ def coords_from_state(s: TwoQubitState) -> S4Point:
     It has no singularity at q2 = 0 and is the canonical route; the
     stereographic composition is its cross-check.
     """
-    p0, p1, coherence, det = _invariants(s)
+    return _coords(*_invariants(s))
+
+
+def _coords(p0: float, p1: float, coherence: complex, det: complex) -> S4Point:
+    """``coords_from_state`` of a state whose ``_invariants`` are the arguments."""
     return S4Point(
         p0 - p1,
         2.0 * coherence.real,

@@ -20,7 +20,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -62,6 +62,21 @@ def _gate(alpha: np.ndarray) -> None:
     bad = ~(np.abs(n - 1.0) <= NORM_TOL / 8)
     if bad.any():
         TwoQubitState(tuple(alpha[bad.argmax()]))
+
+
+def _admitted(alpha: np.ndarray) -> Iterator[TwoQubitState]:
+    """The states of n rows of amplitudes, ``(n, 4)``, that ``_gate`` admitted.
+
+    Each state holds its row's tuple of Python complexes, which is the
+    ``alpha`` that ``__post_init__`` would store; the gate is not run again.
+    This is the one way to a ``TwoQubitState`` that skips ``__post_init__``.
+    """
+    # The slot's own setter: the frozen class's __setattr__ refuses.
+    new, store = object.__new__, TwoQubitState.alpha.__set__
+    for row in alpha.tolist():
+        s = new(TwoQubitState)
+        store(s, tuple(row))
+        yield s
 
 
 def _four(amplitudes: Sequence[complex]) -> tuple[complex, ...]:
@@ -381,7 +396,11 @@ def concurrence(s: TwoQubitState) -> float:
 
 def triad(s: TwoQubitState) -> DualityTriad:
     """The (V, D, C) triple; satisfies V^2 + D^2 + C^2 = 1."""
-    p0, p1, coherence, det = _invariants(s)
+    return _triad(*_invariants(s))
+
+
+def _triad(p0: float, p1: float, coherence: complex, det: complex) -> DualityTriad:
+    """``triad`` of a state whose ``_invariants`` are the arguments."""
     return DualityTriad(2.0 * abs(coherence), abs(p0 - p1), 2.0 * abs(det))
 
 

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from qtriad import classify as classify_module
 from qtriad import dataset as dataset_module
 from qtriad import projection as projection_module
+from qtriad import states as states_module
 from qtriad.classify import DEFAULT_CLASSIFY_TOL, StratumLabel, classify
 from qtriad.dataset import DATASET_COLUMNS, emit_dataset, state_record
 from qtriad.sampling import (
@@ -21,7 +22,8 @@ from qtriad.sampling import (
     haar_state,
     sample_fixed_concurrence,
 )
-from qtriad.states import make_state
+from qtriad.projection import ball_point, coords_from_state
+from qtriad.states import make_state, triad
 
 BELL = make_state((1, 0, 0, 1), normalize=True)
 
@@ -109,12 +111,15 @@ def test_state_record_analyses_the_state_once(monkeypatch):
 
         return wrapped
 
-    for module in (dataset_module, projection_module, classify_module):
-        for name in ("triad", "coords_from_state"):
+    s = haar_state(42, 0)
+    # One _invariants call gives the triad, the coordinates and the radius;
+    # the public functions that would each repeat it are not called.
+    for module in (dataset_module, projection_module, states_module, classify_module):
+        for name in ("_invariants", "triad", "coords_from_state"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
-    state_record(haar_state(42, 0))
-    assert sorted(calls) == ["coords_from_state", "triad"]
+    state_record(s)
+    assert calls == ["_invariants"]
 
 
 def test_state_record_consistency():
@@ -212,6 +217,33 @@ _WRITER_EDGES = (
 
 def test_writer_edges_hold_every_label_count():
     assert {len(state_record(s)["labels"]) for s in _WRITER_EDGES} == set(range(6))
+
+
+def _assert_record_is_the_scalar_api(s):
+    *cells, labels = state_record(s).values()
+    parts = [p for z in s.alpha for p in (z.real, z.imag)]
+    expected = [*parts, *triad(s), *coords_from_state(s), ball_point(s).radius]
+    # repr keeps every bit and tells -0.0 from 0.0.
+    assert len(cells) == 17
+    assert list(map(repr, cells)) == list(map(repr, expected))
+    chosen = classify(s)
+    assert labels == [m.value for m in StratumLabel if m in chosen]
+
+
+def test_writer_edge_records_equal_the_public_scalar_api():
+    for s in _WRITER_EDGES:
+        _assert_record_is_the_scalar_api(s)
+
+
+@settings(database=None, derandomize=True, max_examples=300)
+@given(st.one_of(
+    st.sampled_from(_WRITER_EDGES),
+    edge_states(),
+    _GENERIC_STATES,
+    st.builds(haar_state, st.integers(0, 2**64 - 1), st.integers(0, 2**20)),
+))
+def test_state_record_equals_the_public_scalar_api(s):
+    _assert_record_is_the_scalar_api(s)
 
 
 @settings(database=None, derandomize=True, max_examples=200)

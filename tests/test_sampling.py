@@ -369,13 +369,44 @@ def test_blocks_gate_each_row_like_two_qubit_state(monkeypatch, nudge, raises):
         return alpha
 
     monkeypatch.setattr(sampling, "_haar_rows", nudged)
-    blocks = _blocks(SampleSpec(3 * _BLOCK, 42, HAAR))
+    spec = SampleSpec(3 * _BLOCK, 42, HAAR)
+    blocks = _blocks(spec)
     next(blocks)
     if raises:
         with pytest.raises(ValueError, match=r"^amplitudes are not normalized: \|amp\| = "):
             next(blocks)
     else:
         assert len(next(blocks)) == _BLOCK
+    # ``sample`` draws through the same blocks and meets the same gate.
+    calls.clear()
+    if raises:
+        with pytest.raises(ValueError, match=r"^amplitudes are not normalized: \|amp\| = "):
+            list(sample(spec))
+    else:
+        states = list(sample(spec))
+        assert len(states) == 3 * _BLOCK
+        assert states[_BLOCK + 3] == TwoQubitState(states[_BLOCK + 3].alpha)
+
+
+# Per ensemble, a range that starts off a _BLOCK boundary and holds a
+# fallback row (see BLOCK_RANGES), and a spec whose stream from 0 does.
+GATED_RANGES = [
+    (SampleSpec(_BLOCK, 42, HAAR), 37, 86),
+    (SampleSpec(_BLOCK, 42, SEPARABLE), 37, 86),
+    (SampleSpec(_BLOCK, 42, FIXED_CONCURRENCE, 0.5), 4987 - 100, 4988),
+]
+
+
+@pytest.mark.parametrize("spec, start, first_count", GATED_RANGES)
+def test_streamed_states_equal_gated_states(spec, start, first_count):
+    first = SampleSpec(first_count, spec.seed, spec.ensemble, spec.c)
+    assert _fallback_rows(spec, start) and _fallback_rows(first, 0)
+    for states in (list(_stream(spec, start)), list(sample(first))):
+        for s in states:
+            gated = TwoQubitState(s.alpha)
+            assert s == gated and hash(s) == hash(gated)
+            assert type(s.alpha) is tuple and len(s.alpha) == 4
+            assert all(type(z) is complex for z in s.alpha)
 
 
 def test_sample_is_lazy(deadline):
