@@ -26,16 +26,10 @@ per-index functions (``haar_state`` and the rest) draw from
 whose first 16-uniform block has too few accepted pairs, and the two agree
 bit for bit.
 
-A block's amplitudes are assembled as an ``(n, 4)`` complex array by array
-code that repeats the per-index builders' Python complex arithmetic
-operation for operation, on the real components:
-
-* a complex product is (ar*br - ai*bi, ar*bi + ai*br);
-* a float f times a complex is the product with complex(f, 0.0);
-* complex(x, y) / w is ((x + y*0.0) / w, (y - x*0.0) / w), CPython 3.11's
-  division by complex(w, 0.0).
-
-The zero terms can set the sign of a zero part, so they stay. ``math.log``,
+A block's amplitudes come from the per-index builders' own expressions
+(``_haar``, ``_separable``, ``_rotated_schmidt``), run on columns of the
+drawn values: complex numbers are ``states._Columns``, which round as
+Python's complex arithmetic does (see there), and ``math.log``,
 ``math.hypot``, ``math.cos`` and ``math.sin`` are called one value (or one
 row) at a time on both paths, because their numpy counterparts round
 differently. ``TwoQubitState``'s norm gate then runs once, per block, as
@@ -62,12 +56,13 @@ import operator
 import threading
 from dataclasses import dataclass
 from functools import partial
+from types import SimpleNamespace
 from typing import Callable, Iterator
 
 import numpy as np
 
 from .classify import shell_radius
-from .states import BlochAngles, TwoQubitState, _admitted, _gate, bloch_state
+from .states import BlochAngles, TwoQubitState, _admitted, _Columns, _gate, bloch_state
 
 HAAR = "haar"
 SEPARABLE = "separable"
@@ -223,41 +218,48 @@ def _polar_normals(gen: np.random.Generator, count: int) -> list[float]:
     return out[:count]
 
 
-def _normalized_pair(n0, n1, n2, n3) -> tuple[complex, complex]:
-    a = complex(n0, n1)
-    b = complex(n2, n3)
-    w = math.hypot(n0, n1, n2, n3)
-    return a / w, b / w
+# State assembly from drawn normals (and phase uniforms), one source for both
+# paths: ``k`` is the namespace of primitives it computes with. The per-index
+# functions run it on one index's floats (``_SCALARS``); ``_blocks`` runs it
+# on a block's columns of them (``_COLUMNS``).
 
 
-# State assembly from drawn normals (and phase uniforms) for the per-index
-# functions; ``_blocks`` repeats it as array code below.
-
-
-def _haar(n: list[float]) -> TwoQubitState:
-    w = math.hypot(*n)
-    return TwoQubitState(
-        (
-            complex(n[0], n[1]) / w,
-            complex(n[2], n[3]) / w,
-            complex(n[4], n[5]) / w,
-            complex(n[6], n[7]) / w,
-        )
+def _each(f: Callable[..., float]) -> Callable[..., np.ndarray]:
+    # f over columns of floats, called one value (or one row) at a time.
+    return lambda *columns: np.fromiter(
+        map(f, *(c.tolist() for c in columns)), float, len(columns[0])
     )
 
 
-def _separable(n: list[float]) -> TwoQubitState:
-    a, b = _normalized_pair(n[0], n[1], n[2], n[3])
-    c, d = _normalized_pair(n[4], n[5], n[6], n[7])
-    return TwoQubitState((a * c, a * d, b * c, b * d))
+_SCALARS = SimpleNamespace(complex=complex, hypot=math.hypot, cos=math.cos, sin=math.sin)
+_COLUMNS = SimpleNamespace(
+    complex=_Columns, hypot=_each(math.hypot), cos=_each(math.cos), sin=_each(math.sin)
+)
 
 
-def _qubit_unitary(n0, n1, n2, n3, u: float) -> tuple[complex, complex, complex, complex]:
+def _haar(k, n: list) -> tuple:
+    """Haar amplitudes in C^d from 2d normals: their complex pairs over their
+    norm."""
+    w = k.hypot(*n)
+    if len(n) == 4:
+        # A qubit, unrolled: the per-index fixedc path draws two per state.
+        return k.complex(n[0], n[1]) / w, k.complex(n[2], n[3]) / w
+    pairs = iter(n)
+    return tuple(k.complex(x, y) / w for x, y in zip(pairs, pairs))
+
+
+def _separable(k, n: list) -> tuple:
+    a, b = _haar(k, n[:4])
+    c, d = _haar(k, n[4:8])
+    return a * c, a * d, b * c, b * d
+
+
+def _qubit_unitary(k, n: list, u) -> tuple:
     # Haar on U(2): uniform phase times an SU(2) element built from a point
     # on S^3. Returned row-major as (u00, u01, u10, u11).
-    a, b = _normalized_pair(n0, n1, n2, n3)
+    a, b = _haar(k, n)
     t = 2.0 * math.pi * u
-    phase = complex(math.cos(t), math.sin(t))
+    phase = k.complex(k.cos(t), k.sin(t))
     return (phase * a, -phase * b.conjugate(), phase * b, phase * a.conjugate())
 
 
@@ -267,30 +269,27 @@ def _schmidt_weights(c: float) -> tuple[float, float]:
     return math.sqrt(0.5 * (1.0 + root)), math.sqrt(0.5 * (1.0 - root))
 
 
-def _rotated_schmidt(lam1: float, lam2: float, r: list[float]) -> TwoQubitState:
-    """(U x W) applied to (lam1, 0, 0, lam2), with U and W built from one
-    fixedc row: U's four normals, W's four normals, U's phase uniform and
-    W's phase uniform."""
-    u00, u01, u10, u11 = _qubit_unitary(r[0], r[1], r[2], r[3], r[8])
-    w00, w01, w10, w11 = _qubit_unitary(r[4], r[5], r[6], r[7], r[9])
-    return TwoQubitState(
-        (
-            lam1 * u00 * w00 + lam2 * u01 * w01,
-            lam1 * u00 * w10 + lam2 * u01 * w11,
-            lam1 * u10 * w00 + lam2 * u11 * w01,
-            lam1 * u10 * w10 + lam2 * u11 * w11,
-        )
+def _rotated_schmidt(k, lam1: float, lam2: float, u: list, w: list, u_phase, w_phase) -> tuple:
+    """(U x W) applied to (lam1, 0, 0, lam2), with U and W built from their
+    four normals and their phase uniform each."""
+    u00, u01, u10, u11 = _qubit_unitary(k, u, u_phase)
+    w00, w01, w10, w11 = _qubit_unitary(k, w, w_phase)
+    return (
+        lam1 * u00 * w00 + lam2 * u01 * w01,
+        lam1 * u00 * w10 + lam2 * u01 * w11,
+        lam1 * u10 * w00 + lam2 * u11 * w01,
+        lam1 * u10 * w10 + lam2 * u11 * w11,
     )
 
 
 def haar_state(seed: int, index: int) -> TwoQubitState:
     """Haar-random two-qubit pure state for the given stream index."""
-    return _haar(_polar_normals(_substream(seed, index), 8))
+    return TwoQubitState(_haar(_SCALARS, _polar_normals(_substream(seed, index), 8)))
 
 
 def separable_state(seed: int, index: int) -> TwoQubitState:
     """Product of two independent Haar single-qubit states."""
-    return _separable(_polar_normals(_substream(seed, index), 8))
+    return TwoQubitState(_separable(_SCALARS, _polar_normals(_substream(seed, index), 8)))
 
 
 def fixed_concurrence_state(seed: int, index: int, c: float) -> TwoQubitState:
@@ -304,7 +303,7 @@ def fixed_concurrence_state(seed: int, index: int, c: float) -> TwoQubitState:
     gen = _substream(seed, index)
     u, u_phase = _polar_normals(gen, 4), gen.random()
     w, w_phase = _polar_normals(gen, 4), gen.random()
-    return _rotated_schmidt(lam1, lam2, [*u, *w, u_phase, w_phase])
+    return TwoQubitState(_rotated_schmidt(_SCALARS, lam1, lam2, u, w, u_phase, w_phase))
 
 
 # -------------------------------------------------------------- batched path
@@ -380,81 +379,9 @@ _LAYOUT = {
 }
 
 
-# Array assembly: ``_haar``, ``_separable`` and ``_rotated_schmidt`` over
-# rows of drawn normals, operation for operation, on (re, im) pairs of float
-# arrays (see the module docstring for the rules).
-
-
-def _quotient(x: np.ndarray, y: np.ndarray, w: np.ndarray):
-    """complex(x, y) / w: Python's division by complex(w, 0.0), w > 0."""
-    return (x + y * 0.0) / w, (y - x * 0.0) / w
-
-
-def _product(a, b):
-    """a * b of (re, im) pairs, as Python multiplies complex numbers."""
-    (ar, ai), (br, bi) = a, b
-    return ar * br - ai * bi, ar * bi + ai * br
-
-
-def _conjugate(a):
-    return a[0], -a[1]
-
-
-def _hypot_rows(*columns: np.ndarray) -> np.ndarray:
-    # One math.hypot call per row, as in the per-index builders.
-    return np.fromiter(map(math.hypot, *(c.tolist() for c in columns)), float, len(columns[0]))
-
-
-def _pack(*amplitudes) -> np.ndarray:
-    """(n, 4) complex rows from four (re, im) pairs."""
-    return np.stack([part for a in amplitudes for part in a], 1).view(complex)
-
-
-def _pair_rows(n0, n1, n2, n3):
-    w = _hypot_rows(n0, n1, n2, n3)
-    return _quotient(n0, n1, w), _quotient(n2, n3, w)
-
-
-def _haar_rows(n: np.ndarray) -> np.ndarray:
-    w = _hypot_rows(*n.T)
-    return _pack(*(_quotient(n[:, k], n[:, k + 1], w) for k in range(0, 8, 2)))
-
-
-def _separable_rows(n: np.ndarray) -> np.ndarray:
-    a, b = _pair_rows(*n[:, :4].T)
-    c, d = _pair_rows(*n[:, 4:8].T)
-    return _pack(_product(a, c), _product(a, d), _product(b, c), _product(b, d))
-
-
-def _unitary_rows(n0, n1, n2, n3, u: np.ndarray):
-    a, b = _pair_rows(n0, n1, n2, n3)
-    t = (2.0 * math.pi * u).tolist()
-    phase = np.array(list(map(math.cos, t))), np.array(list(map(math.sin, t)))
-    minus = -phase[0], -phase[1]
-    return (
-        _product(phase, a),
-        _product(minus, _conjugate(b)),
-        _product(phase, b),
-        _product(phase, _conjugate(a)),
-    )
-
-
-def _rotated_schmidt_rows(lam1: float, lam2: float, r: np.ndarray) -> np.ndarray:
-    u00, u01, u10, u11 = _unitary_rows(*r[:, :4].T, r[:, 8])
-    w00, w01, w10, w11 = _unitary_rows(*r[:, 4:8].T, r[:, 9])
-    l1, l2 = (lam1, 0.0), (lam2, 0.0)
-
-    def entry(u1, w1, u2, w2):
-        # lam1 * u1 * w1 + lam2 * u2 * w2
-        x, y = _product(_product(l1, u1), w1), _product(_product(l2, u2), w2)
-        return x[0] + y[0], x[1] + y[1]
-
-    return _pack(
-        entry(u00, w00, u01, w01),
-        entry(u00, w10, u01, w11),
-        entry(u10, w00, u11, w01),
-        entry(u10, w10, u11, w11),
-    )
+def _pack(*amplitudes: _Columns) -> np.ndarray:
+    """(n, 4) complex rows from four columns of amplitudes."""
+    return np.stack([part for a in amplitudes for part in (a.re, a.im)], 1).view(complex)
 
 
 def _blocks(spec: SampleSpec, start: int = 0) -> Iterator[np.ndarray]:
@@ -463,12 +390,13 @@ def _blocks(spec: SampleSpec, start: int = 0) -> Iterator[np.ndarray]:
     seed = spec.seed
     steps, blocks, phases = _LAYOUT[spec.ensemble]
     if spec.ensemble == HAAR:
-        build, fallback = _haar_rows, partial(haar_state, seed)
+        build, fallback = partial(_haar, _COLUMNS), partial(haar_state, seed)
     elif spec.ensemble == SEPARABLE:
-        build, fallback = _separable_rows, partial(separable_state, seed)
+        build, fallback = partial(_separable, _COLUMNS), partial(separable_state, seed)
     else:
         c = spec.c
-        build = partial(_rotated_schmidt_rows, *_schmidt_weights(c))
+        lam1, lam2 = _schmidt_weights(c)
+        build = lambda r: _rotated_schmidt(_COLUMNS, lam1, lam2, r[0:4], r[4:8], r[8], r[9])
         fallback = lambda i: fixed_concurrence_state(seed, i, c)
     stop = start + spec.count
     for first in range(start, stop, _BLOCK):
@@ -478,7 +406,7 @@ def _blocks(spec: SampleSpec, start: int = 0) -> Iterator[np.ndarray]:
         if phases:
             normals = np.concatenate((normals, u[ok][:, phases]), axis=1)
         alpha = np.empty((n, 4), complex)
-        alpha[ok] = build(normals)
+        alpha[ok] = _pack(*build(list(normals.T)))
         # A row with a 16-uniform block short of accepted pairs comes from the
         # per-index function, which draws on from its own generator.
         for r in np.flatnonzero(~ok).tolist():

@@ -10,9 +10,11 @@ Three invariants of the amplitudes drive everything downstream:
 
 Visibility is 2|coherence|, concurrence is 2|determinant|, and
 distinguishability is |imbalance|. For any normalized state
-V^2 + D^2 + C^2 = 1. ``_invariants`` is the single source of the three; the
-oracle routes in ``verify`` deliberately do not use it, so that they stay
-independent checks of it.
+V^2 + D^2 + C^2 = 1. ``_invariants`` is the single source of the three, and
+``_invariant_rows`` its array form over rows of amplitudes: both take the
+coherence and the determinant from ``_off_diagonals``, on Python complexes or
+on ``_Columns``. The oracle routes in ``verify`` deliberately do not use
+them, so that they stay independent checks of them.
 """
 
 from __future__ import annotations
@@ -307,9 +309,73 @@ class DensityMatrix2:
 def _invariants(s: TwoQubitState) -> tuple[float, float, complex, complex]:
     """(p0, p1, coherence, determinant); the imbalance is always p0 - p1."""
     a0, a1, a2, a3 = s.alpha
-    p0 = abs(a0) ** 2 + abs(a1) ** 2
-    p1 = abs(a2) ** 2 + abs(a3) ** 2
-    return p0, p1, a2.conjugate() * a0 + a3.conjugate() * a1, a1 * a2 - a0 * a3
+    coherence, det = _off_diagonals(a0, a1, a2, a3)
+    return abs(a0) ** 2 + abs(a1) ** 2, abs(a2) ** 2 + abs(a3) ** 2, coherence, det
+
+
+def _off_diagonals(a0, a1, a2, a3):
+    """(coherence, determinant) of four amplitudes: complex numbers, or
+    ``_Columns`` of n rows each."""
+    return a2.conjugate() * a0 + a3.conjugate() * a1, a1 * a2 - a0 * a3
+
+
+class _Columns:
+    """Complex numbers of n rows, held as float64 arrays ``re`` and ``im`` of
+    their parts, on which the scalar code's complex expressions give each
+    row's Python result bit for bit. The operators round as CPython's
+    complex arithmetic does (3.11 and 3.12), where numpy's complex products,
+    quotients and moduli round differently on part of the inputs:
+
+    * a * b is (ar*br - ai*bi, ar*bi + ai*br); a real factor f, a float or an
+      array, on either side, multiplies as complex(f, 0.0);
+    * z / w, for a positive real w, divides by complex(w, 0.0):
+      ((x + y*0.0) / w, (y - x*0.0) / w);
+    * abs(z) is the C library's hypot, which ``np.hypot`` calls too.
+
+    The zero terms can set the sign of a zero part, so they stay. ``+``,
+    ``-``, unary ``-`` and ``conjugate()`` act on the parts.
+    """
+
+    __slots__ = ("re", "im")
+    # An ndarray on the left of ``*`` defers to ``__rmul__``.
+    __array_ufunc__ = None
+
+    def __init__(self, re, im):
+        self.re, self.im = re, im
+
+    def __add__(self, other: _Columns) -> _Columns:
+        return _Columns(self.re + other.re, self.im + other.im)
+
+    def __sub__(self, other: _Columns) -> _Columns:
+        return _Columns(self.re - other.re, self.im - other.im)
+
+    def __neg__(self) -> _Columns:
+        return _Columns(-self.re, -self.im)
+
+    def conjugate(self) -> _Columns:
+        return _Columns(self.re, -self.im)
+
+    def __mul__(self, other) -> _Columns:
+        re, im = self.re, self.im
+        if isinstance(other, _Columns):
+            return _Columns(re * other.re - im * other.im, re * other.im + im * other.re)
+        return _Columns(re * other - im * 0.0, re * 0.0 + im * other)
+
+    # complex(f, 0.0) * z rounds as z * complex(f, 0.0): each product and sum
+    # only swaps its operands.
+    __rmul__ = __mul__
+
+    def __truediv__(self, w) -> _Columns:
+        return _Columns((self.re + self.im * 0.0) / w, (self.im - self.re * 0.0) / w)
+
+    def __abs__(self) -> np.ndarray:
+        return np.hypot(self.re, self.im)
+
+
+def _columns(alpha: np.ndarray) -> list[_Columns]:
+    """The four amplitudes of n rows, ``(n, 4)``, as ``_Columns``."""
+    re, im = alpha.real, alpha.imag
+    return [_Columns(re[:, j], im[:, j]) for j in range(4)]
 
 
 class _Rows(NamedTuple):
@@ -333,21 +399,17 @@ def _invariant_rows(alpha: np.ndarray) -> _Rows:
     # value in 1000.
     w = np.float_power(np.hypot(alpha.real, alpha.imag), 2.0)
     p0, p1 = w[:, 0] + w[:, 1], w[:, 2] + w[:, 3]
-    # The coherence and the determinant, each complex product as Python forms
-    # it: (re*re - im*im, re*im + im*re), conj(a2) being (a2r, -a2i).
-    a0r, a0i, a1r, a1i, a2r, a2i, a3r, a3i = alpha.view(np.float64).T
-    cr = (a2r * a0r - -a2i * a0i) + (a3r * a1r - -a3i * a1i)
-    ci = (a2r * a0i + -a2i * a0r) + (a3r * a1i + -a3i * a1r)
-    dr = (a1r * a2r - a1i * a2i) - (a0r * a3r - a0i * a3i)
-    di = (a1r * a2i + a1i * a2r) - (a0r * a3i + a0i * a3r)
-    off, det = np.hypot(cr, ci), np.hypot(dr, di)
+    coherence, det = _off_diagonals(*_columns(alpha))
+    off, det_abs = abs(coherence), abs(det)
     return _Rows(
         p0,
         p1,
-        np.stack((2.0 * off, np.abs(p0 - p1), 2.0 * det), 1),
-        np.stack((p0 - p1, 2.0 * cr, 2.0 * ci, 2.0 * dr, 2.0 * di), 1),
+        np.stack((2.0 * off, np.abs(p0 - p1), 2.0 * det_abs), 1),
+        np.stack(
+            (p0 - p1, 2.0 * coherence.re, 2.0 * coherence.im, 2.0 * det.re, 2.0 * det.im), 1
+        ),
         p0 * p0 + p1 * p1 + 2.0 * off * off,
-        det,
+        det_abs,
     )
 
 

@@ -15,21 +15,20 @@ kernel ``states._invariant_rows``, which gives each row's ``triad``,
 and the bilinear form. The rest of each oracle route is array code over the
 whole chunk:
 
-* the stereographic route is float64 arithmetic on the real components that
-  repeats the ``Quaternion`` pair rule term by term, since numpy's complex
-  products and moduli round differently from Python's on part of the inputs.
+* the stereographic route runs ``Quaternion.inverse``'s and the
+  ``Quaternion`` pair rule's expressions on ``states._Columns``, which round
+  as Python's complex arithmetic does (see there).
 * the bilinear form is one stacked ``A[:, None, :] @ _SYY @ A[:, :, None]``,
   which gives the same bits as ``a @ _SYY @ a`` per state.
 * the fringe scan is ``states._fringe_scan`` on ``_FRINGE_BLOCK``-state
   slices, with extremum phases computed apart from ``fringe_extrema``'s.
-* ``unit_q_iff_d0`` builds the balanced variants as arrays, with the
-  arithmetic of ``_unit_q_variants`` and ``TwoQubitState``'s norm gate, and
-  takes their D from the kernel.
+* ``unit_q_iff_d0`` builds the balanced variants with ``_balanced``, which
+  ``_unit_q_variants`` runs on one row, and takes their D from the kernel.
 
 |q2|, which decides the point at infinity, and |Q| stay one ``math.hypot``
 call per state, as in ``Quaternion.norm``: no numpy function rounds like it
-on every input. Complex moduli use ``np.hypot``, the C library's ``hypot``
-that ``abs(complex)`` calls too, and the extremum phases ``math.atan2``.
+on every input. Complex moduli use ``np.hypot``, as ``abs`` of ``_Columns``
+does, and the extremum phases ``math.atan2``.
 
 Each check keeps its per-state error function, the scalar reference route
 built on ``triad``, ``coords_from_state``, ``Quaternion``,
@@ -68,10 +67,14 @@ from .quaternion import is_infinite
 from .sampling import _BLOCK, HAAR, SEPARABLE, SampleSpec, _blocks
 from .states import (
     TwoQubitState,
+    _admitted,
+    _Columns,
+    _columns,
     _fringe_scan,
     _gate,
     _invariant_rows,
     _invariants,
+    _off_diagonals,
     fringe_extrema,
     purity,
     reduced_density_photon,
@@ -246,31 +249,25 @@ def _stereo(alpha: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
 
     Returns ``(finite, q)``: ``finite`` marks the rows with |q2| at or above
     ``INFINITY_THRESHOLD`` and ``q`` holds the components (Q0, Q1, Q2, Q3) of
-    Q = q1 * q2^{-1}, meaningful on those rows only.
+    Q = q1 * q2^{-1}, meaningful on those rows only. q2^{-1} and Q are
+    ``Quaternion.inverse``'s and ``Quaternion.__mul__``'s expressions run on
+    ``states._Columns``, so each component is the scalar route's bit for bit.
 
     The rows have passed ``TwoQubitState``'s norm gate, so |psi| is within
     NORM_TOL / 8 of 1 and the spinor is normalized; on the finite rows
     |Q| = |q1| / |q2| is at most about 1e14. Neither raise of the scalar route can fire here.
     """
-    a0r, a0i, a1r, a1i, a2r, a2i, a3r, a3i = alpha.view(np.float64).T
+    a0, a1, a2, a3 = _columns(alpha)
     # quaternify: q1 = a0 + a1*e2, q2 = a2 + a3*e2.
-    q2_norm = map(math.hypot, a2r.tolist(), a2i.tolist(), a3r.tolist(), a3i.tolist())
+    q2_norm = map(math.hypot, a2.re.tolist(), a2.im.tolist(), a3.re.tolist(), a3.im.tolist())
     finite = np.fromiter(q2_norm, float, len(alpha)) >= INFINITY_THRESHOLD
-    # q2^{-1} = (conj(a2) - a3*e2) / |q2|^2. Python divides a complex by a
-    # float as by complex(n2, 0), which can flip the sign of a zero part; no
-    # error below depends on the sign of a zero.
-    n2 = np.where(finite, a2r * a2r + a2i * a2i + a3r * a3r + a3i * a3i, 1.0)
-    b1r, b1i, b2r, b2i = a2r / n2, -a2i / n2, -a3r / n2, -a3i / n2
-    # The pair rule q1 * q2^{-1} = (a0 + a1*e2)(b1 + b2*e2)
-    #   = (a0*b1 - a1*conj(b2)) + (a0*b2 + a1*conj(b1))*e2,
-    # each complex product as Python forms it: (re*re - im*im, re*im + im*re).
-    q = (
-        (a0r * b1r - a0i * b1i) - (a1r * b2r - a1i * -b2i),
-        (a0r * b1i + a0i * b1r) - (a1r * -b2i + a1i * b2r),
-        (a0r * b2r - a0i * b2i) + (a1r * b1r - a1i * -b1i),
-        (a0r * b2i + a0i * b2r) + (a1r * -b1i + a1i * b1r),
-    )
-    return finite, q
+    # q2.inverse() = (conj(a2) - a3*e2) / |q2|^2, with Quaternion.norm_sq's
+    # sum; 1 stands in for it on the rows at infinity.
+    n2 = np.where(finite, a2.re * a2.re + a2.im * a2.im + a3.re * a3.re + a3.im * a3.im, 1.0)
+    b1, b2 = a2.conjugate() / n2, -a3 / n2
+    # Quaternion.__mul__'s pair rule: (a0 + a1*e2)(b1 + b2*e2).
+    z1, z2 = a0 * b1 - a1 * b2.conjugate(), a0 * b2 + a1 * b1.conjugate()
+    return finite, (z1.re, z1.im, z2.re, z2.im)
 
 
 def _lift(finite: np.ndarray, q: tuple[np.ndarray, ...]) -> np.ndarray:
@@ -372,13 +369,12 @@ def _fringe_error(s: TwoQubitState) -> float:
 def _fringe_errors(states) -> np.ndarray:
     chunk = _chunk(states)
     alpha = chunk.alpha
-    a0r, a0i, a1r, a1i, a2r, a2i, a3r, a3i = alpha.view(np.float64).T
-    # The analytic extremum phases: that of conj(a2)*a0 + conj(a3)*a1.
-    cr = (a2r * a0r - -a2i * a0i) + (a3r * a1r - -a3i * a1i)
-    ci = (a2r * a0i + -a2i * a0r) + (a3r * a1i + -a3i * a1r)
-    peak = np.array(
-        [math.atan2(y, x) if x or y else 0.0 for x, y in zip(cr.tolist(), ci.tolist())]
-    )
+    # The analytic extremum phases: that of the coherence.
+    coherence = _off_diagonals(*_columns(alpha))[0]
+    peak = np.array([
+        math.atan2(y, x) if x or y else 0.0
+        for x, y in zip(coherence.re.tolist(), coherence.im.tolist())
+    ])
     ends = np.exp(1j * np.stack((peak, peak + math.pi), 1))
     # The scan, one slice of _FRINGE_BLOCK states at a time (see there).
     contrast = np.empty(len(alpha))
@@ -420,12 +416,8 @@ def _unit_q_variants(s: TwoQubitState) -> list[TwoQubitState]:
     weight: both rescaled to weight 1/2, which keeps the coherences and
     forces D ~ 0."""
     p0, p1, _, _ = _invariants(s)
-    if p0 < 1e-12 or p1 < 1e-12:
-        return [s]
-    f0 = math.sqrt(0.5 / p0)
-    f1 = math.sqrt(0.5 / p1)
-    a0, a1, a2, a3 = s.alpha
-    return [s, TwoQubitState((a0 * f0, a1 * f0, a2 * f1, a3 * f1))]
+    _, variants = _balanced(np.array([s.alpha]), np.array([p0]), np.array([p1]))
+    return [s, *_admitted(variants)]
 
 
 def _unit_q_error(s: TwoQubitState, tolerance: float) -> tuple[float, int]:
@@ -447,16 +439,16 @@ def _unit_q_error(s: TwoQubitState, tolerance: float) -> tuple[float, int]:
 
 
 def _balanced(alpha: np.ndarray, p0: np.ndarray, p1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``_unit_q_variants``' balanced variants over rows of amplitudes with
-    path populations p0 and p1: ``(has, variants)``, the rows that have one
-    and their amplitudes."""
+    """The balanced variants of rows of amplitudes with path populations p0
+    and p1, ``(has, variants)``: the rows with neither p0 nor p1 below 1e-12,
+    and their amplitudes, each branch's times sqrt(0.5 / p) on ``_Columns``.
+    Raises ``TwoQubitState``'s ValueError for a variant its norm gate rejects."""
     has = ~((p0 < 1e-12) | (p1 < 1e-12))
     f = np.sqrt(0.5 / np.stack((p0, p0, p1, p1), 1)[has])
-    re, im = alpha.real[has], alpha.imag[has]
-    # a * f as Python multiplies a complex by a float, by complex(f, 0.0).
-    v = np.stack((re * f - im * 0.0, re * 0.0 + im * f), 2).reshape(-1, 8).view(complex)
-    _gate(v)
-    return has, v
+    v = _Columns(alpha.real[has], alpha.imag[has]) * f
+    variants = np.stack((v.re, v.im), 2).reshape(-1, 8).view(complex)
+    _gate(variants)
+    return has, variants
 
 
 def _unit_q_rows(finite, q, d, tolerance: float) -> np.ndarray:

@@ -358,17 +358,17 @@ def test_blocks_match_per_index_bit_for_bit(ensemble, c, per_index, case):
 @pytest.mark.parametrize("nudge, raises", [(1.01, True), (-1.01, True), (0.99, False)])
 def test_blocks_gate_each_row_like_two_qubit_state(monkeypatch, nudge, raises):
     # One row of the second block off unit norm by nudge * NORM_TOL / 8.
-    haar_rows = sampling._haar_rows
+    pack = sampling._pack
     calls = []
 
-    def nudged(normals):
-        alpha = haar_rows(normals)
+    def nudged(*amplitudes):
+        alpha = pack(*amplitudes)
         calls.append(None)
         if len(calls) == 2:
             alpha[3] *= 1.0 + nudge * NORM_TOL / 8
         return alpha
 
-    monkeypatch.setattr(sampling, "_haar_rows", nudged)
+    monkeypatch.setattr(sampling, "_pack", nudged)
     spec = SampleSpec(3 * _BLOCK, 42, HAAR)
     blocks = _blocks(spec)
     next(blocks)

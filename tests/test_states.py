@@ -19,6 +19,7 @@ from qtriad.projection import (
 from qtriad.states import (
     BlochAngles,
     TwoQubitState,
+    _Columns,
     bloch_state,
     concurrence,
     distinguishability,
@@ -613,3 +614,68 @@ def test_correlated_state_validation():
         make_correlated(1, 0, (1, 0), (1, 0, 0), normalize=True)
     with pytest.raises(ValueError):
         make_correlated(0.9, 0.9, (1, 0), (0, 1))  # not normalized, no flag
+
+
+# Parts biased to where complex rounding has edges: signed zeros, the
+# smallest subnormal, magnitudes near both ends of the float range, and
+# ordinary floats.
+_EDGE_PARTS = [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e300, -1e300]
+_PARTS = st.one_of(
+    st.sampled_from(_EDGE_PARTS),
+    st.floats(-2.0, 2.0),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+_DIVISORS = st.one_of(
+    st.sampled_from([5e-324, 1e-300, 1.0, 1e300]),
+    st.floats(min_value=5e-324, allow_infinity=False),
+)
+# (a, b, f, w): two complex numbers, a real factor and a positive divisor.
+_COLUMN_ROW = st.tuples(
+    st.builds(complex, _PARTS, _PARTS), st.builds(complex, _PARTS, _PARTS), _PARTS, _DIVISORS
+)
+
+
+def _as_columns(zs):
+    return _Columns(np.array([z.real for z in zs]), np.array([z.imag for z in zs]))
+
+
+def _column_parts(c):
+    # repr keeps every bit of a float and tells 0.0 from -0.0.
+    return list(zip(map(repr, c.re.tolist()), map(repr, c.im.tolist())))
+
+
+def _python_parts(zs):
+    return [(repr(z.real), repr(z.imag)) for z in zs]
+
+
+@settings(database=None, derandomize=True, max_examples=100, deadline=None)
+@given(st.one_of(*(st.lists(_COLUMN_ROW, min_size=n, max_size=n) for n in (1, 64))))
+def test_columns_round_as_python_complex(rows):
+    a, b, f, w = (list(column) for column in zip(*rows))
+    ca, cb, fs, ws = _as_columns(a), _as_columns(b), np.array(f), np.array(w)
+    g, v = f[0], w[0]
+    # Overflow to inf, and inf - inf, are part of what Python returns here.
+    with np.errstate(all="ignore"):
+        cases = {
+            "a + b": (ca + cb, [x + y for x, y in zip(a, b)]),
+            "a - b": (ca - cb, [x - y for x, y in zip(a, b)]),
+            "-a": (-ca, [-x for x in a]),
+            "a * b": (ca * cb, [x * y for x, y in zip(a, b)]),
+            "f * a, f an array": (fs * ca, [h * x for h, x in zip(f, a)]),
+            "a * f, f an array": (ca * fs, [x * h for h, x in zip(f, a)]),
+            "f * a, f a float": (g * ca, [g * x for x in a]),
+            "a * f, f a float": (ca * g, [x * g for x in a]),
+            "a / w, w an array": (ca / ws, [x / u for x, u in zip(a, w)]),
+            "a / w, w a float": (ca / v, [x / v for x in a]),
+            "conjugate": (ca.conjugate(), [x.conjugate() for x in a]),
+        }
+        moduli = abs(ca)
+    for name, (columns, expected) in cases.items():
+        assert type(columns) is _Columns, name
+        assert _column_parts(columns) == _python_parts(expected), name
+    for modulus, x in zip(moduli.tolist(), a):
+        try:
+            expected = abs(x)
+        except OverflowError:  # Python raises where |x| overflows
+            continue
+        assert repr(modulus) == repr(expected)

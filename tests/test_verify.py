@@ -431,13 +431,27 @@ def test_kernel_matches_the_scalar_direct_route_on_100000_haar_states():
         assert (kernel.view(np.uint64) == expected.view(np.uint64)).all()
 
 
+def _python_balanced_variant(s):
+    """The balanced variant in Python's complex arithmetic, or None."""
+    p0, p1, _, _ = _invariants(s)
+    if p0 < 1e-12 or p1 < 1e-12:
+        return None
+    f0, f1 = math.sqrt(0.5 / p0), math.sqrt(0.5 / p1)
+    a0, a1, a2, a3 = s.alpha
+    return a0 * f0, a1 * f0, a2 * f1, a3 * f1
+
+
 def _assert_balanced_variants_match(states):
     alpha = verify._amplitudes(states)
     rows = _invariant_rows(alpha)
     has, variants = verify._balanced(alpha, rows.p0, rows.p1)
-    scalar = [verify._unit_q_variants(s)[1:] for s in states]
-    assert has.tolist() == [bool(v) for v in scalar]
-    assert _bits(map(complex, row) for row in variants) == _bits(v[0].alpha for v in scalar if v)
+    expected = [_python_balanced_variant(s) for s in states]
+    assert has.tolist() == [v is not None for v in expected]
+
+    def parts(amplitudes):
+        return [repr(z.real) + repr(z.imag) for z in amplitudes]
+
+    assert [parts(row) for row in variants.tolist()] == [parts(v) for v in expected if v]
 
 
 def test_balanced_variants_match_the_scalar_variants_on_a_sample():
