@@ -14,8 +14,7 @@ from typing import IO, Callable, Iterable, NamedTuple
 import numpy as np
 
 from .classify import StratumLabel, _strata
-from .projection import _coords
-from .states import TwoQubitState, _invariants, _triad
+from .states import TwoQubitState, _coords, _invariants, _triad
 
 DATASET_COLUMNS = (
     "alpha0_re", "alpha0_im", "alpha1_re", "alpha1_im",
@@ -29,8 +28,6 @@ CSV_FORMAT = "csv"
 JSON_FORMAT = "json"
 
 _CELL = "%.17g"
-# The CSV row that ``_rows`` writes, a block at a time, byte for byte.
-_CSV_ROW = ",".join([_CELL] * (len(DATASET_COLUMNS) - 1) + ["%s\n"])
 
 
 def _fmt(x: float) -> str:

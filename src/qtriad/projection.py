@@ -20,8 +20,8 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .quaternion import INFINITY, ExtendedQuaternion, Quaternion, is_infinite
-from .states import NORM_TOL, DualityTriad, TwoQubitState, _invariants
+from .quaternion import INFINITY, ExtendedQuaternion, Quaternion, _norm_sq, is_infinite
+from .states import NORM_TOL, DualityTriad, S4Point, TwoQubitState, _coords, _invariants
 
 # Below this |q2| the projection is treated as the point at infinity.
 INFINITY_THRESHOLD = 1e-14
@@ -38,16 +38,6 @@ class QuaternionSpinor:
         n = self.q1.norm_sq() + self.q2.norm_sq()
         if abs(n - 1.0) > NORM_TOL:
             raise ValueError(f"spinor must be normalized, got |q1|^2+|q2|^2 = {n!r}")
-
-
-class S4Point(NamedTuple):
-    """Coordinates (x0..x4) on the unit 4-sphere."""
-
-    x0: float
-    x1: float
-    x2: float
-    x3: float
-    x4: float
 
 
 class BallPoint(NamedTuple):
@@ -90,15 +80,17 @@ def inverse_stereo(q: ExtendedQuaternion) -> S4Point:
     """
     if is_infinite(q):
         return S4Point(1.0, 0.0, 0.0, 0.0, 0.0)
-    n2 = q.norm_sq()
+    n2 = _norm_sq(q.z1, q.z2)
     if n2 == math.inf:
         q0, q1, q2, q3 = q.inverse().conjugate().components()
         return S4Point(1.0, 2.0 * q0, 2.0 * q1, 2.0 * q2, 2.0 * q3)
+    return _chart(n2, q.z1.real, q.z1.imag, q.z2.real, q.z2.imag)
+
+
+def _chart(n2: float, q0: float, q1: float, q2: float, q3: float) -> S4Point:
+    """``inverse_stereo`` of a finite Q = (q0, q1, q2, q3) with |Q|^2 = n2."""
     scale = 2.0 / (n2 + 1.0)
-    q0, q1, q2, q3 = q.components()
-    return S4Point(
-        (n2 - 1.0) / (n2 + 1.0), scale * q0, scale * q1, scale * q2, scale * q3
-    )
+    return S4Point((n2 - 1.0) / (n2 + 1.0), scale * q0, scale * q1, scale * q2, scale * q3)
 
 
 def coords_from_state(s: TwoQubitState) -> S4Point:
@@ -109,17 +101,6 @@ def coords_from_state(s: TwoQubitState) -> S4Point:
     stereographic composition is its cross-check.
     """
     return _coords(*_invariants(s))
-
-
-def _coords(p0: float, p1: float, coherence: complex, det: complex) -> S4Point:
-    """``coords_from_state`` of a state whose ``_invariants`` are the arguments."""
-    return S4Point(
-        p0 - p1,
-        2.0 * coherence.real,
-        2.0 * coherence.imag,
-        2.0 * det.real,
-        2.0 * det.imag,
-    )
 
 
 def triad_from_coords(p: S4Point) -> DualityTriad:

@@ -48,12 +48,7 @@ class Quaternion:
         return Quaternion(self.z1.conjugate(), -self.z2)
 
     def norm_sq(self) -> float:
-        return (
-            self.z1.real * self.z1.real
-            + self.z1.imag * self.z1.imag
-            + self.z2.real * self.z2.real
-            + self.z2.imag * self.z2.imag
-        )
+        return _norm_sq(self.z1, self.z2)
 
     def norm(self) -> float:
         return math.hypot(self.z1.real, self.z1.imag, self.z2.real, self.z2.imag)
@@ -69,9 +64,9 @@ class Quaternion:
         the point at infinity is the projection layer's job, not the algebra's.
         Raises OverflowError where 1/|q| exceeds the float range.
         """
-        n2 = self.norm_sq()
+        n2 = _norm_sq(self.z1, self.z2)
         if 2.0**-1000 <= n2 < math.inf:
-            return Quaternion(self.z1.conjugate() / n2, -self.z2 / n2)
+            return Quaternion(*_inverse(self.z1, self.z2, n2))
         parts = self.components()
         if not any(parts):
             raise ZeroDivisionError("zero quaternion has no inverse")
@@ -99,11 +94,7 @@ class Quaternion:
     def __mul__(self, other):
         if not isinstance(other, Quaternion):
             return NotImplemented
-        b1, b2 = other.z1, other.z2
-        return Quaternion(
-            self.z1 * b1 - self.z2 * b2.conjugate(),
-            self.z1 * b2 + self.z2 * b1.conjugate(),
-        )
+        return Quaternion(*_product(self.z1, self.z2, other.z1, other.z2))
 
     def __add__(self, other):
         if isinstance(other, Quaternion):
@@ -112,6 +103,25 @@ class Quaternion:
 
     def __neg__(self):
         return Quaternion(-self.z1, -self.z2)
+
+
+# The pair rules, on complex numbers or on ``states._Columns`` of n rows,
+# which round as Python's complex arithmetic does.
+
+
+def _norm_sq(z1, z2):
+    """|z1 + z2*e2|^2, summed left to right."""
+    return z1.real * z1.real + z1.imag * z1.imag + z2.real * z2.real + z2.imag * z2.imag
+
+
+def _inverse(z1, z2, n2) -> tuple:
+    """The pair of conj(q)/|q|^2 for q = z1 + z2*e2 with |q|^2 = n2."""
+    return z1.conjugate() / n2, -z2 / n2
+
+
+def _product(a1, a2, b1, b2) -> tuple:
+    """The pair of (a1 + a2*e2)(b1 + b2*e2)."""
+    return a1 * b1 - a2 * b2.conjugate(), a1 * b2 + a2 * b1.conjugate()
 
 
 ONE = Quaternion(1 + 0j, 0j)

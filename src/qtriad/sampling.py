@@ -55,14 +55,14 @@ import numbers
 import operator
 import threading
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from types import SimpleNamespace
 from typing import Callable, Iterator
 
 import numpy as np
 
 from .classify import shell_radius
-from .states import BlochAngles, TwoQubitState, _admitted, _Columns, _gate, bloch_state
+from .states import BlochAngles, TwoQubitState, _admitted, _Columns, _each, _gate, bloch_state
 
 HAAR = "haar"
 SEPARABLE = "separable"
@@ -224,13 +224,6 @@ def _polar_normals(gen: np.random.Generator, count: int) -> list[float]:
 # on a block's columns of them (``_COLUMNS``).
 
 
-def _each(f: Callable[..., float]) -> Callable[..., np.ndarray]:
-    # f over columns of floats, called one value (or one row) at a time.
-    return lambda *columns: np.fromiter(
-        map(f, *(c.tolist() for c in columns)), float, len(columns[0])
-    )
-
-
 _SCALARS = SimpleNamespace(complex=complex, hypot=math.hypot, cos=math.cos, sin=math.sin)
 _COLUMNS = SimpleNamespace(
     complex=_Columns, hypot=_each(math.hypot), cos=_each(math.cos), sin=_each(math.sin)
@@ -263,9 +256,11 @@ def _qubit_unitary(k, n: list, u) -> tuple:
     return (phase * a, -phase * b.conjugate(), phase * b, phase * a.conjugate())
 
 
+@lru_cache(maxsize=8)
 def _schmidt_weights(c: float) -> tuple[float, float]:
-    """(lambda1, lambda2) with 2*lambda1*lambda2 = c."""
-    root = shell_radius(_concurrence(c))
+    """(lambda1, lambda2) with 2*lambda1*lambda2 = c, a ``_concurrence`` float;
+    kept for the last few c, as ``shells`` draws a whole level at one c."""
+    root = shell_radius(c)
     return math.sqrt(0.5 * (1.0 + root)), math.sqrt(0.5 * (1.0 - root))
 
 
@@ -299,7 +294,7 @@ def fixed_concurrence_state(seed: int, index: int, c: float) -> TwoQubitState:
     2*lambda1*lambda2 = c and applies independent Haar unitaries to both
     qubits, which moves the state around its shell without changing C.
     """
-    lam1, lam2 = _schmidt_weights(c)
+    lam1, lam2 = _schmidt_weights(_concurrence(c))
     gen = _substream(seed, index)
     u, u_phase = _polar_normals(gen, 4), gen.random()
     w, w_phase = _polar_normals(gen, 4), gen.random()
@@ -361,7 +356,7 @@ def _accepted_normals(u: np.ndarray, blocks) -> tuple[np.ndarray, np.ndarray]:
     for x, y, s, first, pairs in parts:
         first &= ok[:, None]
         s = s[first]
-        log_s = np.array(list(map(math.log, s.tolist())))
+        log_s = _each(math.log)(s)
         f = np.sqrt(-2.0 * log_s / s)
         pair = np.stack((x[first] * f, y[first] * f), axis=1)
         normals.append(pair.reshape(-1, 2 * pairs))
@@ -381,7 +376,7 @@ _LAYOUT = {
 
 def _pack(*amplitudes: _Columns) -> np.ndarray:
     """(n, 4) complex rows from four columns of amplitudes."""
-    return np.stack([part for a in amplitudes for part in (a.re, a.im)], 1).view(complex)
+    return np.stack([part for a in amplitudes for part in (a.real, a.imag)], 1).view(complex)
 
 
 def _blocks(spec: SampleSpec, start: int = 0) -> Iterator[np.ndarray]:

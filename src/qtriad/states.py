@@ -11,10 +11,13 @@ Three invariants of the amplitudes drive everything downstream:
 Visibility is 2|coherence|, concurrence is 2|determinant|, and
 distinguishability is |imbalance|. For any normalized state
 V^2 + D^2 + C^2 = 1. ``_invariants`` is the single source of the three, and
-``_invariant_rows`` its array form over rows of amplitudes: both take the
-coherence and the determinant from ``_off_diagonals``, on Python complexes or
-on ``_Columns``. The oracle routes in ``verify`` deliberately do not use
-them, so that they stay independent checks of them.
+``_invariant_rows`` its array form over rows of amplitudes. The coherence and
+the determinant (``_off_diagonals``) and what follows from the three
+(``_triad``, ``_coords``, ``_purity``; ``_sum_squares`` for the norm) have
+one source each, for a state and for rows alike: it runs on Python floats and
+complex numbers or on arrays and ``_Columns``; p0 and p1 are the one array
+twin (see ``_invariant_rows``). The oracle routes in ``verify`` deliberately
+do not use them, so that they stay independent checks of them.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -38,6 +41,16 @@ class DualityTriad(NamedTuple):
     V: float
     D: float
     C: float
+
+
+class S4Point(NamedTuple):
+    """Coordinates (x0..x4) on the unit 4-sphere."""
+
+    x0: float
+    x1: float
+    x2: float
+    x3: float
+    x4: float
 
 
 @dataclass(frozen=True, slots=True)
@@ -57,10 +70,9 @@ class TwoQubitState:
 def _gate(alpha: np.ndarray) -> None:
     """``TwoQubitState``'s norm gate over n rows of amplitudes, ``(n, 4)``:
     raises its ValueError for the first row it rejects."""
-    # The squares are summed left to right, as in ``_norm``. Rows with |psi|
-    # near 1 take ``_norm``'s plain branch; any other row fails both gates.
-    sq = alpha.real * alpha.real + alpha.imag * alpha.imag
-    n = np.sqrt(((sq[:, 0] + sq[:, 1]) + sq[:, 2]) + sq[:, 3])
+    # Rows with |psi| near 1 take ``_norm``'s plain branch; any other row
+    # fails both gates.
+    n = np.sqrt(_sum_squares(_columns(alpha)))
     bad = ~(np.abs(n - 1.0) <= NORM_TOL / 8)
     if bad.any():
         TwoQubitState(tuple(alpha[bad.argmax()]))
@@ -97,14 +109,8 @@ def _norm(v: Sequence[complex]) -> tuple[float, float]:
     that brings the largest part into [1, 2). n is non-finite for non-finite
     entries and 0 for all-zero ones.
 
-    The squares are summed left to right in plain float arithmetic: the
-    builtin ``sum`` of floats is compensated from Python 3.12 on, which can
-    move the last bit of a normalized amplitude.
     """
-    total = 0.0
-    for c in v:
-        total += c.real * c.real + c.imag * c.imag
-    n = math.sqrt(total)
+    n = math.sqrt(_sum_squares(v))
     if 2.0**-500 <= n < math.inf:
         return n, 1.0
     parts = [p for c in v for p in (c.real, c.imag)]
@@ -115,6 +121,15 @@ def _norm(v: Sequence[complex]) -> tuple[float, float]:
     for p in parts:
         total += (p / scale) ** 2
     return math.sqrt(total), scale
+
+
+def _sum_squares(v):
+    """The |c|^2 of v summed left to right in plain float arithmetic: the
+    builtin ``sum`` of floats is compensated from Python 3.12 on."""
+    total = 0.0
+    for c in v:
+        total += c.real * c.real + c.imag * c.imag
+    return total
 
 
 def _unit(v: tuple[complex, ...], n: float, scale: float) -> tuple[complex, ...]:
@@ -320,11 +335,11 @@ def _off_diagonals(a0, a1, a2, a3):
 
 
 class _Columns:
-    """Complex numbers of n rows, held as float64 arrays ``re`` and ``im`` of
-    their parts, on which the scalar code's complex expressions give each
-    row's Python result bit for bit. The operators round as CPython's
-    complex arithmetic does (3.11 and 3.12), where numpy's complex products,
-    quotients and moduli round differently on part of the inputs:
+    """Complex numbers of n rows, held as float64 arrays of their parts. It
+    reads like ``complex`` (``.real``, ``.imag``, the operators below), so the
+    scalar code's expressions run on it unchanged and give each row's Python
+    result bit for bit. The operators round as CPython's complex arithmetic
+    does (3.11 and 3.12), where numpy's rounds differently on part of the inputs:
 
     * a * b is (ar*br - ai*bi, ar*bi + ai*br); a real factor f, a float or an
       array, on either side, multiplies as complex(f, 0.0);
@@ -336,29 +351,29 @@ class _Columns:
     ``-``, unary ``-`` and ``conjugate()`` act on the parts.
     """
 
-    __slots__ = ("re", "im")
+    __slots__ = ("real", "imag")
     # An ndarray on the left of ``*`` defers to ``__rmul__``.
     __array_ufunc__ = None
 
-    def __init__(self, re, im):
-        self.re, self.im = re, im
+    def __init__(self, real, imag):
+        self.real, self.imag = real, imag
 
     def __add__(self, other: _Columns) -> _Columns:
-        return _Columns(self.re + other.re, self.im + other.im)
+        return _Columns(self.real + other.real, self.imag + other.imag)
 
     def __sub__(self, other: _Columns) -> _Columns:
-        return _Columns(self.re - other.re, self.im - other.im)
+        return _Columns(self.real - other.real, self.imag - other.imag)
 
     def __neg__(self) -> _Columns:
-        return _Columns(-self.re, -self.im)
+        return _Columns(-self.real, -self.imag)
 
     def conjugate(self) -> _Columns:
-        return _Columns(self.re, -self.im)
+        return _Columns(self.real, -self.imag)
 
     def __mul__(self, other) -> _Columns:
-        re, im = self.re, self.im
+        re, im = self.real, self.imag
         if isinstance(other, _Columns):
-            return _Columns(re * other.re - im * other.im, re * other.im + im * other.re)
+            return _Columns(re * other.real - im * other.imag, re * other.imag + im * other.real)
         return _Columns(re * other - im * 0.0, re * 0.0 + im * other)
 
     # complex(f, 0.0) * z rounds as z * complex(f, 0.0): each product and sum
@@ -366,16 +381,24 @@ class _Columns:
     __rmul__ = __mul__
 
     def __truediv__(self, w) -> _Columns:
-        return _Columns((self.re + self.im * 0.0) / w, (self.im - self.re * 0.0) / w)
+        return _Columns((self.real + self.imag * 0.0) / w, (self.imag - self.real * 0.0) / w)
 
     def __abs__(self) -> np.ndarray:
-        return np.hypot(self.re, self.im)
+        return np.hypot(self.real, self.imag)
+
+
+def _each(f: Callable[..., float]) -> Callable[..., np.ndarray]:
+    """f over columns of floats, called one value (or one row) at a time: for
+    functions of ``math``, whose numpy counterparts round differently."""
+    return lambda *columns: np.fromiter(
+        map(f, *(c.tolist() for c in columns)), float, len(columns[0])
+    )
 
 
 def _columns(alpha: np.ndarray) -> list[_Columns]:
     """The four amplitudes of n rows, ``(n, 4)``, as ``_Columns``."""
-    re, im = alpha.real, alpha.imag
-    return [_Columns(re[:, j], im[:, j]) for j in range(4)]
+    real, imag = alpha.real, alpha.imag
+    return [_Columns(real[:, j], imag[:, j]) for j in range(4)]
 
 
 class _Rows(NamedTuple):
@@ -393,24 +416,16 @@ class _Rows(NamedTuple):
 
 def _invariant_rows(alpha: np.ndarray) -> _Rows:
     """``_invariants`` and what follows from it, over rows of amplitudes."""
-    # abs(a) ** 2 in _invariants is the C library's pow of its hypot, and
-    # np.float_power and np.hypot call those two functions. h * h and
-    # np.power(h, 2) round one product, which differs from pow on about 1
-    # value in 1000.
+    # The one array twin of a scalar expression: abs(a) ** 2 in _invariants
+    # is the C library's pow of its hypot, and np.float_power and np.hypot
+    # call those two functions. h * h and np.power(h, 2) round one product,
+    # which differs from pow on about 1 value in 1000.
     w = np.float_power(np.hypot(alpha.real, alpha.imag), 2.0)
     p0, p1 = w[:, 0] + w[:, 1], w[:, 2] + w[:, 3]
     coherence, det = _off_diagonals(*_columns(alpha))
-    off, det_abs = abs(coherence), abs(det)
-    return _Rows(
-        p0,
-        p1,
-        np.stack((2.0 * off, np.abs(p0 - p1), 2.0 * det_abs), 1),
-        np.stack(
-            (p0 - p1, 2.0 * coherence.re, 2.0 * coherence.im, 2.0 * det.re, 2.0 * det.im), 1
-        ),
-        p0 * p0 + p1 * p1 + 2.0 * off * off,
-        det_abs,
-    )
+    triads = np.stack(_triad(p0, p1, coherence, det), 1)
+    coords = np.stack(_coords(p0, p1, coherence, det), 1)
+    return _Rows(p0, p1, triads, coords, _purity(p0, p1, coherence), abs(det))
 
 
 def reduced_density_photon(s: TwoQubitState) -> DensityMatrix2:
@@ -466,6 +481,13 @@ def _triad(p0: float, p1: float, coherence: complex, det: complex) -> DualityTri
     return DualityTriad(2.0 * abs(coherence), abs(p0 - p1), 2.0 * abs(det))
 
 
+def _coords(p0: float, p1: float, coherence: complex, det: complex) -> S4Point:
+    """``coords_from_state`` of a state whose ``_invariants`` are the arguments."""
+    return S4Point(
+        p0 - p1, 2.0 * coherence.real, 2.0 * coherence.imag, 2.0 * det.real, 2.0 * det.imag
+    )
+
+
 def second_subsystem_triad(s: TwoQubitState) -> DualityTriad:
     """(V', D', C) with the roles of the two qubits exchanged.
 
@@ -501,16 +523,27 @@ def fringe_extrema(s: TwoQubitState) -> tuple[float, float]:
     ``visibility``.
     """
     coherence = _invariants(s)[2]
-    peak = cmath.phase(coherence) if coherence != 0 else 0.0
+    peak = _peak(coherence.real, coherence.imag)
     ends = np.exp(1j * np.array([(peak, peak + math.pi)]))
     p = _fringe_scan(np.array([s.alpha]), ends)
     return (float(p.max()), float(p.min()))
 
 
+def _peak(x: float, y: float) -> float:
+    """The phase of the coherence x + i*y (``cmath.phase`` for finite input),
+    where p(delta) peaks; 0.0 for 0, where atan2(0.0, -0.0) would be pi."""
+    return math.atan2(y, x) if x or y else 0.0
+
+
 def purity(rho: DensityMatrix2) -> float:
     """Tr(rho^2); 1 for pure states, 1/2 for the maximally mixed qubit."""
-    off = abs(rho.rho01)
-    return rho.rho00 * rho.rho00 + rho.rho11 * rho.rho11 + 2.0 * off * off
+    return _purity(rho.rho00, rho.rho11, rho.rho01)
+
+
+def _purity(p0: float, p1: float, coherence: complex) -> float:
+    """Tr(rho^2) of the path state with populations p0, p1 and ``coherence``."""
+    off = abs(coherence)
+    return p0 * p0 + p1 * p1 + 2.0 * off * off
 
 
 @dataclass(frozen=True, slots=True)

@@ -15,20 +15,20 @@ kernel ``states._invariant_rows``, which gives each row's ``triad``,
 and the bilinear form. The rest of each oracle route is array code over the
 whole chunk:
 
-* the stereographic route runs ``Quaternion.inverse``'s and the
-  ``Quaternion`` pair rule's expressions on ``states._Columns``, which round
-  as Python's complex arithmetic does (see there).
+* the stereographic route runs the ``Quaternion`` pair rules
+  (``quaternion._norm_sq``, ``_inverse``, ``_product``) on
+  ``states._Columns``, which round as Python's complex arithmetic does (see
+  there), and lifts Q by ``inverse_stereo``'s chart, ``projection._chart``.
 * the bilinear form is one stacked ``A[:, None, :] @ _SYY @ A[:, :, None]``,
   which gives the same bits as ``a @ _SYY @ a`` per state.
 * the fringe scan is ``states._fringe_scan`` on ``_FRINGE_BLOCK``-state
-  slices, with extremum phases computed apart from ``fringe_extrema``'s.
+  slices, at ``fringe_extrema``'s extremum phases (``states._peak``).
 * ``unit_q_iff_d0`` builds the balanced variants with ``_balanced``, which
   ``_unit_q_variants`` runs on one row, and takes their D from the kernel.
 
-|q2|, which decides the point at infinity, and |Q| stay one ``math.hypot``
-call per state, as in ``Quaternion.norm``: no numpy function rounds like it
-on every input. Complex moduli use ``np.hypot``, as ``abs`` of ``_Columns``
-does, and the extremum phases ``math.atan2``.
+|q2|, which decides the point at infinity, |Q| and the extremum phases stay
+one ``math`` call per state (``states._each``), as on the scalar route: no
+numpy function rounds like ``math.hypot`` on every input.
 
 Each check keeps its per-state error function, the scalar reference route
 built on ``triad``, ``coords_from_state``, ``Quaternion``,
@@ -58,23 +58,26 @@ import numpy as np
 
 from .projection import (
     INFINITY_THRESHOLD,
+    _chart,
     coords_from_state,
     inverse_stereo,
     quaternify,
     stereo_project,
 )
-from .quaternion import is_infinite
+from .quaternion import _inverse, _norm_sq, _product, is_infinite
 from .sampling import _BLOCK, HAAR, SEPARABLE, SampleSpec, _blocks
 from .states import (
     TwoQubitState,
     _admitted,
     _Columns,
     _columns,
+    _each,
     _fringe_scan,
     _gate,
     _invariant_rows,
     _invariants,
     _off_diagonals,
+    _peak,
     fringe_extrema,
     purity,
     reduced_density_photon,
@@ -244,46 +247,38 @@ def _merge(parts: Sequence[CheckResult]) -> CheckResult:
 # ------------------------------------------------------------- oracle routes
 
 
-def _stereo(alpha: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+def _stereo(alpha: np.ndarray) -> tuple[np.ndarray, tuple[_Columns, _Columns]]:
     """``stereo_project(quaternify(s))`` over rows of amplitudes.
 
     Returns ``(finite, q)``: ``finite`` marks the rows with |q2| at or above
-    ``INFINITY_THRESHOLD`` and ``q`` holds the components (Q0, Q1, Q2, Q3) of
-    Q = q1 * q2^{-1}, meaningful on those rows only. q2^{-1} and Q are
-    ``Quaternion.inverse``'s and ``Quaternion.__mul__``'s expressions run on
-    ``states._Columns``, so each component is the scalar route's bit for bit.
+    ``INFINITY_THRESHOLD`` and ``q`` is Q = q1 * q2^{-1} as its pair (z1, z2)
+    of ``states._Columns``, meaningful on those rows only. The ``Quaternion``
+    rules form both, so each part is the scalar route's bit for bit.
 
     The rows have passed ``TwoQubitState``'s norm gate, so |psi| is within
     NORM_TOL / 8 of 1 and the spinor is normalized; on the finite rows
     |Q| = |q1| / |q2| is at most about 1e14. Neither raise of the scalar route can fire here.
     """
-    a0, a1, a2, a3 = _columns(alpha)
     # quaternify: q1 = a0 + a1*e2, q2 = a2 + a3*e2.
-    q2_norm = map(math.hypot, a2.re.tolist(), a2.im.tolist(), a3.re.tolist(), a3.im.tolist())
-    finite = np.fromiter(q2_norm, float, len(alpha)) >= INFINITY_THRESHOLD
-    # q2.inverse() = (conj(a2) - a3*e2) / |q2|^2, with Quaternion.norm_sq's
-    # sum; 1 stands in for it on the rows at infinity.
-    n2 = np.where(finite, a2.re * a2.re + a2.im * a2.im + a3.re * a3.re + a3.im * a3.im, 1.0)
-    b1, b2 = a2.conjugate() / n2, -a3 / n2
-    # Quaternion.__mul__'s pair rule: (a0 + a1*e2)(b1 + b2*e2).
-    z1, z2 = a0 * b1 - a1 * b2.conjugate(), a0 * b2 + a1 * b1.conjugate()
-    return finite, (z1.re, z1.im, z2.re, z2.im)
+    a0, a1, a2, a3 = _columns(alpha)
+    finite = _each(math.hypot)(a2.real, a2.imag, a3.real, a3.imag) >= INFINITY_THRESHOLD
+    # 1 stands in for |q2|^2 on the rows at infinity.
+    n2 = np.where(finite, _norm_sq(a2, a3), 1.0)
+    return finite, _product(a0, a1, *_inverse(a2, a3, n2))
 
 
-def _lift(finite: np.ndarray, q: tuple[np.ndarray, ...]) -> np.ndarray:
-    """``inverse_stereo`` over rows: (n, 5) points on the unit 4-sphere, the
-    north pole where Q is infinite."""
-    q0, q1, q2, q3 = q
-    n2 = q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3
-    scale = 2.0 / (n2 + 1.0)
-    x = np.stack(((n2 - 1.0) / (n2 + 1.0), scale * q0, scale * q1, scale * q2, scale * q3), 1)
+def _lift(finite: np.ndarray, q: tuple[_Columns, _Columns]) -> np.ndarray:
+    """``inverse_stereo`` over rows: (n, 5) points, the north pole where Q is infinite."""
+    z1, z2 = q
+    x = np.stack(_chart(_norm_sq(z1, z2), z1.real, z1.imag, z2.real, z2.imag), 1)
     x[~finite] = (1.0, 0.0, 0.0, 0.0, 0.0)
     return x
 
 
-def _bilinear(alpha: np.ndarray) -> np.ndarray:
+def _bilinear(alpha: np.ndarray) -> _Columns:
     """``a @ _SYY @ a`` for every row ``a`` of amplitudes."""
-    return (alpha[:, None, :] @ _SYY @ alpha[:, :, None])[:, 0, 0]
+    b = (alpha[:, None, :] @ _SYY @ alpha[:, :, None])[:, 0, 0]
+    return _Columns(b.real, b.imag)
 
 
 def concurrence_bilinear(s: TwoQubitState) -> float:
@@ -296,26 +291,43 @@ def concurrence_bilinear(s: TwoQubitState) -> float:
     return float(abs(a @ _SYY @ a))
 
 
+# ------------------------------------------------------ errors, per check
+#
+# Each check has a scalar error function of one state (the reference) and an
+# array function giving every state's error from the array routes. Where the
+# same expression gives the same bits and the same NaN on both, a gap
+# function of the routes' values serves the two; it takes floats or arrays.
+
+
 def _sphere_gap(x) -> float:
-    """|x0^2 + ... + x4^2 - 1|, summed left to right; x may hold arrays."""
+    """|x0^2 + ... + x4^2 - 1|, summed left to right."""
     x0, x1, x2, x3, x4 = x
     return abs(x0 * x0 + x1 * x1 + x2 * x2 + x3 * x3 + x4 * x4 - 1.0)
 
 
-# ------------------------------------------------------ errors, per check
-#
-# Each check has a scalar error function of one state (the reference) and an
-# array function giving every state's error from the array routes.
-
-
-def _identity_error(s: TwoQubitState) -> float:
-    v, d, c = triad(s)
+def _identity_gap(t) -> float:
+    """|V^2 + D^2 + C^2 - 1| of a triad t."""
+    v, d, c = t
     return abs(v * v + d * d + c * c - 1.0)
 
 
+def _purity_gap(t, purity) -> float:
+    """|V^2 + D^2 - (2*purity - 1)| of a triad t and a path-state purity."""
+    v, d, _ = t
+    return abs(v * v + d * d - (2.0 * purity - 1.0))
+
+
+def _contrast_gap(p_max, p_min, v) -> float:
+    """|(p_max - p_min) / (p_max + p_min) - V| of fringe extrema and a V."""
+    return abs((p_max - p_min) / (p_max + p_min) - v)
+
+
+def _identity_error(s: TwoQubitState) -> float:
+    return _identity_gap(triad(s))
+
+
 def _identity_errors(states) -> np.ndarray:
-    v, d, c = _chunk(states).rows.triads.T
-    return np.abs(v * v + d * d + c * c - 1.0)
+    return _identity_gap(_chunk(states).rows.triads.T)
 
 
 def _dual_route_error(s: TwoQubitState) -> tuple[float, float]:
@@ -344,8 +356,7 @@ def _concurrence_oracle_error(s: TwoQubitState) -> float:
 
 def _concurrence_oracle_errors(states) -> np.ndarray:
     chunk = _chunk(states)
-    b = chunk.bilinear
-    return np.abs(chunk.rows.triads[:, 2] - np.hypot(b.real, b.imag))
+    return abs(chunk.rows.triads[:, 2] - abs(chunk.bilinear))
 
 
 def _bilinear_convention_error(s: TwoQubitState) -> float:
@@ -357,13 +368,12 @@ def _bilinear_convention_error(s: TwoQubitState) -> float:
 
 def _bilinear_convention_errors(states) -> np.ndarray:
     chunk = _chunk(states)
-    b, x = chunk.bilinear, chunk.rows.coords
-    return np.hypot(x[:, 3] - b.real, x[:, 4] - b.imag)
+    x = chunk.rows.coords
+    return abs(_Columns(x[:, 3], x[:, 4]) - chunk.bilinear)
 
 
 def _fringe_error(s: TwoQubitState) -> float:
-    p_max, p_min = fringe_extrema(s)
-    return abs((p_max - p_min) / (p_max + p_min) - triad(s).V)
+    return _contrast_gap(*fringe_extrema(s), triad(s).V)
 
 
 def _fringe_errors(states) -> np.ndarray:
@@ -371,29 +381,23 @@ def _fringe_errors(states) -> np.ndarray:
     alpha = chunk.alpha
     # The analytic extremum phases: that of the coherence.
     coherence = _off_diagonals(*_columns(alpha))[0]
-    peak = np.array([
-        math.atan2(y, x) if x or y else 0.0
-        for x, y in zip(coherence.re.tolist(), coherence.im.tolist())
-    ])
+    peak = _each(_peak)(coherence.real, coherence.imag)
     ends = np.exp(1j * np.stack((peak, peak + math.pi), 1))
     # The scan, one slice of _FRINGE_BLOCK states at a time (see there).
-    contrast = np.empty(len(alpha))
+    extrema = np.empty((2, len(alpha)))
     for i in range(0, len(alpha), _FRINGE_BLOCK):
         p = _fringe_scan(alpha[i : i + _FRINGE_BLOCK], ends[i : i + _FRINGE_BLOCK])
-        p_max, p_min = p.max(axis=1), p.min(axis=1)
-        contrast[i : i + _FRINGE_BLOCK] = (p_max - p_min) / (p_max + p_min)
-    return np.abs(contrast - chunk.rows.triads[:, 0])
+        extrema[:, i : i + _FRINGE_BLOCK] = p.max(axis=1), p.min(axis=1)
+    return _contrast_gap(*extrema, chunk.rows.triads[:, 0])
 
 
 def _purity_error(s: TwoQubitState) -> float:
-    v, d, _ = triad(s)
-    return abs(v * v + d * d - (2.0 * purity(reduced_density_photon(s)) - 1.0))
+    return _purity_gap(triad(s), purity(reduced_density_photon(s)))
 
 
 def _purity_errors(states) -> np.ndarray:
     rows = _chunk(states).rows
-    v, d, _ = rows.triads.T
-    return np.abs(v * v + d * d - (2.0 * rows.purity - 1.0))
+    return _purity_gap(rows.triads.T, rows.purity)
 
 
 def _separable_plane_error(s: TwoQubitState) -> float:
@@ -406,8 +410,8 @@ def _separable_plane_error(s: TwoQubitState) -> float:
 
 def _separable_plane_errors(states) -> np.ndarray:
     chunk = _chunk(states)
-    finite, (_, _, q2, q3) = chunk.stereo
-    plane = np.maximum(chunk.rows.det, np.maximum(np.abs(q2), np.abs(q3)))
+    finite, (_, z2) = chunk.stereo
+    plane = np.maximum(chunk.rows.det, np.maximum(np.abs(z2.real), np.abs(z2.imag)))
     return np.where(finite, plane, math.inf)
 
 
@@ -446,14 +450,15 @@ def _balanced(alpha: np.ndarray, p0: np.ndarray, p1: np.ndarray) -> tuple[np.nda
     has = ~((p0 < 1e-12) | (p1 < 1e-12))
     f = np.sqrt(0.5 / np.stack((p0, p0, p1, p1), 1)[has])
     v = _Columns(alpha.real[has], alpha.imag[has]) * f
-    variants = np.stack((v.re, v.im), 2).reshape(-1, 8).view(complex)
+    variants = np.stack((v.real, v.imag), 2).reshape(-1, 8).view(complex)
     _gate(variants)
     return has, variants
 
 
 def _unit_q_rows(finite, q, d, tolerance: float) -> np.ndarray:
     """Each row's unit_q error, from its Q and its D; 0 where Q is infinite."""
-    norm = np.fromiter(map(math.hypot, *(c.tolist() for c in q)), float, len(d))
+    z1, z2 = q
+    norm = _each(math.hypot)(z1.real, z1.imag, z2.real, z2.imag)
     gap = np.abs(norm - 1.0)
     error = np.where(d <= tolerance, gap, np.where(gap <= tolerance, d, 0.0))
     error[~finite] = 0.0

@@ -273,9 +273,12 @@ def test_writer_equals_the_encoder(states):
 
 # The CSV block writer against ``%.17g``, cell by cell and block by block.
 
+# The CSV row that ``_rows`` writes, a block at a time, byte for byte.
+_CSV_ROW = ",".join([dataset_module._CELL] * (len(DATASET_COLUMNS) - 1) + ["%s\n"])
+
 
 def _csv_reference(rows, labels):
-    return "".join(dataset_module._CSV_ROW % (*row, label) for row, label in zip(rows, labels))
+    return "".join(_CSV_ROW % (*row, label) for row, label in zip(rows, labels))
 
 
 def _assert_block_rows(rows):

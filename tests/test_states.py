@@ -641,7 +641,7 @@ def _as_columns(zs):
 
 def _column_parts(c):
     # repr keeps every bit of a float and tells 0.0 from -0.0.
-    return list(zip(map(repr, c.re.tolist()), map(repr, c.im.tolist())))
+    return list(zip(map(repr, c.real.tolist()), map(repr, c.imag.tolist())))
 
 
 def _python_parts(zs):

@@ -15,6 +15,7 @@ from qtriad import verify
 from qtriad.cli import main
 from qtriad.projection import INFINITY_THRESHOLD, coords_from_state
 from qtriad.sampling import (
+    FIXED_CONCURRENCE,
     HAAR,
     SEPARABLE,
     SampleSpec,
@@ -414,7 +415,7 @@ def test_kernel_matches_the_scalar_direct_route_on_edge_states(states):
     _assert_kernel_matches_the_scalar_direct_route(states)
 
 
-def test_kernel_matches_the_scalar_direct_route_on_100000_haar_states():
+def _assert_kernel_matches_the_scalar_direct_route_on(spec):
     # Compared as the floats' 64-bit patterns, which is what their repr pins.
     def scalar(s):
         p0, p1, _, det = _invariants(s)
@@ -423,12 +424,26 @@ def test_kernel_matches_the_scalar_direct_route_on_100000_haar_states():
             purity(reduced_density_photon(s)), abs(det),
         )
 
-    states = iter(sample(SampleSpec(100_000, 42, HAAR)))
+    states = iter(sample(spec))
     while chunk := list(itertools.islice(states, 10_000)):
         rows = _invariant_rows(verify._amplitudes(chunk))
         kernel = np.column_stack((rows.p0, rows.p1, rows.triads, rows.coords, rows.purity, rows.det))
         expected = np.array([scalar(s) for s in chunk])
         assert (kernel.view(np.uint64) == expected.view(np.uint64)).all()
+
+
+def test_kernel_matches_the_scalar_direct_route_on_100000_haar_states():
+    _assert_kernel_matches_the_scalar_direct_route_on(SampleSpec(100_000, 42, HAAR))
+
+
+@pytest.mark.parametrize(
+    "ensemble, c",
+    [(SEPARABLE, None), (FIXED_CONCURRENCE, 0.0), (FIXED_CONCURRENCE, 0.5), (FIXED_CONCURRENCE, 1.0)],
+)
+def test_kernel_matches_the_scalar_direct_route_on_20000_sampled_states(ensemble, c):
+    # Separable and C = 0 rows carry the signed zeros that products with
+    # lambda2 = 0 and with zero amplitudes make.
+    _assert_kernel_matches_the_scalar_direct_route_on(SampleSpec(20_000, 42, ensemble, c))
 
 
 def _python_balanced_variant(s):
