@@ -34,7 +34,14 @@ def _fmt(x: float) -> str:
     return _CELL % x
 
 
-# Cells are formatted as arrays, ``_BLOCK`` rows at a time. A cell with
+# Records per block of the writer, which draws this many states ahead of
+# what it has written. It stays below the sampler's block: on a 2-core x86_64
+# machine a 1024-record read-ahead raised peak RSS (ru_maxrss) from 37.5 to
+# 39.7 MB on a 20000-state CSV ``sample`` and from 37.5 to 40.3 MB on a
+# 5 x 4000-state JSON ``shells``.
+_RECORDS = 256
+
+# Cells are formatted as arrays, ``_RECORDS`` rows at a time. A cell with
 # 1e-4 <= |x| < 10 has decimal exponent E in [-4, 0], where ``%.17g`` and
 # ``repr`` both write fixed notation. ``%.17g`` writes the 17 digits
 # D = round(|x| * 10**k), k = 16 - E. Each 10**k (1e16 .. 1e20) is an exact
@@ -69,7 +76,6 @@ def _fmt(x: float) -> str:
 # [10**16, 10**17), a computed fraction of exactly 0.5 (an exact tie, which
 # ``%`` rounds half-even, or a fraction just above 0.5 that rounded to it)
 # and, for JSON, an exact tie at 16 or 15 digits.
-_BLOCK = 256
 _FLOATS = len(DATASET_COLUMNS) - 1
 # |x| >= 10**E exactly when |x| >= 10.0**E: each of these doubles lies above
 # its power of ten, with no double in between. searchsorted gives i = E + 5
@@ -274,12 +280,12 @@ def emit_dataset(
     """Write one record per state to an open text stream.
 
     ``states`` is iterated once and never held whole: both formats draw a
-    block of at most ``_BLOCK`` (256) states, then build and write its
+    block of at most ``_RECORDS`` (256) states, then build and write its
     records, so no more than one block is drawn ahead of what is written.
     Each block's records are made as one text by array code: CSV cells are
     the exact ``%.17g`` text and JSON cells the shortest ``repr`` text, with
     a per-cell ``%.17g`` or ``repr`` for the cells outside the array domain
-    (the comment above ``_BLOCK`` gives the domain and the fallback rule).
+    (the comment above ``_FLOATS`` gives the domain and the fallback rule).
     CSV gets a header line even for no states. JSON is a list of objects
     keyed by the same column names (labels as a list), byte-identical to
     ``json.dump(records, indent=1)``. In both, labels keep the
@@ -294,7 +300,7 @@ def emit_dataset(
     states = iter(states)
     # A JSON row opens with a comma, which the first record goes without.
     skip = 0 if csv else 1
-    while block := list(islice(states, _BLOCK)):
+    while block := list(islice(states, _RECORDS)):
         cells: list[float] = []
         suffixes: list[str] = []
         for s in block:

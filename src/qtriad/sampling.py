@@ -17,14 +17,15 @@ Sample ``i`` of a run is a pure function of ``(seed, i)``:
   accepted pairs yield (x, y) * sqrt(-2 ln(s)/s). Uniforms are consumed in
   blocks of 16.
 
-The streams are computed in this package, a block of ``_BLOCK`` consecutive
-indices at a time (``_blocks``), with the Philox rounds, the uniforms and the
-polar acceptance as array code; ``tests/test_sampling.py`` pins those words
-and uniforms to ``numpy.random.Philox`` and ``Generator.random``. The
-per-index functions (``haar_state`` and the rest) draw from
-``numpy.random.Philox`` itself; the batched stream hands them every index
-whose first 16-uniform block has too few accepted pairs, and the two agree
-bit for bit.
+The streams are computed in this package, a block of ``_BLOCK`` (1024)
+consecutive indices at a time (``_blocks``), with the Philox rounds, the
+uniforms and the polar acceptance as array code; ``verify`` checks each block
+as it is drawn. ``tests/test_sampling.py`` pins those words and uniforms to
+``numpy.random.Philox`` and ``Generator.random``. The per-index functions
+(``haar_state`` and the rest) draw from ``numpy.random.Philox`` itself; the
+batched stream hands them every index whose first 16-uniform block has too
+few accepted pairs, and the two agree bit for bit. Both take the seed by one
+rule (``_seed``): an integer in [0, 2**64).
 
 A block's amplitudes come from the per-index builders' own expressions
 (``_haar``, ``_separable``, ``_rotated_schmidt``), run on columns of the
@@ -72,9 +73,17 @@ ENSEMBLES = (HAAR, SEPARABLE, FIXED_CONCURRENCE)
 
 _MAX_SEED = 2**64 - 1
 
-# Indices per batched kernel call. It bounds the working arrays, and with
-# them the memory a stream of any length needs.
-_BLOCK = 256
+# Indices per batched kernel call, and the rows of each chunk ``verify``
+# checks. It bounds the working arrays, and with them the memory a stream of
+# any length needs. Each block costs fixed work beyond its rows': every
+# Philox round and array pass starts afresh, and each verify check evaluates
+# its scalar route once more at the block's witness (about 0.3 ms of CPU
+# time per block in all). On a 2-core x86_64 machine, haar's
+# ``_philox_words`` took 2.5 us/state of CPU time at 256 rows and 1.0 at
+# 1024 (best of 30), and verify at 8000 states took about 15% more CPU time
+# in 256-row chunks than in one whole-sample chunk, and 3.6% more in
+# 1024-row chunks (best of 8).
+_BLOCK = 1024
 
 # Philox4x64 round multipliers and key-schedule increments.
 _PHILOX_M0 = 0xD2E7470EE14C6C93
@@ -102,14 +111,7 @@ class SampleSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "count", _count(self.count))
-        try:
-            seed = operator.index(self.seed)
-        except TypeError:
-            raise ValueError("seed must be an integer") from None
-        if not 0 <= seed <= _MAX_SEED:
-            raise ValueError("seed must fit in 64 unsigned bits")
-        # numpy integers become ints: the Philox key arithmetic needs them.
-        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "seed", _seed(self.seed))
         if self.ensemble not in ENSEMBLES:
             raise ValueError(f"unknown ensemble {self.ensemble!r}")
         if self.ensemble != FIXED_CONCURRENCE:
@@ -128,6 +130,18 @@ def _count(count) -> int:
     if count < 1:
         raise ValueError("count must be at least 1")
     return count
+
+
+def _seed(seed) -> int:
+    # The one rule for a stream seed, the Philox key word: an integer in
+    # [0, 2**64), as an int (the key arithmetic needs ints, not numpy's).
+    try:
+        seed = operator.index(seed)
+    except TypeError:
+        raise ValueError("seed must be an integer") from None
+    if not 0 <= seed <= _MAX_SEED:
+        raise ValueError("seed must fit in 64 unsigned bits")
+    return seed
 
 
 def _concurrence(c) -> float:
@@ -176,11 +190,11 @@ def _substream(seed: int, index: int) -> np.random.Generator:
     lists, costs about 1.5 us (x86_64, numpy 2.4).
     """
     try:
-        seed, index = operator.index(seed), operator.index(index)
+        seed, index = _seed(operator.index(seed)), operator.index(index)
     except TypeError:
         raise ValueError("seed and index must be integers") from None
-    if not (0 <= seed < 2**128 and 0 <= index < 2**128):
-        raise ValueError("seed and index must lie in [0, 2**128)")
+    if not 0 <= index < 2**128:
+        raise ValueError("index must lie in [0, 2**128)")
     gen = getattr(_per_thread, "gen", None)
     if gen is None:
         gen = _per_thread.gen = np.random.Generator(np.random.Philox(0))
@@ -190,7 +204,7 @@ def _substream(seed: int, index: int) -> np.random.Generator:
         "bit_generator": "Philox",
         "state": {
             "counter": [0, 0, index & _MAX_SEED, index >> 64],
-            "key": [seed & _MAX_SEED, seed >> 64],
+            "key": [seed, 0],
         },
         "buffer": [0, 0, 0, 0],
         "buffer_pos": 4,  # empty: the first draw steps the counter to 1

@@ -5,15 +5,15 @@ Each check compares the direct route, the public functions under test
 (``triad`` and ``coords_from_state``), with an oracle route: the
 stereographic composition ``inverse_stereo(stereo_project(quaternify(s)))``,
 the sigma_y x sigma_y bilinear form, or the fringe scan. ``verify_suite``
-draws each ensemble as amplitude blocks (``sampling._blocks``) a chunk of
-``_CHUNK`` rows at a time, runs the checks on each chunk and merges each
-check's results, so its memory does not grow with the count. No
-``TwoQubitState`` is built for a drawn state. A chunk (``_Chunk``) holds the
-rows and computes what its checks share once: the direct route by the array
-kernel ``states._invariant_rows``, which gives each row's ``triad``,
-``coords_from_state``, purity and |det| bit for bit, the stereographic route
-and the bilinear form. The rest of each oracle route is array code over the
-whole chunk:
+draws each ensemble as amplitude blocks of ``sampling._BLOCK`` rows
+(``sampling._blocks``), runs the checks on each block as it is drawn and
+merges each check's results, so its memory does not grow with the count. No
+``TwoQubitState`` is built for a drawn state. A chunk (``_Chunk``) holds
+a block's rows and computes what its checks share once: the direct route by
+the array kernel ``states._invariant_rows``, which gives each row's
+``triad``, ``coords_from_state``, purity and |det| bit for bit, the
+stereographic route and the bilinear form. The rest of each oracle route is
+array code over the whole chunk:
 
 * the stereographic route runs the ``Quaternion`` pair rules
   (``quaternion._norm_sq``, ``_inverse``, ``_product``) on
@@ -51,8 +51,7 @@ import math
 import numbers
 from dataclasses import asdict, dataclass
 from functools import cached_property
-from itertools import islice
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -65,7 +64,7 @@ from .projection import (
     stereo_project,
 )
 from .quaternion import _inverse, _norm_sq, _product, is_infinite
-from .sampling import _BLOCK, HAAR, SEPARABLE, SampleSpec, _blocks
+from .sampling import HAAR, SEPARABLE, SampleSpec, _blocks
 from .states import (
     TwoQubitState,
     _admitted,
@@ -99,16 +98,6 @@ DEFAULT_TOLERANCES = {
 
 _PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _SYY = np.kron(_PAULI_Y, _PAULI_Y)
-
-# States per chunk of the suite's stream, a multiple of ``_BLOCK``, which
-# bounds the states it holds and every check's working arrays. Each chunk
-# costs about 0.3 ms of CPU time beyond its states' own: every check call
-# evaluates its scalar route once more at its witness and starts its array
-# passes afresh, while the values the checks share are computed once per
-# chunk. At 8000 states on a 2-core x86_64 machine (best of 8 rounds),
-# 256-state chunks took about 15% more CPU time than a single whole-sample
-# chunk, and 1024-state chunks 3.6%.
-_CHUNK = 1024
 
 # States per slice of the fringe scan: 16 keeps each (16, 362) complex
 # temporary under glibc's 128 KiB mmap threshold. At 64 states every
@@ -202,13 +191,6 @@ class _Chunk:
 def _chunk(states: Iterable[TwoQubitState]) -> _Chunk:
     """``states`` packed once into a ``_Chunk``; a chunk is returned as it is."""
     return states if isinstance(states, _Chunk) else _Chunk(_amplitudes(states))
-
-
-def _chunks(spec: SampleSpec) -> Iterator[_Chunk]:
-    """The spec's states as chunks of ``_CHUNK`` rows, drawn one at a time."""
-    blocks = _blocks(spec)
-    while parts := list(islice(blocks, _CHUNK // _BLOCK)):
-        yield _Chunk(np.concatenate(parts))
 
 
 def _witness(errors) -> int | None:
@@ -585,8 +567,8 @@ def verify_suite(
         return DEFAULT_TOLERANCES[name] if tolerance is None else float(tolerance)
 
     def run(ensemble, checks):
-        # ``checks`` on each chunk of the ensemble's stream, merged per check.
-        chunks = _chunks(SampleSpec(count, seed, ensemble))
+        # ``checks`` on each block of the ensemble's stream, merged per check.
+        chunks = map(_Chunk, _blocks(SampleSpec(count, seed, ensemble)))
         return [_merge(parts) for parts in zip(*map(checks, chunks))]
 
     *on_haar, unit_q = run(HAAR, lambda chunk: (

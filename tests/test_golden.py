@@ -24,6 +24,8 @@ RUNS = {
         "sample", "--ensemble", "fixedc", "--c", "0.5", "--seed", "42", "--count", "1000",
     ],
     "shells": ["shells", "--levels", "0,0.5,1", "--count-per-level", "300", "--seed", "42"],
+    # Three sampler blocks, two boundaries crossed, 32 fallback rows.
+    "haar-2100": ["sample", "--ensemble", "haar", "--seed", "42", "--count", "2100"],
 }
 
 DIGESTS = {
@@ -35,6 +37,8 @@ DIGESTS = {
     ("separable", "json"): "8daf59ce75ed616387750f47a3e9bf17667ce81ee8454609e23036517fea2f78",
     ("fixedc", "json"): "b732e672708318cce86fb5c966c5023fd8a00d1baaef6ef1aa292af70c901c9f",
     ("shells", "json"): "56a6619266dcd0b2f1ffa7961a3f49a789cc673d15bdde86c91e284c41e9fab0",
+    ("haar-2100", "csv"): "3e31dff71f4953d31bb8f0d51ee63348162ab6775ed6af48ec01fc1878457f13",
+    ("haar-2100", "json"): "9ba69e4b44f317d61ca8d4f005b74af2f9ffb3567cf0032a45185033bf199361",
 }
 
 # stdout of `qtriad verify`: every check's sample count and max_error, printed

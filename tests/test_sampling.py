@@ -267,7 +267,7 @@ def test_kernel_words_and_uniforms_match_numpy_philox(seed, index):
         assert uniforms[row].tolist() == gen.random(4 * steps).tolist()
 
 
-@pytest.mark.parametrize("seed", PHILOX_SEEDS + (2**64, 2**128 - 1))
+@pytest.mark.parametrize("seed", PHILOX_SEEDS)
 @pytest.mark.parametrize("index", PHILOX_INDICES + (2**128 - 1,))
 def test_reset_substream_matches_a_fresh_generator(seed, index):
     # A half-used buffer from the previous index must not leak into the next.
@@ -277,7 +277,7 @@ def test_reset_substream_matches_a_fresh_generator(seed, index):
 
 
 def test_substream_rejects_out_of_range_seed_and_index():
-    for seed, index in ((-1, 0), (2**128, 0), (0, -1), (0, 2**128)):
+    for seed, index in ((-1, 0), (2**64, 0), (2**128, 0), (0, -1), (0, 2**128)):
         with pytest.raises(ValueError):
             haar_state(seed, index)
     for seed, index in ((1.5, 0), (1.0, 0), (0, 2.0), ("1", 0)):

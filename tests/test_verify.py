@@ -15,6 +15,7 @@ from qtriad import verify
 from qtriad.cli import main
 from qtriad.projection import INFINITY_THRESHOLD, coords_from_state
 from qtriad.sampling import (
+    _BLOCK,
     FIXED_CONCURRENCE,
     HAAR,
     SEPARABLE,
@@ -583,8 +584,8 @@ def test_nan_in_a_later_fringe_slice_is_the_witness(monkeypatch):
 def test_nan_in_a_later_suite_chunk_fails_the_fringe_check(monkeypatch):
     # The NaN state is the haar state in the second fringe slice of the
     # suite's second chunk.
-    count = verify._CHUNK + 3 * verify._FRINGE_BLOCK
-    target = haar_state(9, verify._CHUNK + verify._FRINGE_BLOCK + 4)
+    count = _BLOCK + 3 * verify._FRINGE_BLOCK
+    target = haar_state(9, _BLOCK + verify._FRINGE_BLOCK + 4)
     _plant_visibility(monkeypatch, {target.alpha: math.nan})
     report = verify_suite(count, 9)
     fringe = next(c for c in report.checks if c.name == "fringe_visibility")
@@ -616,7 +617,7 @@ def test_suite_draws_at_most_one_chunk_ahead(monkeypatch):
     # States drawn so far, and states that a check has seen: identity runs on
     # every haar chunk, separable_plane on every separable one.
     drawn = checked = 0
-    count = 2 * verify._CHUNK + 1
+    count = 2 * _BLOCK + 1
     blocks = verify._blocks
 
     def counting_blocks(spec):
@@ -628,7 +629,7 @@ def test_suite_draws_at_most_one_chunk_ahead(monkeypatch):
     def counted(check):
         def run(states, *args):
             nonlocal checked
-            assert drawn <= checked + verify._CHUNK
+            assert drawn <= checked + _BLOCK
             checked += len(states)
             return check(states, *args)
 
@@ -655,7 +656,7 @@ def test_suite_evaluates_the_direct_route_once_per_state(monkeypatch):
     # the witness calls of the scalar error functions, and TwoQubitState only
     # there and once per witness state; each check makes one witness call per
     # chunk.
-    count = 2 * verify._CHUNK + 1
+    count = 2 * _BLOCK + 1
     witness, outside, active, kernel = Counter(), Counter(), [], []
 
     def at_witness(name, error):
@@ -694,12 +695,12 @@ def test_suite_evaluates_the_direct_route_once_per_state(monkeypatch):
     assert +outside == {"TwoQubitState": sum(witness.values())}
     # Each haar chunk: its rows, then its variants (every seed-5 haar state
     # has one); then each separable chunk.
-    sizes = [verify._CHUNK, verify._CHUNK, 1]
+    sizes = [_BLOCK, _BLOCK, 1]
     assert kernel == [n for n in sizes for _ in range(2)] + sizes
 
 
 @pytest.mark.parametrize(
-    "count", [verify._CHUNK - 1, verify._CHUNK, verify._CHUNK + 1, 2 * verify._CHUNK + 1]
+    "count", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1]
 )
 def test_suite_equals_the_checks_on_whole_samples(count):
     haar = sample_haar(SampleSpec(count, 21, HAAR))
