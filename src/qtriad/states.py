@@ -17,7 +17,10 @@ the determinant (``_off_diagonals``) and what follows from the three
 one source each, for a state and for rows alike: it runs on Python floats and
 complex numbers or on arrays and ``_Columns``; p0 and p1 are the one array
 twin (see ``_invariant_rows``). The oracle routes in ``verify`` deliberately
-do not use them, so that they stay independent checks of them.
+do not use them, so that they stay independent checks of them. The fringe
+oracle has one home, ``_fringe``, for ``fringe_extrema`` and for ``verify``'s
+rows alike; it reads no invariant, only the intensities of p(delta) at four
+phases.
 """
 
 from __future__ import annotations
@@ -498,41 +501,36 @@ def second_subsystem_triad(s: TwoQubitState) -> DualityTriad:
     return triad(_exchanged(s))
 
 
-# The fringe scan's uniform grid: e^{i delta} at 360 phases delta over [0, 2*pi).
-_FRINGE_PHASES = np.exp(1j * (np.arange(360) * (2.0 * math.pi / 360)))
-
-
-def _fringe_scan(alpha: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """``fringe_extrema``'s p(delta) of n rows of amplitudes, ``(n, 362)``: at
-    the 360 grid phases, then at each row's two phases in ``ends``, ``(n, 2)``."""
-    a0, a1, a2, a3 = alpha.T[:, :, None]
-    phase = np.empty((len(alpha), len(_FRINGE_PHASES) + 2), dtype=complex)
-    phase[:, :-2] = _FRINGE_PHASES
-    phase[:, -2:] = ends
-    return 0.5 * np.abs(a0 + phase * a2) ** 2 + 0.5 * np.abs(a1 + phase * a3) ** 2
-
-
 def fringe_extrema(s: TwoQubitState) -> tuple[float, float]:
     """Detection-probability extrema over a relative phase applied to |1>.
 
-    Scans p(delta) = |a0 + e^{i delta} a2|^2/2 + |a1 + e^{i delta} a3|^2/2
-    (the probability of the symmetric path superposition) over a uniform
-    360-point grid plus the two analytic extremum phases, and returns
-    (p_max, p_min); the analytic phases make both exact whatever the grid.
-    The fringe contrast (p_max - p_min)/(p_max + p_min) reproduces
-    ``visibility``.
+    p(delta) = |a0 + e^{i delta} a2|^2/2 + |a1 + e^{i delta} a3|^2/2, the
+    probability of the symmetric path superposition, is A + B cos(delta - phi)
+    exactly. Its intensities at delta = 0, pi/2, pi and 3*pi/2 give A and B,
+    as in four-step phase-shifting interferometry (Bruning et al., Appl. Opt.
+    13, 2693 (1974); Creath, Progress in Optics 26, 349 (1988)), and this
+    returns (p_max, p_min) = (A + B, A - B). No phase is computed. The fringe
+    contrast (p_max - p_min)/(p_max + p_min) reproduces ``visibility``.
     """
-    coherence = _invariants(s)[2]
-    peak = _peak(coherence.real, coherence.imag)
-    ends = np.exp(1j * np.array([(peak, peak + math.pi)]))
-    p = _fringe_scan(np.array([s.alpha]), ends)
-    return (float(p.max()), float(p.min()))
+    p_max, p_min = _fringe(*s.alpha)
+    return float(p_max), float(p_min)
 
 
-def _peak(x: float, y: float) -> float:
-    """The phase of the coherence x + i*y (``cmath.phase`` for finite input),
-    where p(delta) peaks; 0.0 for 0, where atan2(0.0, -0.0) would be pi."""
-    return math.atan2(y, x) if x or y else 0.0
+def _fringe(a0, a1, a2, a3):
+    """``fringe_extrema`` of four amplitudes: complex numbers, or ``_Columns``
+    of n rows each. Only +, -, * and ``np.sqrt``, which rounds correctly, act
+    on the parts, so each row gets the bits of its complex numbers."""
+    # i*z swaps the parts of z and negates one, which is exact.
+    i2, i3 = (type(z)(-z.imag, z.real) for z in (a2, a3))
+    # p(delta) at delta = 0, pi/2, pi and 3*pi/2.
+    p0 = 0.5 * _sum_squares((a0 + a2, a1 + a3))
+    p90 = 0.5 * _sum_squares((a0 + i2, a1 + i3))
+    p180 = 0.5 * _sum_squares((a0 - a2, a1 - a3))
+    p270 = 0.5 * _sum_squares((a0 - i2, a1 - i3))
+    mean = (p0 + p90 + p180 + p270) * 0.25
+    c, s = p0 - p180, p90 - p270
+    amplitude = np.sqrt(c * c + s * s) * 0.5
+    return mean + amplitude, mean - amplitude
 
 
 def purity(rho: DensityMatrix2) -> float:

@@ -4,16 +4,16 @@ independent route, over seeded random ensembles.
 Each check compares the direct route, the public functions under test
 (``triad`` and ``coords_from_state``), with an oracle route: the
 stereographic composition ``inverse_stereo(stereo_project(quaternify(s)))``,
-the sigma_y x sigma_y bilinear form, or the fringe scan. ``verify_suite``
-draws each ensemble as amplitude blocks of ``sampling._BLOCK`` rows
-(``sampling._blocks``), runs the checks on each block as it is drawn and
-merges each check's results, so its memory does not grow with the count. No
-``TwoQubitState`` is built for a drawn state. A chunk (``_Chunk``) holds
-a block's rows and computes what its checks share once: the direct route by
-the array kernel ``states._invariant_rows``, which gives each row's
-``triad``, ``coords_from_state``, purity and |det| bit for bit, the
-stereographic route and the bilinear form. The rest of each oracle route is
-array code over the whole chunk:
+the sigma_y x sigma_y bilinear form, or the four-step fringe route.
+``verify_suite`` draws each ensemble as amplitude blocks of
+``sampling._BLOCK`` rows (``sampling._blocks``), runs the checks on each
+block as it is drawn and merges each check's results, so its memory does not
+grow with the count. No ``TwoQubitState`` is built for a drawn state. A
+chunk (``_Chunk``) holds a block's rows and computes what its checks share
+once: the direct route by the array kernel ``states._invariant_rows``, which
+gives each row's ``triad``, ``coords_from_state``, purity and |det| bit for
+bit, the stereographic route and the bilinear form. The rest of each oracle
+route is array code over the whole chunk:
 
 * the stereographic route runs the ``Quaternion`` pair rules
   (``quaternion._norm_sq``, ``_inverse``, ``_product``) on
@@ -21,14 +21,16 @@ array code over the whole chunk:
   there), and lifts Q by ``inverse_stereo``'s chart, ``projection._chart``.
 * the bilinear form is one stacked ``A[:, None, :] @ _SYY @ A[:, :, None]``,
   which gives the same bits as ``a @ _SYY @ a`` per state.
-* the fringe scan is ``states._fringe_scan`` on ``_FRINGE_BLOCK``-state
-  slices, at ``fringe_extrema``'s extremum phases (``states._peak``).
+* the fringe route is ``fringe_extrema``'s formula, ``states._fringe``, on
+  ``states._Columns``: p(delta) at four phases, 0, pi/2, pi and 3*pi/2,
+  gives the fringe extrema from intensities alone, with no phase and no
+  coherence read.
 * ``unit_q_iff_d0`` builds the balanced variants with ``_balanced``, which
   ``_unit_q_variants`` runs on one row, and takes their D from the kernel.
 
-|q2|, which decides the point at infinity, |Q| and the extremum phases stay
-one ``math`` call per state (``states._each``), as on the scalar route: no
-numpy function rounds like ``math.hypot`` on every input.
+|q2|, which decides the point at infinity, and |Q| stay one ``math`` call
+per state (``states._each``), as on the scalar route: no numpy function
+rounds like ``math.hypot`` on every input.
 
 Each check keeps its per-state error function, the scalar reference route
 built on ``triad``, ``coords_from_state``, ``Quaternion``,
@@ -71,12 +73,10 @@ from .states import (
     _Columns,
     _columns,
     _each,
-    _fringe_scan,
+    _fringe,
     _gate,
     _invariant_rows,
     _invariants,
-    _off_diagonals,
-    _peak,
     fringe_extrema,
     purity,
     reduced_density_photon,
@@ -98,11 +98,6 @@ DEFAULT_TOLERANCES = {
 
 _PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _SYY = np.kron(_PAULI_Y, _PAULI_Y)
-
-# States per slice of the fringe scan: 16 keeps each (16, 362) complex
-# temporary under glibc's 128 KiB mmap threshold. At 64 states every
-# temporary was mapped and unmapped again, which doubled the scan's cost.
-_FRINGE_BLOCK = 16
 
 CONVENTION_NOTE = (
     "S4 chart orientation: the bilinear invariant "
@@ -360,17 +355,7 @@ def _fringe_error(s: TwoQubitState) -> float:
 
 def _fringe_errors(states) -> np.ndarray:
     chunk = _chunk(states)
-    alpha = chunk.alpha
-    # The analytic extremum phases: that of the coherence.
-    coherence = _off_diagonals(*_columns(alpha))[0]
-    peak = _each(_peak)(coherence.real, coherence.imag)
-    ends = np.exp(1j * np.stack((peak, peak + math.pi), 1))
-    # The scan, one slice of _FRINGE_BLOCK states at a time (see there).
-    extrema = np.empty((2, len(alpha)))
-    for i in range(0, len(alpha), _FRINGE_BLOCK):
-        p = _fringe_scan(alpha[i : i + _FRINGE_BLOCK], ends[i : i + _FRINGE_BLOCK])
-        extrema[:, i : i + _FRINGE_BLOCK] = p.max(axis=1), p.min(axis=1)
-    return _contrast_gap(*extrema, chunk.rows.triads[:, 0])
+    return _contrast_gap(*_fringe(*_columns(chunk.alpha)), chunk.rows.triads[:, 0])
 
 
 def _purity_error(s: TwoQubitState) -> float:

@@ -46,15 +46,15 @@ DIGESTS = {
 VERIFY_RUNS = {
     "1000-42-json": (
         ["verify", "--count", "1000", "--seed", "42", "--format", "json"],
-        "5dee36094050e077113c1ab575bbcfb0f44a4d5452a53db50c8bd2e0aa33e812",
+        "2595c13e83161916a9909d3902cd279c7c50af4b0b8fa760c05ebf8f809f2634",
     ),
     "8000-1-json": (
         ["verify", "--count", "8000", "--seed", "1", "--format", "json"],
-        "d675a4fc609dd9b2c6af2c19aa10e35842c56b2d472aa5fce2b9e9295cd30285",
+        "add3d97f500b1cbcfced2f196f39ec3f06791f9fb3e885b2e0b890dfe86f0387",
     ),
     "500-7-text": (
         ["verify", "--count", "500", "--seed", "7"],
-        "06db10a989449f62a0b7cdebb50009d2201fa6a0215290f2c7ae9f719017d828",
+        "cb13e7f149b03cef14bc77a99609b8a17656cbc3c92a8edc92ca4e7921d677ca",
     ),
 }
 

@@ -29,9 +29,13 @@ from qtriad.states import (
     NORM_TOL,
     DualityTriad,
     TwoQubitState,
+    _columns,
+    _fringe,
     _invariant_rows,
     _invariants,
+    _sum_squares,
     concurrence,
+    fringe_extrema,
     make_state,
     purity,
     reduced_density_photon,
@@ -155,7 +159,8 @@ def _planted_kernel(change):
 
 
 def _drifted(field):
-    """(the kernel, ``verify.triad``), each with ``field`` off by 1e-3."""
+    """The kernel and ``verify.triad``, each as (its name in verify, its
+    stand-in with ``field`` off by 1e-3)."""
     column = DualityTriad._fields.index(field)
 
     def drift_rows(rows, alpha):
@@ -165,7 +170,7 @@ def _drifted(field):
         t = triad(s)
         return t._replace(**{field: getattr(t, field) + 1e-3})
 
-    return _planted_kernel(drift_rows), ("triad", drifted)
+    return ("_invariant_rows", _planted_kernel(drift_rows)), ("triad", drifted)
 
 
 def _flip_x2_rows(rows, alpha):
@@ -177,26 +182,44 @@ def _flipped_x2(s):
     return x._replace(x2=-x.x2)
 
 
-# fault: (the planted kernel, (the scalar route's name in verify, its planted
-# stand-in), the checks that must fail).
+def _offset_fringe(fringe):
+    """``fringe`` with p(delta) off by 1e-3 at every phase, which moves both
+    extrema by 1e-3."""
+    def planted(*amplitudes):
+        p_max, p_min = fringe(*amplitudes)
+        return p_max + 1e-3, p_min + 1e-3
+
+    return planted
+
+
+# fault: ((the array route's site in verify, its planted stand-in), (the
+# scalar route's site, its planted stand-in), the checks that must fail).
 PLANTED = {
     "V": (*_drifted("V"), {"triad_identity", "fringe_visibility", "purity_relation"}),
     "D": (*_drifted("D"), {"triad_identity", "purity_relation", "unit_q_iff_d0"}),
     "C": (*_drifted("C"), {"triad_identity", "concurrence_oracle"}),
     "x2": (
-        _planted_kernel(_flip_x2_rows), ("coords_from_state", _flipped_x2), {"s4_dual_route"},
+        ("_invariant_rows", _planted_kernel(_flip_x2_rows)),
+        ("coords_from_state", _flipped_x2),
+        {"s4_dual_route"},
+    ),
+    "fringe": (
+        ("_fringe", _offset_fringe(_fringe)),
+        ("fringe_extrema", _offset_fringe(fringe_extrema)),
+        {"fringe_visibility"},
     ),
 }
 
 
 @pytest.mark.parametrize("fault", sorted(PLANTED))
 def test_planted_fault_fails_exactly_the_checks_that_read_it(monkeypatch, capsys, fault):
-    # The array routes read the kernel and the scalar references at the
-    # witnesses read verify.triad and verify.coords_from_state; each check
-    # reports the larger of the two. So a fault planted in either site alone
-    # fails every check that reads the faulty value and no other.
-    kernel, (name, planted), failing = PLANTED[fault]
-    for site, value in (("_invariant_rows", kernel), (name, planted)):
+    # The array routes read the kernel and verify._fringe, and the scalar
+    # references at the witnesses read verify.triad, verify.coords_from_state
+    # and verify.fringe_extrema; each check reports the larger of the two. So
+    # a fault planted in either site alone fails every check that reads the
+    # faulty value and no other.
+    *sites, failing = PLANTED[fault]
+    for site, value in sites:
         with monkeypatch.context() as m:
             m.setattr(verify, site, value)
             report = verify_suite(300, 7)
@@ -328,17 +351,18 @@ def _qubit(draw):
     return g * math.cos(beta), g * cmath.exp(1j * phi) * math.sin(beta)
 
 
+_EDGE_KINDS = ("pole", "balanced", "product", "equal_schmidt", "norm_edge", "generic")
+
+
 @st.composite
-def route_edge_states(draw):
+def route_edge_states(draw, kinds=_EDGE_KINDS):
     """States on and around the edges the routes treat apart: |q2| at 0, just
     under and over the point-at-infinity threshold and at 1e-7; D at and near
-    0; C = 0 (products); lambda1 = lambda2 (C = 1); |psi| at both edges of
-    the ``TwoQubitState`` norm gate, where ``verify._stereo`` needs no norm
-    check and |Q| stays finite; or generic."""
+    0; C = 0 (products); lambda1 = lambda2 (C = 1, V = 0); |psi| at both edges
+    of the ``TwoQubitState`` norm gate, where ``verify._stereo`` needs no norm
+    check and |Q| stays finite; or generic. ``kinds`` picks among these."""
     u, w = draw(_qubit()), draw(_qubit())
-    kind = draw(st.sampled_from(
-        ["pole", "balanced", "product", "equal_schmidt", "norm_edge", "generic"]
-    ))
+    kind = draw(st.sampled_from(kinds))
     if kind == "norm_edge":
         r = draw(st.sampled_from([1.01e-14, 1e-7, math.sqrt(0.5)]))
         k = math.sqrt(1.0 - r * r)
@@ -369,8 +393,8 @@ def route_edge_states(draw):
     return make_state(amps, normalize=True)
 
 
-# Lengths at and around the edges of the fringe scan's 16-state slices: 1,
-# 15, 16, 17, 31, 32, 33, 63, 64, 65, or anything up to 65.
+# Samples of 1 to 65 edge states, with 1 and the lengths at and around 16, 32
+# and 64 drawn more often.
 _SAMPLES = st.one_of(
     st.sampled_from([1, 15, 16, 17, 31, 32, 33, 63, 64, 65]), st.integers(1, 65)
 ).flatmap(lambda n: st.lists(route_edge_states(), min_size=n, max_size=n))
@@ -383,6 +407,66 @@ def test_array_routes_match_scalar_routes_bit_for_bit(states):
         assert _bits(_array_rows(errors, states)) == _bits(
             _scalar_rows(error, states)
         ), name
+
+
+# ------------------------------------------------------------ fringe oracle
+
+# The reference scan: e^{i delta} on a uniform grid of 3600 phases. Some grid
+# point lies within pi/3600 of each extremum of p(delta) = A + B cos(delta -
+# phi), where p is within B (pi/3600)^2 / 2 of it: under 2e-7, as B <= 1/2.
+_GRID = np.exp(1j * (np.arange(3600) * (2.0 * math.pi / 3600)))
+
+
+def _assert_the_scan_brackets_the_fringe_extrema(states):
+    a0, a1, a2, a3 = verify._amplitudes(states).T[:, :, None]
+    p = 0.5 * np.abs(a0 + _GRID * a2) ** 2 + 0.5 * np.abs(a1 + _GRID * a3) ** 2
+    p_max, p_min = np.array([fringe_extrema(s) for s in states]).T
+    assert (p <= p_max[:, None] + 1e-15).all() and (p >= p_min[:, None] - 1e-15).all()
+    assert np.abs(p.max(axis=1) - p_max).max() <= 1e-6
+    assert np.abs(p.min(axis=1) - p_min).max() <= 1e-6
+
+
+def _assert_fringe_rows_match_the_scalar_fringe(states):
+    rows = _fringe(*_columns(verify._amplitudes(states)))
+    expected = (tuple(map(float, _fringe(*s.alpha))) for s in states)
+    assert _bits(zip(*(c.tolist() for c in rows))) == _bits(expected)
+
+
+def test_fringe_extrema_bound_a_dense_scan_of_random_states():
+    states = sample_haar(SampleSpec(300, 13, HAAR))
+    _assert_the_scan_brackets_the_fringe_extrema(states)
+    _assert_fringe_rows_match_the_scalar_fringe(states)
+
+
+@settings(database=None, derandomize=True, max_examples=30, deadline=None)
+@given(_SAMPLES)
+def test_fringe_extrema_bound_a_dense_scan_of_edge_states(states):
+    _assert_the_scan_brackets_the_fringe_extrema(states)
+    _assert_fringe_rows_match_the_scalar_fringe(states)
+
+
+def _fringe_errors_of_both_routes(states):
+    return np.array([verify._fringe_errors(states), [verify._fringe_error(s) for s in states]])
+
+
+_UNIT_NORM_KINDS = tuple(kind for kind in _EDGE_KINDS if kind != "norm_edge")
+
+
+@settings(database=None, derandomize=True, max_examples=60, deadline=None)
+@given(st.lists(route_edge_states(_UNIT_NORM_KINDS), min_size=1, max_size=65))
+def test_fringe_error_is_at_most_2e_15_on_edge_states(states):
+    assert _fringe_errors_of_both_routes(states).max() <= 2e-15
+
+
+@settings(database=None, derandomize=True, max_examples=30, deadline=None)
+@given(st.lists(route_edge_states(("norm_edge",)), min_size=1, max_size=65))
+def test_fringe_error_at_the_norm_gate_is_the_norm_defect(states):
+    # |psi|^2 is 1 -+ 2.5e-10 at the gate's edges, and the fringe contrast
+    # B/A reads V/|psi|^2; within 2e-15 that is the whole error.
+    v = np.array([triad(s).V for s in states])
+    norm = np.array([_sum_squares(s.alpha) for s in states])
+    defect = v * np.abs(1.0 / norm - 1.0)
+    assert np.abs(_fringe_errors_of_both_routes(states) - defect).max() <= 2e-15
 
 
 @settings(database=None, derandomize=True, max_examples=30, deadline=None)
@@ -569,23 +653,20 @@ def test_a_nan_in_either_route_at_the_witness_is_reported(monkeypatch, site):
         assert math.isnan(result.max_error) and not result.passed, check.__name__
 
 
-def test_nan_in_a_later_fringe_slice_is_the_witness(monkeypatch):
-    # The NaN sits in the second 16-state slice of the scan; a larger finite
-    # error (about 1) planted in the first slice must not win over it.
-    states = sample_haar(SampleSpec(3 * verify._FRINGE_BLOCK, 8, HAAR))
-    _plant_visibility(monkeypatch, {
-        states[3].alpha: 2.0, states[verify._FRINGE_BLOCK + 4].alpha: math.nan,
-    })
+def test_nan_after_a_larger_error_is_the_fringe_witness(monkeypatch):
+    # The NaN sits late in the chunk; a larger finite error (about 1) planted
+    # earlier in it must not win over it.
+    states = sample_haar(SampleSpec(48, 8, HAAR))
+    _plant_visibility(monkeypatch, {states[3].alpha: 2.0, states[40].alpha: math.nan})
     result = check_fringe(states)
     assert math.isnan(result.max_error)
     assert result.samples == len(states) and not result.passed
 
 
 def test_nan_in_a_later_suite_chunk_fails_the_fringe_check(monkeypatch):
-    # The NaN state is the haar state in the second fringe slice of the
-    # suite's second chunk.
-    count = _BLOCK + 3 * verify._FRINGE_BLOCK
-    target = haar_state(9, _BLOCK + verify._FRINGE_BLOCK + 4)
+    # The NaN state is a haar state inside the suite's second chunk.
+    count = _BLOCK + 48
+    target = haar_state(9, _BLOCK + 20)
     _plant_visibility(monkeypatch, {target.alpha: math.nan})
     report = verify_suite(count, 9)
     fringe = next(c for c in report.checks if c.name == "fringe_visibility")
@@ -598,13 +679,13 @@ def test_nan_in_a_later_suite_chunk_fails_the_fringe_check(monkeypatch):
 
 
 def test_checks_take_any_sized_iterable_in_blocks():
-    states = [make_state((0.6, 0.0, 0.0, 0.8j))] * (verify._FRINGE_BLOCK + 1)
+    states = [make_state((0.6, 0.0, 0.0, 0.8j))] * 17
     assert check_fringe(states) == check_fringe(tuple(states))
     assert check_unit_q_iff_d0(states).samples == 2 * len(states)
 
 
 def test_checks_take_a_lazy_sample_stream():
-    spec = SampleSpec(2 * verify._FRINGE_BLOCK + 3, 4, HAAR)
+    spec = SampleSpec(35, 4, HAAR)
     states = sample_haar(spec)
     for check in PUBLIC_CHECKS:
         assert repr(check(sample(spec))) == repr(check(states)), check.__name__
