@@ -1,4 +1,11 @@
-"""Geometric strata of two-qubit states and the Schmidt decomposition."""
+"""Geometric strata of two-qubit states and the Schmidt decomposition.
+
+``classify`` labels a state by the tolerance-banded strata its triad lies on.
+``schmidt_decompose`` diagonalizes the amplitude matrix by one complex Jacobi
+rotation in Python float and complex arithmetic. It reads no invariant of
+``states``, so C = 2*lambda1*lambda2 compares two independent routes to the
+concurrence.
+"""
 
 from __future__ import annotations
 
@@ -7,9 +14,7 @@ import math
 from dataclasses import dataclass
 from itertools import compress
 
-import numpy as np
-
-from .states import NORM_TOL, DualityTriad, TwoQubitState, triad
+from .states import NORM_TOL, DualityTriad, TwoQubitState, _sum_squares, triad
 
 DEFAULT_CLASSIFY_TOL = 1e-9
 _DEGENERATE_TOL = 1e-12
@@ -73,35 +78,71 @@ class SchmidtForm:
             raise ValueError("Schmidt coefficients must satisfy lambda1 >= lambda2 >= 0")
         if abs(self.lambda1**2 + self.lambda2**2 - 1.0) > NORM_TOL:
             raise ValueError("Schmidt coefficients must have unit square sum")
-        v1, v2 = (np.array(v) for v in self.basis2)
+        (x0, x1), (y0, y1) = self.basis2
         gram_err = max(
-            abs(np.vdot(v1, v1) - 1.0), abs(np.vdot(v2, v2) - 1.0), abs(np.vdot(v1, v2))
+            abs(x0.conjugate() * x0 + x1.conjugate() * x1 - 1.0),
+            abs(y0.conjugate() * y0 + y1.conjugate() * y1 - 1.0),
+            abs(x0.conjugate() * y0 + x1.conjugate() * y1),
         )
         if gram_err > NORM_TOL:
             raise ValueError("basis2 must be orthonormal")
 
 
-def _fix_phase(vec: np.ndarray) -> np.ndarray:
-    """Rotate so the leading nonzero component is real positive."""
-    lead = vec[0] if abs(vec[0]) > 1e-12 else vec[1]
-    return vec / (lead / abs(lead))
+def _fix_phase(v0: complex, v1: complex) -> tuple[complex, complex]:
+    """Rotate (v0, v1) so the leading nonzero component is real positive."""
+    lead = v0 if abs(v0) > 1e-12 else v1
+    turn = lead / abs(lead)
+    return v0 / turn, v1 / turn
 
 
 def schmidt_decompose(s: TwoQubitState) -> SchmidtForm:
-    """Singular-value decomposition of the 2x2 amplitude matrix.
+    """Schmidt coefficients and partner-side basis by one complex Jacobi rotation.
 
-    Returns the Schmidt coefficients and the partner-side orthonormal pair.
-    In the degenerate case (equal coefficients) the partner basis is pinned to
-    the canonical one so outputs are reproducible.
+    For the amplitude matrix M = [[a0, a1], [a2, a3]] one rotation of
+    Hestenes' one-sided Jacobi method (J. SIAM 6, 51 (1958)) is the whole
+    singular-value decomposition: J = [[c, s*e], [-s*conj(e), c]] makes the
+    columns of M*J orthogonal, with t = s/c the smaller root of
+    t^2 + 2*zeta*t - 1 = 0 (Golub & Van Loan, Matrix Computations, 8.5).
+    lambda1 >= lambda2 are the norms of the rotated columns, and the rows of
+    ``basis2`` are the conjugated columns of J, in the same order. Jacobi is at
+    least as accurate as a QR-based SVD (Demmel & Veselic, SIAM J. Matrix
+    Anal. Appl. 13, 1204 (1992)); lambda2 is a column norm, so it is not lost
+    to cancellation on product states.
+
+    In the degenerate case (lambda1 - lambda2 <= 1e-12) the partner basis is
+    pinned to the canonical one so outputs are reproducible; otherwise each
+    basis row is turned so its leading component above 1e-12 is real positive.
+    The route reads no invariant of ``states``, so C = 2*lambda1*lambda2
+    compares two independent routes to the concurrence.
     """
     a0, a1, a2, a3 = s.alpha
-    m = np.array([[a0, a1], [a2, a3]])
-    _, (sv1, sv2), vh = np.linalg.svd(m)
-    if sv1 - sv2 <= _DEGENERATE_TOL:
+    # Columns c1 = (a0, a2) and c2 = (a1, a3): |c1|^2, |c2|^2 and <c1|c2>.
+    alpha, beta = _sum_squares((a0, a2)), _sum_squares((a1, a3))
+    gamma = a0.conjugate() * a1 + a2.conjugate() * a3
+    if gamma:
+        g = abs(gamma)
+        zeta = (beta - alpha) / (2.0 * g)
+        t = math.copysign(1.0, zeta) / (abs(zeta) + math.hypot(1.0, zeta))
+        c = 1.0 / math.hypot(1.0, t)
+        e = gamma / g
+        se = c * t * e
+        # M*J = [c*c1 - s*conj(e)*c2, s*e*c1 + c*c2]
+        sn = se.conjugate()
+        b0, b2 = c * a0 - sn * a1, c * a2 - sn * a3
+        d0, d2 = se * a0 + c * a1, se * a2 + c * a3
+        v1, v2 = (complex(c), -se), (sn, complex(c))
+    else:
+        b0, b2, d0, d2 = a0, a2, a1, a3
+        v1, v2 = (1 + 0j, 0j), (0j, 1 + 0j)
+    lam1 = math.hypot(b0.real, b0.imag, b2.real, b2.imag)
+    lam2 = math.hypot(d0.real, d0.imag, d2.real, d2.imag)
+    if lam2 > lam1:
+        lam1, lam2, v1, v2 = lam2, lam1, v2, v1
+    if lam1 - lam2 <= _DEGENERATE_TOL:
         basis = ((1 + 0j, 0j), (0j, 1 + 0j))
     else:
-        basis = tuple(tuple(complex(x) for x in _fix_phase(v)) for v in vh)
-    return SchmidtForm(float(sv1), float(sv2), basis)
+        basis = (_fix_phase(*v1), _fix_phase(*v2))
+    return SchmidtForm(lam1, lam2, basis)
 
 
 def shell_radius(c: float) -> float:

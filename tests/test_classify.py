@@ -1,8 +1,14 @@
+import importlib
 import math
+import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from edge_states import edge_states, qubit, route_edge_states, unitary
+from qtriad import states as states_module
 from qtriad.classify import (
     DEFAULT_CLASSIFY_TOL,
     SchmidtForm,
@@ -13,6 +19,7 @@ from qtriad.classify import (
 )
 from qtriad.projection import ball_point, quaternify, stereo_project
 from qtriad.quaternion import is_infinite
+from qtriad.sampling import HAAR, SampleSpec, sample_haar
 from qtriad.states import (
     TwoQubitState,
     concurrence,
@@ -214,6 +221,109 @@ def test_schmidt_zero_coherence_states_match_branch_weights():
         form = schmidt_decompose(s)
         assert abs(form.lambda1 - weights[0]) < 1e-12
         assert abs(form.lambda2 - weights[1]) < 1e-12
+
+
+@st.composite
+def near_degenerate_states(draw):
+    """(U x W)(lambda1 |00> + lambda2 |11>) with lambda1 - lambda2 drawn at
+    and on either side of the degenerate tolerance 1e-12."""
+    gap = draw(st.sampled_from([0.0, 1e-13, 5e-13, 9e-13, 1.1e-12, 2e-12, 1e-11]))
+    root = math.sqrt(2.0 - gap * gap)
+    lam = ((root + gap) / 2, (root - gap) / 2)
+    uu, ww = unitary(draw(qubit())), unitary(draw(qubit()))
+    amps = [sum(uu[i][k] * lam[k] * ww[j][k] for k in (0, 1)) for i in (0, 1) for j in (0, 1)]
+    return make_state(amps, normalize=True)
+
+
+_PRODUCT_STATES = st.builds(
+    lambda u, w: make_state([u[0] * w[0], u[0] * w[1], u[1] * w[0], u[1] * w[1]]),
+    qubit(),
+    qubit(),
+)
+
+
+def _assert_schmidt_matches_the_svd(s):
+    # np.linalg.svd is the reference: M = U diag(sigma) Vh, rows of Vh
+    # matching the rows of basis2.
+    form = schmidt_decompose(s)
+    m = np.array(s.alpha).reshape(2, 2)
+    _, sigma, vh = np.linalg.svd(m)
+    lam = (form.lambda1, form.lambda2)
+    assert np.abs(np.array(lam) - sigma).max() <= 2e-15
+    if form.lambda1 - form.lambda2 <= 1e-12:
+        assert form.basis2 == ((1 + 0j, 0j), (0j, 1 + 0j))
+    else:
+        # Each rotated column M*conj(v_k), made unit, rebuilds M with the
+        # lambdas: the basis and the coefficients belong together.
+        rebuilt = np.zeros((2, 2), dtype=complex)
+        for lam_k, w in zip(lam, form.basis2):
+            col = m @ np.conj(w)
+            n = np.linalg.norm(col)
+            if n:
+                rebuilt += lam_k * np.outer(col / n, w)
+        assert np.abs(rebuilt - m).max() <= 2e-15
+    if sigma[0] - sigma[1] > 1e-6:
+        # Up to a phase: a leading component near 1e-9 turns the row by an
+        # ill-conditioned phase.
+        for w, v in zip(form.basis2, vh):
+            assert 1.0 - abs(np.vdot(w, v)) <= 2e-15
+    return form
+
+
+@settings(database=None, derandomize=True, max_examples=1500, deadline=None)
+@given(st.one_of(edge_states(), route_edge_states(), near_degenerate_states()))
+def test_schmidt_matches_the_svd_on_edge_states(s):
+    _assert_schmidt_matches_the_svd(s)
+
+
+@settings(database=None, derandomize=True, max_examples=500, deadline=None)
+@given(_PRODUCT_STATES)
+def test_schmidt_lambda2_of_product_states_is_at_most_1e_15(s):
+    assert _assert_schmidt_matches_the_svd(s).lambda2 <= 1e-15
+
+
+@pytest.mark.parametrize(
+    ("amps", "lam", "basis"),
+    [
+        # orthogonal columns, the second one longer: values and rows swap
+        ((0.6, 0, 0, 0.8), (0.8, 0.6), ((0j, 1 + 0j), (1 + 0j, 0j))),
+        ((0, 0.8j, -0.6, 0), (0.8, 0.6), ((0j, 1 + 0j), (1 + 0j, 0j))),
+        # the first one longer: no swap
+        ((0.8, 0, 0, 0.6j), (0.8, 0.6), ((1 + 0j, 0j), (0j, 1 + 0j))),
+        # equal lengths: degenerate, canonical basis
+        ((1, 0, 0, 1), (1 / math.sqrt(2),) * 2, ((1 + 0j, 0j), (0j, 1 + 0j))),
+        ((0, 1, -1j, 0), (1 / math.sqrt(2),) * 2, ((1 + 0j, 0j), (0j, 1 + 0j))),
+    ],
+)
+def test_schmidt_of_orthogonal_columns_needs_no_rotation(amps, lam, basis):
+    form = schmidt_decompose(make_state(amps, normalize=True))
+    assert (form.lambda1, form.lambda2) == lam
+    assert form.basis2 == basis
+
+
+def test_schmidt_route_reads_no_invariant(monkeypatch):
+    # With a wrong determinant planted in the one source of the invariants,
+    # the concurrence breaks and the Schmidt coefficients do not move.
+    states = sample_haar(SampleSpec(200, 5, HAAR))
+    # repr keeps every bit of each field.
+    forms = [repr(schmidt_decompose(s)) for s in states]
+    monkeypatch.setattr(
+        states_module,
+        "_off_diagonals",
+        lambda a0, a1, a2, a3: (a2.conjugate() * a0 + a3.conjugate() * a1, a1 * a2 + a0 * a3),
+    )
+    patched = [schmidt_decompose(s) for s in states]
+    gap = max(abs(concurrence(s) - 2 * f.lambda1 * f.lambda2) for s, f in zip(states, patched))
+    assert gap > 1e-3
+    assert list(map(repr, patched)) == forms
+
+
+def test_classify_imports_no_numpy():
+    # The package's name ``classify`` is the function; the module is imported
+    # by its full name.
+    for v in vars(importlib.import_module("qtriad.classify")).values():
+        origin = v.__name__ if isinstance(v, types.ModuleType) else getattr(v, "__module__", "")
+        assert not str(origin).startswith("numpy"), v
 
 
 def test_schmidt_form_validation():

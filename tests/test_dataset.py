@@ -9,11 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from edge_states import edge_states
 from qtriad import classify as classify_module
 from qtriad import dataset as dataset_module
 from qtriad import projection as projection_module
 from qtriad import states as states_module
-from qtriad.classify import DEFAULT_CLASSIFY_TOL, StratumLabel, classify
+from qtriad.classify import StratumLabel, classify
 from qtriad.dataset import DATASET_COLUMNS, emit_dataset, state_record
 from qtriad.sampling import (
     FIXED_CONCURRENCE,
@@ -144,43 +145,6 @@ def test_unknown_format_rejected():
     with pytest.raises(ValueError):
         emit_dataset(states(), "xml", buf)
     assert (buf.getvalue(), drawn) == ("", [])
-
-
-# A value in [0, 1], drawn often at exactly 0 or 1, within 2 tol of 0, tol,
-# 1 - tol or 1, or else anywhere.
-TOL = DEFAULT_CLASSIFY_TOL
-_UNIT = st.one_of(
-    st.sampled_from([0.0, 1.0]),
-    st.builds(
-        lambda edge, offset: min(max(edge + offset, 0.0), 1.0),
-        st.sampled_from([0.0, TOL, 1.0 - TOL, 1.0]),
-        st.floats(-2 * TOL, 2 * TOL),
-    ),
-    st.floats(0.0, 1.0),
-)
-_ANGLE = st.one_of(st.sampled_from([0.0, math.pi / 2]), st.floats(0.0, 2 * math.pi))
-
-
-@st.composite
-def edge_states(draw):
-    """cos(t)|0>|chi0> + sin(t)|1>|chi1> with D = cos(2t) and |<chi0|chi1>| = r.
-
-    Then V = r sin(2t) and C = sqrt(1 - r^2) sin(2t), so drawing D and r at
-    and around 0 and 1 puts V, D and C on and around every stratum edge.
-    """
-    d, r, beta, phi = draw(_UNIT), draw(_UNIT), draw(_ANGLE), draw(_ANGLE)
-    if draw(st.booleans()):
-        d = -d
-    cos_t, sin_t = math.sqrt((1 + d) / 2), math.sqrt((1 - d) / 2)
-    turn = complex(math.cos(phi), math.sin(phi))
-    chi0 = (math.cos(beta), turn * math.sin(beta))
-    perp = (-turn.conjugate() * math.sin(beta), math.cos(beta))
-    w = math.sqrt(1 - r * r)
-    chi1 = tuple(r * a + w * b for a, b in zip(chi0, perp))
-    return make_state(
-        [cos_t * chi0[0], cos_t * chi0[1], sin_t * chi1[0], sin_t * chi1[1]],
-        normalize=True,
-    )
 
 
 _GENERIC_STATES = st.builds(

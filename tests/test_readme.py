@@ -52,7 +52,7 @@ def test_quickstart_results_match_their_comments(capsys):
             checked += 1
         else:
             exec(code, namespace)
-    assert checked == 6
+    assert checked == 7
     report = namespace["report"]
     assert report.passed
     assert capsys.readouterr().out == report.format_text() + "\n"

@@ -1,4 +1,3 @@
-import cmath
 import itertools
 import json
 import math
@@ -11,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from edge_states import EDGE_KINDS, route_edge_states
 from qtriad import verify
 from qtriad.cli import main
 from qtriad.projection import INFINITY_THRESHOLD, coords_from_state
@@ -26,9 +26,7 @@ from qtriad.sampling import (
     sample_separable,
 )
 from qtriad.states import (
-    NORM_TOL,
     DualityTriad,
-    TwoQubitState,
     _columns,
     _fringe,
     _invariant_rows,
@@ -339,60 +337,6 @@ def _bits(rows):
     return [tuple(map(repr, row)) for row in rows]
 
 
-_ANGLE = st.floats(0.0, 2 * math.pi)
-
-
-@st.composite
-def _qubit(draw):
-    """A unit vector of C^2 with a drawn global phase."""
-    beta = draw(st.one_of(st.sampled_from([0.0, math.pi / 4, math.pi / 2]), _ANGLE))
-    phi, gamma = draw(_ANGLE), draw(_ANGLE)
-    g = cmath.exp(1j * gamma)
-    return g * math.cos(beta), g * cmath.exp(1j * phi) * math.sin(beta)
-
-
-_EDGE_KINDS = ("pole", "balanced", "product", "equal_schmidt", "norm_edge", "generic")
-
-
-@st.composite
-def route_edge_states(draw, kinds=_EDGE_KINDS):
-    """States on and around the edges the routes treat apart: |q2| at 0, just
-    under and over the point-at-infinity threshold and at 1e-7; D at and near
-    0; C = 0 (products); lambda1 = lambda2 (C = 1, V = 0); |psi| at both edges
-    of the ``TwoQubitState`` norm gate, where ``verify._stereo`` needs no norm
-    check and |Q| stays finite; or generic. ``kinds`` picks among these."""
-    u, w = draw(_qubit()), draw(_qubit())
-    kind = draw(st.sampled_from(kinds))
-    if kind == "norm_edge":
-        r = draw(st.sampled_from([1.01e-14, 1e-7, math.sqrt(0.5)]))
-        k = math.sqrt(1.0 - r * r)
-        f = 1.0 + draw(st.sampled_from([0.99, -0.99])) * NORM_TOL / 8
-        return TwoQubitState((f * k * u[0], f * k * u[1], f * r * w[0], f * r * w[1]))
-    if kind == "pole":
-        r = draw(st.sampled_from([0.0, 0.99e-14, 1.01e-14, 1e-7]))
-        k = math.sqrt(1.0 - r * r)
-        amps = [k * u[0], k * u[1], r * w[0], r * w[1]]
-    elif kind == "balanced":
-        d = draw(st.sampled_from([0.0, 1e-12, -1e-12, 1e-10, -1e-10, 1e-9]))
-        c0, c1 = math.sqrt((1 + d) / 2), math.sqrt((1 - d) / 2)
-        amps = [c0 * u[0], c0 * u[1], c1 * w[0], c1 * w[1]]
-    elif kind == "product":
-        amps = [u[0] * w[0], u[0] * w[1], u[1] * w[0], u[1] * w[1]]
-    elif kind == "equal_schmidt":
-        # (U x W)(1, 0, 0, 1)/sqrt(2) with U, W unitaries whose first columns
-        # are u and w.
-        uu = ((u[0], -u[1].conjugate()), (u[1], u[0].conjugate()))
-        ww = ((w[0], -w[1].conjugate()), (w[1], w[0].conjugate()))
-        amps = [
-            (uu[i][0] * ww[j][0] + uu[i][1] * ww[j][1]) / math.sqrt(2)
-            for i in (0, 1) for j in (0, 1)
-        ]
-    else:
-        v = draw(st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8).filter(any))
-        amps = [complex(v[k], v[k + 1]) for k in range(0, 8, 2)]
-    return make_state(amps, normalize=True)
-
-
 # Samples of 1 to 65 edge states, with 1 and the lengths at and around 16, 32
 # and 64 drawn more often.
 _SAMPLES = st.one_of(
@@ -449,7 +393,7 @@ def _fringe_errors_of_both_routes(states):
     return np.array([verify._fringe_errors(states), [verify._fringe_error(s) for s in states]])
 
 
-_UNIT_NORM_KINDS = tuple(kind for kind in _EDGE_KINDS if kind != "norm_edge")
+_UNIT_NORM_KINDS = tuple(kind for kind in EDGE_KINDS if kind != "norm_edge")
 
 
 @settings(database=None, derandomize=True, max_examples=60, deadline=None)
