@@ -16,11 +16,18 @@ Sample ``i`` of a run is a pure function of ``(seed, i)``:
   (u, v) are mapped to (2u-1, 2v-1), rejected unless 0 < s = x^2+y^2 < 1, and
   accepted pairs yield (x, y) * sqrt(-2 ln(s)/s). Uniforms are consumed in
   blocks of 16.
+* Neither the key nor the counter carries the ensemble: the haar and the
+  separable state at one ``(seed, i)`` are built from the same eight normals,
+  and a fixedc state's first 16 uniforms are the haar state's too. Datasets
+  of different ensembles that must be independent need different seeds.
 
 The streams are computed in this package, a block of ``_BLOCK`` (1024)
-consecutive indices at a time (``_blocks``), with the Philox rounds, the
-uniforms and the polar acceptance as array code; ``verify`` checks each block
-as it is drawn. ``tests/test_sampling.py`` pins those words and uniforms to
+consecutive indices at a time, with the Philox rounds, the uniforms and the
+polar acceptance as array code (``_draws``); ``_assemble`` builds one
+ensemble's amplitudes from a block's draw, and ``_blocks`` is the two in turn.
+``verify`` draws each block once, as haar's draw, assembles its haar and then
+its separable states from it, and checks each as it is assembled.
+``tests/test_sampling.py`` pins the words and uniforms to
 ``numpy.random.Philox`` and ``Generator.random``. The per-index functions
 (``haar_state`` and the rest) draw from ``numpy.random.Philox`` itself; the
 batched stream hands them every index whose first 16-uniform block has too
@@ -234,7 +241,7 @@ def _polar_normals(gen: np.random.Generator, count: int) -> list[float]:
 
 # State assembly from drawn normals (and phase uniforms), one source for both
 # paths: ``k`` is the namespace of primitives it computes with. The per-index
-# functions run it on one index's floats (``_SCALARS``); ``_blocks`` runs it
+# functions run it on one index's floats (``_SCALARS``); ``_assemble`` runs it
 # on a block's columns of them (``_COLUMNS``).
 
 
@@ -393,11 +400,28 @@ def _pack(*amplitudes: _Columns) -> np.ndarray:
     return np.stack([part for a in amplitudes for part in (a.real, a.imag)], 1).view(complex)
 
 
-def _blocks(spec: SampleSpec, start: int = 0) -> Iterator[np.ndarray]:
-    """Amplitudes of ``spec`` at indices ``start .. start + spec.count - 1``,
-    as ``(n, 4)`` complex blocks of ``_BLOCK`` rows (the last may be shorter)."""
-    seed = spec.seed
+def _draws(spec: SampleSpec, start: int = 0) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """What ``spec``'s ensemble draws at indices ``start .. start + spec.count
+    - 1``, a block of ``_BLOCK`` indices (the last may be shorter) at a time:
+    ``(first, ok, normals)``, the block's first index, its rows whose 16-uniform
+    blocks hold enough accepted pairs, and those rows' normals (then phase
+    uniforms)."""
     steps, blocks, phases = _LAYOUT[spec.ensemble]
+    stop = start + spec.count
+    for first in range(start, stop, _BLOCK):
+        n = min(_BLOCK, stop - first)
+        u = _uniforms(_philox_words(spec.seed, first, n, steps))
+        ok, normals = _accepted_normals(u, blocks)
+        if phases:
+            normals = np.concatenate((normals, u[ok][:, phases]), axis=1)
+        yield first, ok, normals
+
+
+def _assemble(spec: SampleSpec, draw: tuple[int, np.ndarray, np.ndarray]) -> np.ndarray:
+    """The ``(n, 4)`` complex amplitudes of ``spec``'s ensemble from one block's
+    draw, admitted by the norm gate. haar and separable draw alike, so a haar
+    draw assembles as either."""
+    seed = spec.seed
     if spec.ensemble == HAAR:
         build, fallback = partial(_haar, _COLUMNS), partial(haar_state, seed)
     elif spec.ensemble == SEPARABLE:
@@ -407,21 +431,21 @@ def _blocks(spec: SampleSpec, start: int = 0) -> Iterator[np.ndarray]:
         lam1, lam2 = _schmidt_weights(c)
         build = lambda r: _rotated_schmidt(_COLUMNS, lam1, lam2, r[0:4], r[4:8], r[8], r[9])
         fallback = lambda i: fixed_concurrence_state(seed, i, c)
-    stop = start + spec.count
-    for first in range(start, stop, _BLOCK):
-        n = min(_BLOCK, stop - first)
-        u = _uniforms(_philox_words(seed, first, n, steps))
-        ok, normals = _accepted_normals(u, blocks)
-        if phases:
-            normals = np.concatenate((normals, u[ok][:, phases]), axis=1)
-        alpha = np.empty((n, 4), complex)
-        alpha[ok] = _pack(*build(list(normals.T)))
-        # A row with a 16-uniform block short of accepted pairs comes from the
-        # per-index function, which draws on from its own generator.
-        for r in np.flatnonzero(~ok).tolist():
-            alpha[r] = fallback(first + r).alpha
-        _gate(alpha)
-        yield alpha
+    first, ok, normals = draw
+    alpha = np.empty((len(ok), 4), complex)
+    alpha[ok] = _pack(*build(list(normals.T)))
+    # A row with a 16-uniform block short of accepted pairs comes from the
+    # per-index function, which draws on from its own generator.
+    for r in np.flatnonzero(~ok).tolist():
+        alpha[r] = fallback(first + r).alpha
+    _gate(alpha)
+    return alpha
+
+
+def _blocks(spec: SampleSpec, start: int = 0) -> Iterator[np.ndarray]:
+    """Amplitudes of ``spec`` at indices ``start .. start + spec.count - 1``,
+    as ``(n, 4)`` complex blocks of ``_BLOCK`` rows (the last may be shorter)."""
+    return map(partial(_assemble, spec), _draws(spec, start))
 
 
 def _stream(spec: SampleSpec, start: int = 0) -> Iterator[TwoQubitState]:

@@ -5,10 +5,15 @@ Each check compares the direct route, the public functions under test
 (``triad`` and ``coords_from_state``), with an oracle route: the
 stereographic composition ``inverse_stereo(stereo_project(quaternify(s)))``,
 the sigma_y x sigma_y bilinear form, or the four-step fringe route.
-``verify_suite`` draws each ensemble as amplitude blocks of
-``sampling._BLOCK`` rows (``sampling._blocks``), runs the checks on each
-block as it is drawn and merges each check's results, so its memory does not
-grow with the count. No ``TwoQubitState`` is built for a drawn state. A
+``verify_suite`` draws the sample in blocks of ``sampling._BLOCK`` indices
+(``sampling._draws``), each once. The haar and separable streams draw alike,
+with no ensemble in the Philox key or counter, so the haar and the separable
+state at one index come from the same normals: from each draw the suite
+assembles the haar amplitudes (``sampling._assemble``) and runs the haar
+checks on them, then assembles the separable amplitudes and runs
+``separable_plane`` on them. It holds one chunk at a time and merges each
+check's results, so its memory does not grow with the count. No
+``TwoQubitState`` is built for a drawn state. A
 chunk (``_Chunk``) holds a block's rows and computes what its checks share
 once: the direct route by the array kernel ``states._invariant_rows``, which
 gives each row's ``triad``, ``coords_from_state``, purity and |det| bit for
@@ -66,7 +71,7 @@ from .projection import (
     stereo_project,
 )
 from .quaternion import _inverse, _norm_sq, _product, is_infinite
-from .sampling import HAAR, SEPARABLE, SampleSpec, _blocks
+from .sampling import HAAR, SEPARABLE, SampleSpec, _assemble, _draws
 from .states import (
     TwoQubitState,
     _admitted,
@@ -551,19 +556,24 @@ def verify_suite(
     def tol(name: str) -> float:
         return DEFAULT_TOLERANCES[name] if tolerance is None else float(tolerance)
 
-    def run(ensemble, checks):
-        # ``checks`` on each block of the ensemble's stream, merged per check.
-        chunks = map(_Chunk, _blocks(SampleSpec(count, seed, ensemble)))
-        return [_merge(parts) for parts in zip(*map(checks, chunks))]
+    haar, separable = SampleSpec(count, seed, HAAR), SampleSpec(count, seed, SEPARABLE)
 
-    *on_haar, unit_q = run(HAAR, lambda chunk: (
-        check_identity(chunk, tol("triad_identity")),
-        *check_dual_route(chunk, tol("s4_dual_route"), tol("s4_unit_norm")),
-        check_concurrence_oracle(chunk, tol("concurrence_oracle")),
-        check_bilinear_convention(chunk, tol("bilinear_convention")),
-        check_fringe(chunk, tol("fringe_visibility")),
-        check_purity(chunk, tol("purity_relation")),
-        check_unit_q_iff_d0(chunk, tol("unit_q_iff_d0")),
-    ))
-    plane = run(SEPARABLE, lambda chunk: (check_separable_plane(chunk, tol("separable_plane")),))
-    return VerificationReport((*on_haar, *plane, unit_q), (CONVENTION_NOTE,))
+    def on_haar(chunk):
+        return (
+            check_identity(chunk, tol("triad_identity")),
+            *check_dual_route(chunk, tol("s4_dual_route"), tol("s4_unit_norm")),
+            check_concurrence_oracle(chunk, tol("concurrence_oracle")),
+            check_bilinear_convention(chunk, tol("bilinear_convention")),
+            check_fringe(chunk, tol("fringe_visibility")),
+            check_purity(chunk, tol("purity_relation")),
+            check_unit_q_iff_d0(chunk, tol("unit_q_iff_d0")),
+        )
+
+    def on_block(draw):
+        # Both ensembles from the one draw, one chunk alive at a time.
+        *haar_results, unit_q = on_haar(_Chunk(_assemble(haar, draw)))
+        plane = check_separable_plane(_Chunk(_assemble(separable, draw)), tol("separable_plane"))
+        return (*haar_results, plane, unit_q)
+
+    checks = [_merge(parts) for parts in zip(*map(on_block, _draws(haar)))]
+    return VerificationReport(tuple(checks), (CONVENTION_NOTE,))

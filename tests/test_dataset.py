@@ -1,3 +1,4 @@
+import importlib
 import io
 import json
 import math
@@ -10,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edge_states import edge_states
-from qtriad import classify as classify_module
 from qtriad import dataset as dataset_module
 from qtriad import projection as projection_module
 from qtriad import states as states_module
@@ -25,6 +25,9 @@ from qtriad.sampling import (
 )
 from qtriad.projection import ball_point, coords_from_state
 from qtriad.states import make_state, triad
+
+# The package exports the function ``classify`` under the module's name.
+classify_module = importlib.import_module("qtriad.classify")
 
 BELL = make_state((1, 0, 0, 1), normalize=True)
 

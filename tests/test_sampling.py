@@ -27,7 +27,9 @@ from qtriad.sampling import (
     _BLOCK,
     _LAYOUT,
     _accepted_normals,
+    _assemble,
     _blocks,
+    _draws,
     _philox_words,
     _stream,
     _substream,
@@ -352,6 +354,23 @@ def test_blocks_match_per_index_bit_for_bit(ensemble, c, per_index, case):
     # The parts' repr keeps every bit and tells 0.0 from -0.0.
     assert [[repr(z.real) + repr(z.imag) for z in row] for row in rows.tolist()] == [
         [repr(z.real) + repr(z.imag) for z in row] for row in expected
+    ]
+
+
+@pytest.mark.parametrize("seed", [0, 5, 2**64 - 1])
+def test_separable_blocks_assemble_from_the_haar_draws(seed):
+    # verify checks both ensembles on one draw per block: haar's. That holds
+    # only while the two draw alike, and then the separable blocks assembled
+    # from haar's draws are the separable stream's own.
+    assert _LAYOUT[HAAR] == _LAYOUT[SEPARABLE]
+    count = 2 * _BLOCK + 100
+    haar, separable = SampleSpec(count, seed, HAAR), SampleSpec(count, seed, SEPARABLE)
+    assert _fallback_rows(separable, 0)
+    shared = np.concatenate([_assemble(separable, draw) for draw in _draws(haar)])
+    own = np.concatenate(list(_blocks(separable)))
+    # The parts' repr keeps every bit and tells 0.0 from -0.0.
+    assert [[repr(z.real) + repr(z.imag) for z in row] for row in shared.tolist()] == [
+        [repr(z.real) + repr(z.imag) for z in row] for row in own.tolist()
     ]
 
 

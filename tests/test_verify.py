@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import weakref
 from collections import Counter
 from fractions import Fraction
 from functools import partial
@@ -639,33 +640,52 @@ def test_checks_take_a_lazy_sample_stream():
 
 
 def test_suite_draws_at_most_one_chunk_ahead(monkeypatch):
-    # States drawn so far, and states that a check has seen: identity runs on
-    # every haar chunk, separable_plane on every separable one.
-    drawn = checked = 0
+    # Indices drawn so far, and states that each check has seen: identity
+    # runs on every haar chunk, separable_plane on every separable one, and
+    # both chunks come from one shared draw.
+    drawn, checked = 0, Counter()
     count = 2 * _BLOCK + 1
-    blocks = verify._blocks
+    draws = verify._draws
 
-    def counting_blocks(spec):
+    def counting_draws(spec):
         nonlocal drawn
-        for block in blocks(spec):
-            drawn += len(block)
-            yield block
+        for draw in draws(spec):
+            _, ok, _ = draw
+            drawn += len(ok)
+            yield draw
 
     def counted(check):
         def run(states, *args):
-            nonlocal checked
-            assert drawn <= checked + _BLOCK
-            checked += len(states)
+            assert drawn <= checked[check] + _BLOCK
+            checked[check] += len(states)
             return check(states, *args)
 
         return run
 
-    monkeypatch.setattr(verify, "_blocks", counting_blocks)
+    monkeypatch.setattr(verify, "_draws", counting_draws)
     monkeypatch.setattr(verify, "check_identity", counted(check_identity))
     monkeypatch.setattr(verify, "check_separable_plane", counted(check_separable_plane))
     report = verify_suite(count, 5)
     assert report.passed
-    assert (drawn, checked) == (2 * count, 2 * count)
+    assert drawn == count
+    assert checked == {check_identity: count, check_separable_plane: count}
+
+
+def test_suite_holds_one_chunk_at_a_time(monkeypatch):
+    # The haar and the separable chunk of a block come from one draw; the
+    # first is released before the second is built.
+    alive, built = weakref.WeakSet(), []
+
+    class Tracked(verify._Chunk):
+        def __init__(self, alpha):
+            assert not alive
+            super().__init__(alpha)
+            alive.add(self)
+            built.append(len(alpha))
+
+    monkeypatch.setattr(verify, "_Chunk", Tracked)
+    assert verify_suite(_BLOCK + 1, 5).passed
+    assert built == [_BLOCK, _BLOCK, 1, 1]
 
 
 SCALAR_ERRORS = (
@@ -718,10 +738,10 @@ def test_suite_evaluates_the_direct_route_once_per_state(monkeypatch):
         name: 2 * chunks if name == "_dual_route_error" else chunks for name in SCALAR_ERRORS
     }
     assert +outside == {"TwoQubitState": sum(witness.values())}
-    # Each haar chunk: its rows, then its variants (every seed-5 haar state
-    # has one); then each separable chunk.
+    # Each block: the haar chunk's rows, then its variants (every seed-5 haar
+    # state has one), then the separable chunk's rows.
     sizes = [_BLOCK, _BLOCK, 1]
-    assert kernel == [n for n in sizes for _ in range(2)] + sizes
+    assert kernel == [n for n in sizes for _ in range(3)]
 
 
 @pytest.mark.parametrize(
