@@ -258,11 +258,11 @@ def state_record(s: TwoQubitState) -> dict:
 
     Keys follow ``DATASET_COLUMNS``. The cells equal ``triad(s)``,
     ``coords_from_state(s)`` and ``ball_point(s).radius`` bit for bit, all
-    derived from one ``_invariants(s)`` call. ``labels`` lists the
+    derived from one ``_invariants(*s.alpha)`` call. ``labels`` lists the
     ``StratumLabel`` values of the state's strata in definition order, as
     ``_strata`` gives them, at ``DEFAULT_CLASSIFY_TOL``.
     """
-    invariants = _invariants(s)
+    invariants = _invariants(*s.alpha)
     t = _triad(*invariants)
     x = _coords(*invariants)
     a0, a1, a2, a3 = s.alpha

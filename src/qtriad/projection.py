@@ -100,7 +100,7 @@ def coords_from_state(s: TwoQubitState) -> S4Point:
     It has no singularity at q2 = 0 and is the canonical route; the
     stereographic composition is its cross-check.
     """
-    return _coords(*_invariants(s))
+    return _coords(*_invariants(*s.alpha))
 
 
 def triad_from_coords(p: S4Point) -> DualityTriad:
@@ -110,10 +110,7 @@ def triad_from_coords(p: S4Point) -> DualityTriad:
     and D is the axial coordinate magnitude. Raises ValueError unless
     |x|^2 lies within ``NORM_TOL`` of 1.
     """
-    try:
-        norm_sq = p.x0**2 + p.x1**2 + p.x2**2 + p.x3**2 + p.x4**2
-    except OverflowError:  # a coordinate beyond 1e154 or so
-        norm_sq = math.inf
+    norm_sq = p.x0 * p.x0 + p.x1 * p.x1 + p.x2 * p.x2 + p.x3 * p.x3 + p.x4 * p.x4
     if not math.isfinite(norm_sq) or abs(norm_sq - 1.0) > NORM_TOL:
         raise ValueError(f"point is not on the unit sphere: |x|^2 = {norm_sq!r}")
     return DualityTriad(

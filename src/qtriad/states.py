@@ -10,14 +10,13 @@ Three invariants of the amplitudes drive everything downstream:
 
 Visibility is 2|coherence|, concurrence is 2|determinant|, and
 distinguishability is |imbalance|. For any normalized state
-V^2 + D^2 + C^2 = 1. ``_invariants`` is the single source of the three, and
-``_invariant_rows`` its array form over rows of amplitudes. The coherence and
-the determinant (``_off_diagonals``) and what follows from the three
-(``_triad``, ``_coords``, ``_purity``; ``_sum_squares`` for the norm) have
-one source each, for a state and for rows alike: it runs on Python floats and
-complex numbers or on arrays and ``_Columns``; p0 and p1 are the one array
-twin (see ``_invariant_rows``). The oracle routes in ``verify`` deliberately
-do not use them, so that they stay independent checks of them. The fringe
+V^2 + D^2 + C^2 = 1. ``_invariants`` is the single source of the three, for
+a state's amplitudes and for ``_Columns`` of rows alike; ``_invariant_rows``
+runs it on rows of amplitudes. What follows from the three (``_triad``,
+``_coords``, ``_purity``) and the sum of squared moduli (``_sum_squares``)
+have one source each too, which runs on Python floats and complex numbers or
+on arrays and ``_Columns``. The oracle routes in ``verify`` deliberately do
+not use them, so that they stay independent checks of them. The fringe
 oracle has one home, ``_fringe``, for ``fringe_extrema`` and for ``verify``'s
 rows alike; it reads no invariant, only the intensities of p(delta) at four
 phases.
@@ -120,10 +119,7 @@ def _norm(v: Sequence[complex]) -> tuple[float, float]:
     if not all(map(math.isfinite, parts)) or not any(parts):
         return n, 1.0
     scale = 2.0 ** (math.frexp(max(map(abs, parts)))[1] - 1)
-    total = 0.0
-    for p in parts:
-        total += (p / scale) ** 2
-    return math.sqrt(total), scale
+    return math.sqrt(_sum_squares([complex(c.real / scale, c.imag / scale) for c in v])), scale
 
 
 def _sum_squares(v):
@@ -284,14 +280,11 @@ def embed_correlated(c: CorrelatedState) -> TwoQubitState:
     When chi2 is (numerically) parallel to chi1 the residual amplitude is ~0,
     so the completion direction never shows up in the output.
     """
-    # Left-to-right sums, as in ``_norm``.
+    # Left-to-right sums, as in ``_sum_squares``.
     overlap = 0j
     for e, x in zip(c.chi1, c.chi2):
         overlap += e.conjugate() * x
-    resid_sq = 0.0
-    for e, x in zip(c.chi1, c.chi2):
-        resid_sq += abs(x - overlap * e) ** 2
-    resid = math.sqrt(resid_sq)
+    resid = math.sqrt(_sum_squares([x - overlap * e for e, x in zip(c.chi1, c.chi2)]))
     return make_state((c.mu, 0j, c.nu * overlap, c.nu * resid), normalize=True)
 
 
@@ -324,17 +317,17 @@ class DensityMatrix2:
         return (mean + off, mean - off)
 
 
-def _invariants(s: TwoQubitState) -> tuple[float, float, complex, complex]:
-    """(p0, p1, coherence, determinant); the imbalance is always p0 - p1."""
-    a0, a1, a2, a3 = s.alpha
-    coherence, det = _off_diagonals(a0, a1, a2, a3)
-    return abs(a0) ** 2 + abs(a1) ** 2, abs(a2) ** 2 + abs(a3) ** 2, coherence, det
-
-
-def _off_diagonals(a0, a1, a2, a3):
-    """(coherence, determinant) of four amplitudes: complex numbers, or
-    ``_Columns`` of n rows each."""
-    return a2.conjugate() * a0 + a3.conjugate() * a1, a1 * a2 - a0 * a3
+def _invariants(a0, a1, a2, a3):
+    """(p0, p1, coherence, determinant) of four amplitudes: complex numbers, or
+    ``_Columns`` of n rows each. The imbalance is always p0 - p1."""
+    # p0 and p1 group their squares as ``_sum_squares`` does, written out
+    # because two calls of it would make this call a third to a half slower.
+    return (
+        a0.real * a0.real + a0.imag * a0.imag + (a1.real * a1.real + a1.imag * a1.imag),
+        a2.real * a2.real + a2.imag * a2.imag + (a3.real * a3.real + a3.imag * a3.imag),
+        a2.conjugate() * a0 + a3.conjugate() * a1,
+        a1 * a2 - a0 * a3,
+    )
 
 
 class _Columns:
@@ -407,7 +400,8 @@ def _columns(alpha: np.ndarray) -> list[_Columns]:
 class _Rows(NamedTuple):
     """The direct route over n rows of amplitudes: per row, bit for bit,
     ``_invariants``' p0 and p1, ``triad`` (n, 3), ``coords_from_state``
-    (n, 5), ``purity(reduced_density_photon(s))`` and ``abs(_invariants(s)[3])``."""
+    (n, 5), ``purity(reduced_density_photon(s))`` and the determinant's
+    modulus, ``abs(_invariants(*s.alpha)[3])``."""
 
     p0: np.ndarray
     p1: np.ndarray
@@ -418,14 +412,9 @@ class _Rows(NamedTuple):
 
 
 def _invariant_rows(alpha: np.ndarray) -> _Rows:
-    """``_invariants`` and what follows from it, over rows of amplitudes."""
-    # The one array twin of a scalar expression: abs(a) ** 2 in _invariants
-    # is the C library's pow of its hypot, and np.float_power and np.hypot
-    # call those two functions. h * h and np.power(h, 2) round one product,
-    # which differs from pow on about 1 value in 1000.
-    w = np.float_power(np.hypot(alpha.real, alpha.imag), 2.0)
-    p0, p1 = w[:, 0] + w[:, 1], w[:, 2] + w[:, 3]
-    coherence, det = _off_diagonals(*_columns(alpha))
+    """``_invariants`` and what follows from it over rows of amplitudes,
+    ``(n, 4)``: the scalar functions, each called once on the rows' ``_Columns``."""
+    p0, p1, coherence, det = _invariants(*_columns(alpha))
     triads = np.stack(_triad(p0, p1, coherence, det), 1)
     coords = np.stack(_coords(p0, p1, coherence, det), 1)
     return _Rows(p0, p1, triads, coords, _purity(p0, p1, coherence), abs(det))
@@ -436,7 +425,7 @@ def reduced_density_photon(s: TwoQubitState) -> DensityMatrix2:
 
     The off-diagonal is stored as the coherence term conj(a2)*a0 + conj(a3)*a1.
     """
-    p0, p1, coherence, _ = _invariants(s)
+    p0, p1, coherence, _ = _invariants(*s.alpha)
     return DensityMatrix2(p0, coherence, p1)
 
 
@@ -476,7 +465,7 @@ def concurrence(s: TwoQubitState) -> float:
 
 def triad(s: TwoQubitState) -> DualityTriad:
     """The (V, D, C) triple; satisfies V^2 + D^2 + C^2 = 1."""
-    return _triad(*_invariants(s))
+    return _triad(*_invariants(*s.alpha))
 
 
 def _triad(p0: float, p1: float, coherence: complex, det: complex) -> DualityTriad:

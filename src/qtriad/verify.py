@@ -373,7 +373,7 @@ def _purity_errors(states) -> np.ndarray:
 
 
 def _separable_plane_error(s: TwoQubitState) -> float:
-    det = abs(_invariants(s)[3])
+    det = abs(_invariants(*s.alpha)[3])
     q = stereo_project(quaternify(s))
     if is_infinite(q):
         return math.inf
@@ -391,7 +391,7 @@ def _unit_q_variants(s: TwoQubitState) -> list[TwoQubitState]:
     """The state, plus its zero-imbalance variant when both branches carry
     weight: both rescaled to weight 1/2, which keeps the coherences and
     forces D ~ 0."""
-    p0, p1, _, _ = _invariants(s)
+    p0, p1, _, _ = _invariants(*s.alpha)
     _, variants = _balanced(np.array([s.alpha]), np.array([p0]), np.array([p1]))
     return [s, *_admitted(variants)]
 

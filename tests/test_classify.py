@@ -307,11 +307,13 @@ def test_schmidt_route_reads_no_invariant(monkeypatch):
     states = sample_haar(SampleSpec(200, 5, HAAR))
     # repr keeps every bit of each field.
     forms = [repr(schmidt_decompose(s)) for s in states]
-    monkeypatch.setattr(
-        states_module,
-        "_off_diagonals",
-        lambda a0, a1, a2, a3: (a2.conjugate() * a0 + a3.conjugate() * a1, a1 * a2 + a0 * a3),
-    )
+    invariants = states_module._invariants
+
+    def planted(a0, a1, a2, a3):
+        p0, p1, coherence, _ = invariants(a0, a1, a2, a3)
+        return p0, p1, coherence, a1 * a2 + a0 * a3
+
+    monkeypatch.setattr(states_module, "_invariants", planted)
     patched = [schmidt_decompose(s) for s in states]
     gap = max(abs(concurrence(s) - 2 * f.lambda1 * f.lambda2) for s, f in zip(states, patched))
     assert gap > 1e-3

