@@ -38,11 +38,20 @@ def classify(s: TwoQubitState) -> frozenset[StratumLabel]:
 
     Strata overlap (a maximally entangled state is both wave-less and
     particle-less), so the result is a set rather than a single category.
+    States with the same labels get the same frozenset object, so compare
+    results with ``==``.
     """
-    return frozenset(_strata(triad(s)))
+    labels = _strata(triad(s))
+    shared = _SHARED.get(labels)
+    if shared is None:
+        shared = _SHARED.setdefault(labels, frozenset(labels))
+    return shared
 
 
 _LABELS = tuple(StratumLabel)
+# One frozenset per label combination that ``classify`` has returned, keyed
+# by ``_strata``'s tuple; there are at most 2**8 of them.
+_SHARED: dict[tuple[StratumLabel, ...], frozenset[StratumLabel]] = {}
 
 
 def _strata(t: DualityTriad) -> tuple[StratumLabel, ...]:

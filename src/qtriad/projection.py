@@ -35,7 +35,8 @@ class QuaternionSpinor:
     q2: Quaternion
 
     def __post_init__(self):
-        n = self.q1.norm_sq() + self.q2.norm_sq()
+        q1, q2 = self.q1, self.q2
+        n = _norm_sq(q1.z1, q1.z2) + _norm_sq(q2.z1, q2.z2)
         if abs(n - 1.0) > NORM_TOL:
             raise ValueError(f"spinor must be normalized, got |q1|^2+|q2|^2 = {n!r}")
 

@@ -8,6 +8,7 @@ z2 = x2 + x3*i and q = z1 + z2*e2. The pair form is canonical; the real
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -22,17 +23,24 @@ class Quaternion:
         (a1 + a2*e2)(b1 + b2*e2) = (a1*b1 - a2*conj(b2)) + (a1*b2 + a2*conj(b1))*e2
     which encodes e1*e2 = e3 and the anticommutation of the imaginary units.
     Both factors are quaternions; a scalar c multiplies as ``Quaternion(c)``.
+
+    Parts of exact type ``complex`` are stored as given; any other number is
+    stored as ``complex(part)``. Every part must be finite.
     """
 
     z1: complex = 0j
     z2: complex = 0j
 
     def __post_init__(self):
-        object.__setattr__(self, "z1", complex(self.z1))
-        object.__setattr__(self, "z2", complex(self.z2))
-        for part in (self.z1.real, self.z1.imag, self.z2.real, self.z2.imag):
-            if not math.isfinite(part):
-                raise ValueError(f"quaternion components must be finite, got {part!r}")
+        z1, z2 = self.z1, self.z2
+        if type(z1) is not complex:
+            object.__setattr__(self, "z1", z1 := complex(z1))
+        if type(z2) is not complex:
+            object.__setattr__(self, "z2", z2 := complex(z2))
+        if not (cmath.isfinite(z1) and cmath.isfinite(z2)):
+            for part in (z1.real, z1.imag, z2.real, z2.imag):
+                if not math.isfinite(part):
+                    raise ValueError(f"quaternion components must be finite, got {part!r}")
 
     @classmethod
     def from_components(cls, x0: float, x1: float, x2: float, x3: float) -> "Quaternion":

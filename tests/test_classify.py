@@ -1,5 +1,6 @@
 import importlib
 import math
+import tracemalloc
 import types
 
 import numpy as np
@@ -13,6 +14,7 @@ from qtriad.classify import (
     DEFAULT_CLASSIFY_TOL,
     SchmidtForm,
     StratumLabel,
+    _strata,
     classify,
     schmidt_decompose,
     shell_radius,
@@ -26,6 +28,7 @@ from qtriad.states import (
     make_state,
     purity,
     reduced_density_photon,
+    triad,
     visibility,
 )
 
@@ -144,6 +147,44 @@ def test_classify_agrees_with_projection_geometry():
     assert is_infinite(stereo_project(quaternify(make_state((1, 0, 0, 0)))))
     q = stereo_project(quaternify(make_state((0, 0, 1, 0))))
     assert q.norm() == 0.0
+
+
+@settings(database=None, derandomize=True, max_examples=1000, deadline=None)
+@given(edge_states())
+def test_classify_is_the_set_of_strata_on_edge_states(s):
+    labels = classify(s)
+    assert type(labels) is frozenset
+    assert labels == frozenset(_strata(triad(s)))
+    assert classify(s) is labels
+
+
+def test_classify_shares_one_set_per_label_combination():
+    states = list(sample_haar(SampleSpec(20000, 42, HAAR)))
+    states += [BELL, _random_maximally_entangled(), make_state((1, 0, 0, 0))]
+    states += [make_state((0, 0, 0.6, 0.8j)), make_state((1, 0, 1, 0), normalize=True)]
+    results = [classify(s) for s in states]
+    for s, labels in zip(states, results):
+        assert type(labels) is frozenset
+        assert labels == frozenset(_strata(triad(s)))
+    # Equal results are one object: as many objects as distinct values.
+    assert len({id(labels) for labels in results}) == len(set(results)) > 1
+    assert classify(BELL) is classify(_random_maximally_entangled())
+
+
+def test_classify_results_hold_no_set_each():
+    states = list(sample_haar(SampleSpec(10000, 7, HAAR)))
+    classify(states[0])
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        results = [classify(s) for s in states]
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(results) == 10000
+    # A frozenset of up to five labels takes 224 bytes; the list of results
+    # itself takes 8 bytes a result.
+    assert held < 10000 * 224 / 10, held
 
 
 # ------------------------------------------------------------------- schmidt

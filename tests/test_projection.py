@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from qtriad.projection import (
     triad_from_coords,
 )
 from qtriad.quaternion import E2, INFINITY, ONE, Quaternion, is_infinite
-from qtriad.states import TwoQubitState, concurrence, make_state, triad
+from qtriad.states import NORM_TOL, TwoQubitState, concurrence, make_state, triad
 
 RNG = np.random.default_rng(303)
 
@@ -57,6 +58,19 @@ def test_quaternify_transfers_normalization():
 def test_spinor_rejects_unnormalized():
     with pytest.raises(ValueError):
         QuaternionSpinor(ONE, ONE)
+    # |q1|^2 + |q2|^2 = 1 + offset, split over both quaternions.
+    for offset in (-4.0, -1.5, -0.5, 0.0, 0.5, 1.5, 4.0):
+        w = math.sqrt((1.0 + offset * NORM_TOL) / 4.0)
+        q1, q2 = Quaternion(complex(w, -w), 0j), Quaternion(0j, complex(w, w))
+        n = q1.norm_sq() + q2.norm_sq()
+        if abs(offset) < 1.0:
+            assert abs(n - 1.0) <= NORM_TOL
+            QuaternionSpinor(q1, q2)
+            continue
+        assert abs(n - 1.0) > NORM_TOL
+        message = re.escape(f"spinor must be normalized, got |q1|^2+|q2|^2 = {n!r}") + "$"
+        with pytest.raises(ValueError, match=message):
+            QuaternionSpinor(q1, q2)
 
 
 # -------------------------------------------------------------- stereo project

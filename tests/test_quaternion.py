@@ -162,10 +162,64 @@ def test_equality_exact_vs_tolerance():
 
 
 def test_nonfinite_components_rejected():
-    with pytest.raises(ValueError):
-        Quaternion(complex(math.nan, 0), 0j)
-    with pytest.raises(ValueError):
-        Quaternion(0j, complex(0, math.inf))
+    # Each component in turn, given as a complex part and, where it is a real
+    # part, as a float; the error names the value.
+    for position in range(4):
+        for bad in (math.nan, math.inf, -math.inf):
+            parts = [0.5, -1.0, 2.0, 0.0]
+            parts[position] = bad
+            z1, z2 = complex(parts[0], parts[1]), complex(parts[2], parts[3])
+            calls = [lambda: Quaternion(z1, z2), lambda: Quaternion.from_components(*parts)]
+            if position % 2 == 0:
+                floats = [1.0, 1.0]
+                floats[position // 2] = bad
+                calls.append(lambda: Quaternion(*floats))
+            for call in calls:
+                with pytest.raises(ValueError, match=f"must be finite, got {bad!r}$"):
+                    call()
+    # Components are checked in the order x0, x1, x2, x3.
+    with pytest.raises(ValueError, match=r"got -inf$"):
+        Quaternion.from_components(1.0, -math.inf, math.nan, math.inf)
+    with pytest.raises(ValueError, match=r"got nan$"):
+        Quaternion.from_components(0.0, 0.0, math.nan, math.inf)
+
+
+class _ComplexSubclass(complex):
+    pass
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        3,
+        -0.0,
+        2.5,
+        True,
+        np.float64(-1.25),
+        np.complex128(0.5 - 2j),
+        _ComplexSubclass(-0.0, 4.0),
+    ],
+    ids=lambda v: type(v).__name__,
+)
+def test_parts_are_stored_as_exact_complex(value):
+    for q, part in ((Quaternion(value), "z1"), (Quaternion(0j, value), "z2")):
+        stored = getattr(q, part)
+        assert type(stored) is complex
+        # repr keeps the sign of a zero.
+        assert repr(stored) == repr(complex(value))
+
+
+def test_exact_complex_parts_are_stored_as_given():
+    z1, z2 = complex(0.25, -3.0), complex(-0.0, 1e-300)
+    q = Quaternion(z1, z2)
+    assert q.z1 is z1 and q.z2 is z2
+
+
+def test_default_quaternion_is_zero():
+    q = Quaternion()
+    assert (q.z1, q.z2) == (0j, 0j)
+    assert type(q.z1) is complex and type(q.z2) is complex
+    assert repr(q) == "Quaternion(z1=0j, z2=0j)"
 
 
 def test_infinity_is_distinct_singleton():
