@@ -274,6 +274,21 @@ def state_record(s: TwoQubitState) -> dict:
     )))
 
 
+def _suffix(csv: bool, names: list[str]) -> str:
+    """The text after a record's float cells: its labels, then the end of
+    the row (CSV) or of the object (JSON)."""
+    if csv:
+        return ";".join(names) + "\n"
+    listed = '[\n   "' + '",\n   "'.join(names) + '"\n  ]' if names else "[]"
+    return listed + "\n }"
+
+
+# Per format, one ``_suffix`` text per label combination that
+# ``emit_dataset`` has written, keyed by the labels' tuple; there are at most
+# 2**8 of them.
+_SUFFIXES: dict[str, dict[tuple[str, ...], str]] = {CSV_FORMAT: {}, JSON_FORMAT: {}}
+
+
 def emit_dataset(
     states: Iterable[TwoQubitState], fmt: str, destination: IO[str]
 ) -> None:
@@ -297,6 +312,7 @@ def emit_dataset(
         raise ValueError(f"unknown format {fmt!r}")
     csv = fmt == CSV_FORMAT
     destination.write(",".join(DATASET_COLUMNS) + "\n" if csv else "[")
+    shared = _SUFFIXES[fmt]
     states = iter(states)
     # A JSON row opens with a comma, which the first record goes without.
     skip = 0 if csv else 1
@@ -306,11 +322,11 @@ def emit_dataset(
         for s in block:
             *row, names = state_record(s).values()
             cells += row
-            if csv:
-                suffixes.append(";".join(names) + "\n")
-            else:
-                listed = '[\n   "' + '",\n   "'.join(names) + '"\n  ]' if names else "[]"
-                suffixes.append(listed + "\n }")
+            key = tuple(names)
+            suffix = shared.get(key)
+            if suffix is None:
+                suffix = shared.setdefault(key, _suffix(csv, names))
+            suffixes.append(suffix)
         destination.write(_rows(cells, suffixes, _CSV if csv else _JSON)[skip:])
         skip = 0
     if not csv:

@@ -29,10 +29,16 @@ ensemble's amplitudes from a block's draw, and ``_blocks`` is the two in turn.
 its separable states from it, and checks each as it is assembled.
 ``tests/test_sampling.py`` pins the words and uniforms to
 ``numpy.random.Philox`` and ``Generator.random``. The per-index functions
-(``haar_state`` and the rest) draw from ``numpy.random.Philox`` itself; the
-batched stream hands them every index whose first 16-uniform block has too
-few accepted pairs, and the two agree bit for bit. Both take the seed by one
-rule (``_seed``): an integer in [0, 2**64).
+(``haar_state`` and the rest) draw from ``numpy.random.Philox`` itself.
+``fixed_concurrence_state`` takes its 34 uniforms (16 + 1 + 16 + 1, as in
+``_LAYOUT``) in one ``Generator.random`` call: Philox's words are a function
+of key and counter alone, so they are the words that drawing the four parts
+in turn gives. Where either 16-uniform block holds fewer than two accepted
+pairs, it draws the index again in turn from a fresh generator, which goes on
+past the 34. The batched stream hands the per-index functions every index
+whose first 16-uniform block has too few accepted pairs, and the two agree
+bit for bit. Both take the seed by one rule (``_seed``): an integer in
+[0, 2**64).
 
 A block's amplitudes come from the per-index builders' own expressions
 (``_haar``, ``_separable``, ``_rotated_schmidt``), run on columns of the
@@ -194,7 +200,9 @@ def _substream(seed: int, index: int) -> np.random.Generator:
     Each thread resets one generator instead of building one per index:
     building costs about 20 us, half of it a seed sequence that gathers OS
     entropy only for the key to override it; the reset, from Python int
-    lists, costs about 1.5 us (x86_64, numpy 2.4).
+    lists, costs about 1.2 us (x86_64, numpy 2.4). The thread keeps the
+    state dict too and rewrites only its seed and index words, which saves
+    about 0.45 us of building it afresh.
     """
     try:
         seed, index = _seed(operator.index(seed)), operator.index(index)
@@ -202,41 +210,49 @@ def _substream(seed: int, index: int) -> np.random.Generator:
         raise ValueError("seed and index must be integers") from None
     if not 0 <= index < 2**128:
         raise ValueError("index must lie in [0, 2**128)")
-    gen = getattr(_per_thread, "gen", None)
-    if gen is None:
-        gen = _per_thread.gen = np.random.Generator(np.random.Philox(0))
-    # Philox's state setter reads each of these lists element by element,
-    # into its uint64 words: no arrays need to be made.
-    gen.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {
-            "counter": [0, 0, index & _MAX_SEED, index >> 64],
-            "key": [seed, 0],
-        },
-        "buffer": [0, 0, 0, 0],
-        "buffer_pos": 4,  # empty: the first draw steps the counter to 1
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
+    reset = getattr(_per_thread, "reset", None)
+    if reset is None:
+        # Philox's state setter reads each of these lists element by element,
+        # into its uint64 words: no arrays need to be made.
+        reset = _per_thread.reset = np.random.Generator(np.random.Philox(0)), {
+            "bit_generator": "Philox",
+            "state": {"counter": [0, 0, 0, 0], "key": [0, 0]},
+            "buffer": [0, 0, 0, 0],
+            "buffer_pos": 4,  # empty: the first draw steps the counter to 1
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+    gen, state = reset
+    words = state["state"]
+    words["counter"][2:] = index & _MAX_SEED, index >> 64
+    words["key"][0] = seed
+    gen.bit_generator.state = state
     return gen
 
 
+def _polar_block(u: list[float], start: int, count: int, out: list[float]) -> list[float]:
+    """``out`` with the normals of the accepted polar pairs among the 16
+    uniforms ``u[start : start + 16]`` appended, until it holds ``count``."""
+    for j in range(start, start + 16, 2):
+        x = 2.0 * u[j] - 1.0
+        y = 2.0 * u[j + 1] - 1.0
+        s = x * x + y * y
+        if 0.0 < s < 1.0:
+            f = math.sqrt(-2.0 * math.log(s) / s)
+            out.append(x * f)
+            out.append(y * f)
+            if len(out) >= count:
+                break
+    return out
+
+
 def _polar_normals(gen: np.random.Generator, count: int) -> list[float]:
-    # Marsaglia polar rejection over consecutive uniform pairs.
-    out = []
+    # Marsaglia polar rejection over consecutive 16-uniform blocks; count is
+    # even, so the last accepted pair fills it exactly.
+    out: list[float] = []
     while len(out) < count:
-        block = gen.random(16).tolist()
-        for j in range(0, 16, 2):
-            x = 2.0 * block[j] - 1.0
-            y = 2.0 * block[j + 1] - 1.0
-            s = x * x + y * y
-            if 0.0 < s < 1.0:
-                f = math.sqrt(-2.0 * math.log(s) / s)
-                out.append(x * f)
-                out.append(y * f)
-                if len(out) >= count:
-                    break
-    return out[:count]
+        _polar_block(gen.random(16).tolist(), 0, count, out)
+    return out
 
 
 # State assembly from drawn normals (and phase uniforms), one source for both
@@ -314,11 +330,24 @@ def fixed_concurrence_state(seed: int, index: int, c: float) -> TwoQubitState:
     Starts from the Schmidt form lambda1*|0e> + lambda2*|1f> with
     2*lambda1*lambda2 = c and applies independent Haar unitaries to both
     qubits, which moves the state around its shell without changing C.
+
+    U and W each take 16 uniforms for their normals and one for their phase,
+    all 34 drawn in one call. If either block of 16 holds fewer than two
+    accepted polar pairs, the index is drawn again from a fresh generator,
+    one part at a time, so that the short block draws on as ``_polar_normals``
+    does; both ways give the same uniforms in the same order.
     """
     lam1, lam2 = _schmidt_weights(_concurrence(c))
-    gen = _substream(seed, index)
-    u, u_phase = _polar_normals(gen, 4), gen.random()
-    w, w_phase = _polar_normals(gen, 4), gen.random()
+    # At _LAYOUT[FIXED_CONCURRENCE]'s offsets: U's block at 0 and its phase
+    # at 16, W's block at 17 and its phase at 33.
+    r = _substream(seed, index).random(34).tolist()
+    u, w = _polar_block(r, 0, 4, []), _polar_block(r, 17, 4, [])
+    if len(u) == len(w) == 4:
+        u_phase, w_phase = r[16], r[33]
+    else:
+        gen = _substream(seed, index)
+        u, u_phase = _polar_normals(gen, 4), gen.random()
+        w, w_phase = _polar_normals(gen, 4), gen.random()
     return TwoQubitState(_rotated_schmidt(_SCALARS, lam1, lam2, u, w, u_phase, w_phase))
 
 

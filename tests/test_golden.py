@@ -26,6 +26,11 @@ RUNS = {
         "sample", "--ensemble", "fixedc", "--c", "0.5", "--seed", "42", "--count", "1000",
     ],
     "shells": ["shells", "--levels", "0,0.5,1", "--count-per-level", "300", "--seed", "42"],
+    # The largest seed: the key schedule's wraparound on the per-index path.
+    "shells-max": [
+        "shells", "--levels", "0,0.5,1", "--count-per-level", "300",
+        "--seed", "18446744073709551615",
+    ],
     # Three sampler blocks, two boundaries crossed, 32 fallback rows.
     "haar-2100": ["sample", "--ensemble", "haar", "--seed", "42", "--count", "2100"],
 }
@@ -39,6 +44,8 @@ DIGESTS = {
     ("separable", "json"): "351a72fbeea74d291330e0219baf15d0ec668176cef3935291189d2b271ce3cb",
     ("fixedc", "json"): "658192b588e611ffaf713bc63bcb5b31f3cccbfc97aa7d96f39685b2cd1eb525",
     ("shells", "json"): "42250c798a5d36b85f97018b66e3f2743ade93162865fdad2b31d99d6906d49f",
+    ("shells-max", "csv"): "5477b3190fb1abd66df5c484e4599e8f509a15cf2eb79abedd905c624bc0a17e",
+    ("shells-max", "json"): "c2f0f33f30fd78589517cb66c04eb9d75bbe09ff41c24173b1f581ce362f760f",
     ("haar-2100", "csv"): "efbda1b78180e13e455f366cd7b0c3ef27ee4801986c8cc66735b9e7f62e4726",
     ("haar-2100", "json"): "c4b358e60147e679117d48e15cb5c9a4603691ffa50855e42e246d180111dd1b",
 }
@@ -51,6 +58,7 @@ AMPLITUDE_DIGESTS = {
     "haar-2100": "a7d5515bcd02deeb5f6a3d1a1c3a1c59f1d478017a6a8ade191c43784f63bb7b",
     "separable": "e07bb4c0a7989c79486b39aa030614b6b344039cae88a7263a4ed054bbb1d9ca",
     "shells": "bacdc735d6616b6df5e642b5c355295f3c772540c4d5b22ab78df53b9e544705",
+    "shells-max": "cad554bb5939311c163183debd4e770a7d52c8f8fa39b1a5add1fd0876142075",
 }
 
 # stdout of `qtriad verify`: every check's sample count and max_error, printed

@@ -312,6 +312,97 @@ def test_batched_fixedc_matches_per_index_across_fallback_rows(start, count):
     ]
 
 
+def _oracle_polar(gen, count):
+    # The polar step of the four-call draw: 16 uniforms per call until
+    # ``count`` normals are accepted.
+    out = []
+    while len(out) < count:
+        block = gen.random(16).tolist()
+        for j in range(0, 16, 2):
+            x, y = 2.0 * block[j] - 1.0, 2.0 * block[j + 1] - 1.0
+            s = x * x + y * y
+            if 0.0 < s < 1.0 and len(out) < count:
+                f = math.sqrt(-2.0 * math.log(s) / s)
+                out += [x * f, y * f]
+    return out
+
+
+def _oracle_draw(seed, index):
+    # U's normals, U's phase, W's normals, W's phase, each its own call on a
+    # fresh generator at the index's counter block.
+    gen = np.random.Generator(np.random.Philox(key=seed, counter=index << 128))
+    u, u_phase = _oracle_polar(gen, 4), gen.random()
+    w, w_phase = _oracle_polar(gen, 4), gen.random()
+    return u, w, u_phase, w_phase
+
+
+def _parts(alpha):
+    # The parts' repr keeps every bit and tells 0.0 from -0.0.
+    return [repr(z.real) + repr(z.imag) for z in alpha]
+
+
+def _oracle_fixedc(draw, c):
+    lam1, lam2 = sampling._schmidt_weights(c)
+    return _parts(sampling._rotated_schmidt(sampling._SCALARS, lam1, lam2, *draw))
+
+
+@pytest.mark.parametrize("seed", [42, 2**64 - 1])
+def test_fixed_concurrence_state_matches_the_four_call_draw(seed):
+    for index in range(3000):
+        draw = _oracle_draw(seed, index)
+        for c in (0.0, 0.5, 1.0):
+            assert _parts(fixed_concurrence_state(seed, index, c).alpha) == _oracle_fixedc(
+                draw, c
+            ), (seed, index, c)
+
+
+# At seed 42, whether U's and W's 16-uniform blocks each hold two accepted
+# polar pairs: index 4987's W block falls short, and 5995's and 8708's U block.
+FULL_BLOCKS = {4987: (True, False), 5995: (False, True), 8708: (False, True)}
+
+
+@pytest.mark.parametrize("index", sorted(FULL_BLOCKS))
+def test_fixed_concurrence_state_matches_the_four_call_draw_on_short_blocks(index):
+    u = _uniforms(_philox_words(42, index, 1, 9))
+    blocks = _LAYOUT[FIXED_CONCURRENCE][1]
+    full = tuple(bool(_accepted_normals(u[:, at:], ((0, 2),))[0][0]) for at, _ in blocks)
+    assert full == FULL_BLOCKS[index]
+    draw = _oracle_draw(42, index)
+    for c in (0.0, 0.5, 1.0):
+        assert _parts(fixed_concurrence_state(42, index, c).alpha) == _oracle_fixedc(draw, c)
+
+
+class _CountingGenerator:
+    # Records the size of each ``random`` call of the generator it wraps.
+
+    def __init__(self, gen, calls):
+        self._gen, self._calls = gen, calls
+
+    def random(self, size=None):
+        self._calls.append(size)
+        return self._gen.random() if size is None else self._gen.random(size)
+
+
+@pytest.mark.parametrize("index, calls", [
+    (0, [[34]]),
+    # U's block is short: U draws a second block, and W draws on from there.
+    (5995, [[34], [16, 16, None, 16, None]]),
+    # W's block is short.
+    (4987, [[34], [16, None, 16, 16, None]]),
+])
+def test_fixed_concurrence_state_draws_once_unless_a_block_is_short(monkeypatch, index, calls):
+    seen = []
+    substream = sampling._substream
+
+    def counting(seed, i):
+        seen.append([])
+        return _CountingGenerator(substream(seed, i), seen[-1])
+
+    monkeypatch.setattr(sampling, "_substream", counting)
+    fixed_concurrence_state(42, index, 0.5)
+    assert seen == calls
+
+
 @pytest.mark.parametrize("ensemble, per_index", [(HAAR, haar_state), (SEPARABLE, separable_state)])
 @pytest.mark.parametrize("start, count", [(0, 2100), (2**64 - 150, 300)])
 def test_batched_stream_matches_per_index(ensemble, per_index, start, count):
