@@ -47,6 +47,16 @@ either winning, so a fault in the kernel alone or in the scalar route alone
 still fails it; ``tests/test_verify.py`` pins the two to each other bit for
 bit, and then they are the same value.
 
+The report's rows, their names, default tolerances and order are those of
+``DEFAULT_TOLERANCES``. Every ``check_*`` takes ``(states, tolerance=None)``:
+None keeps each of its rows' defaults and a number applies to all of its
+rows, the rule of ``verify_suite`` and ``--tolerance``; ``check_dual_route``
+gives two rows from one pass of its routes. The suite calls the checks by
+their names in this module when it runs, not through references taken at
+import, so a check replaced in the module's namespace is the one that runs:
+``benchmark/tracing.py`` times each check that way, and the tests count the
+calls that way.
+
 Each check reports its worst-case error, so a report stays useful even when
 everything passes; failures are reported, never raised.
 """
@@ -88,7 +98,7 @@ from .states import (
     triad,
 )
 
-# Default tolerance of each check, keyed by check name.
+# The report's rows in report order, each with its default tolerance.
 DEFAULT_TOLERANCES = {
     "triad_identity": 1e-10,
     "s4_dual_route": 1e-9,
@@ -210,11 +220,20 @@ def _max_error(chunk: _Chunk, errors, error: Callable) -> float:
     return array if math.isnan(array) or array > scalar else scalar
 
 
-def _check(name: str, states, errors: Callable, error: Callable, tolerance: float) -> CheckResult:
-    """Check ``name``: its error at the witness of the chunk's array
-    ``errors``, as ``_max_error`` gives it with the scalar ``error``."""
+def _tolerance(name: str, tolerance: float | None) -> float:
+    """``tolerance``, or row ``name``'s default when it is None."""
+    return DEFAULT_TOLERANCES[name] if tolerance is None else tolerance
+
+
+def _check(
+    name: str, states, errors: Callable, error: Callable, tolerance: float | None
+) -> CheckResult:
+    """Row ``name``: its error at the witness of the chunk's array
+    ``errors``, as ``_max_error`` gives it with the scalar ``error``, against
+    ``tolerance`` or, when that is None, the row's default."""
     chunk = _chunk(states)
-    return _result(name, len(chunk), _max_error(chunk, errors(chunk), error), tolerance)
+    worst = _max_error(chunk, errors(chunk), error)
+    return _result(name, len(chunk), worst, _tolerance(name, tolerance))
 
 
 def _merge(parts: Sequence[CheckResult]) -> CheckResult:
@@ -454,86 +473,63 @@ def _unit_q_errors(states, tolerance: float) -> tuple[np.ndarray, np.ndarray]:
 # ------------------------------------------------------------------- checks
 
 
-def check_identity(
-    states: Sequence[TwoQubitState],
-    tolerance: float = DEFAULT_TOLERANCES["triad_identity"],
-) -> CheckResult:
+def check_identity(states, tolerance: float | None = None) -> CheckResult:
     """max |V^2 + D^2 + C^2 - 1| over the sample."""
     return _check("triad_identity", states, _identity_errors, _identity_error, tolerance)
 
 
-def check_dual_route(
-    states: Sequence[TwoQubitState],
-    tolerance: float = DEFAULT_TOLERANCES["s4_dual_route"],
-    norm_tolerance: float = DEFAULT_TOLERANCES["s4_unit_norm"],
-) -> tuple[CheckResult, CheckResult]:
-    """Direct coordinates vs the projection composition, plus sphere closure."""
+def check_dual_route(states, tolerance: float | None = None) -> tuple[CheckResult, CheckResult]:
+    """Direct coordinates vs the projection composition, plus sphere closure:
+    two rows from one pass of the routes."""
     chunk = _chunk(states)
     route, closure = _dual_route_errors(chunk)
     return (
-        _result(
-            "s4_dual_route", len(chunk),
-            _max_error(chunk, route, lambda s: _dual_route_error(s)[0]), tolerance,
+        _check(
+            "s4_dual_route", chunk, lambda _: route,
+            lambda s: _dual_route_error(s)[0], tolerance,
         ),
-        _result(
-            "s4_unit_norm", len(chunk),
-            _max_error(chunk, closure, lambda s: _dual_route_error(s)[1]), norm_tolerance,
+        _check(
+            "s4_unit_norm", chunk, lambda _: closure,
+            lambda s: _dual_route_error(s)[1], tolerance,
         ),
     )
 
 
-def check_concurrence_oracle(
-    states: Sequence[TwoQubitState],
-    tolerance: float = DEFAULT_TOLERANCES["concurrence_oracle"],
-) -> CheckResult:
+def check_concurrence_oracle(states, tolerance: float | None = None) -> CheckResult:
     """Determinant concurrence vs the explicit bilinear route."""
     errors, error = _concurrence_oracle_errors, _concurrence_oracle_error
     return _check("concurrence_oracle", states, errors, error, tolerance)
 
 
-def check_bilinear_convention(
-    states: Sequence[TwoQubitState],
-    tolerance: float = DEFAULT_TOLERANCES["bilinear_convention"],
-) -> CheckResult:
+def check_bilinear_convention(states, tolerance: float | None = None) -> CheckResult:
     """x3 + i*x4 must equal the full complex bilinear invariant."""
     errors, error = _bilinear_convention_errors, _bilinear_convention_error
     return _check("bilinear_convention", states, errors, error, tolerance)
 
 
-def check_fringe(
-    states: Sequence[TwoQubitState],
-    tolerance: float = DEFAULT_TOLERANCES["fringe_visibility"],
-) -> CheckResult:
+def check_fringe(states, tolerance: float | None = None) -> CheckResult:
     """Fringe-contrast visibility vs the algebraic coherence form."""
     return _check("fringe_visibility", states, _fringe_errors, _fringe_error, tolerance)
 
 
-def check_purity(
-    states: Sequence[TwoQubitState],
-    tolerance: float = DEFAULT_TOLERANCES["purity_relation"],
-) -> CheckResult:
+def check_purity(states, tolerance: float | None = None) -> CheckResult:
     """V^2 + D^2 against 2*Tr(rho^2) - 1 of the reduced path state."""
     return _check("purity_relation", states, _purity_errors, _purity_error, tolerance)
 
 
-def check_separable_plane(
-    states: Sequence[TwoQubitState],
-    tolerance: float = DEFAULT_TOLERANCES["separable_plane"],
-) -> CheckResult:
+def check_separable_plane(states, tolerance: float | None = None) -> CheckResult:
     """Product states must project into the complex plane (no e2/e3 part)."""
     errors, error = _separable_plane_errors, _separable_plane_error
     return _check("separable_plane", states, errors, error, tolerance)
 
 
-def check_unit_q_iff_d0(
-    states: Sequence[TwoQubitState],
-    tolerance: float = DEFAULT_TOLERANCES["unit_q_iff_d0"],
-) -> CheckResult:
+def check_unit_q_iff_d0(states, tolerance: float | None = None) -> CheckResult:
     """|Q| = 1 exactly when the path populations balance (finite Q).
 
     Random states rarely sit near the D = 0 manifold, so each sample also
     contributes a rescaled zero-imbalance variant that must land on |Q| = 1.
     """
+    tolerance = _tolerance("unit_q_iff_d0", tolerance)
     chunk = _chunk(states)
     errors, counts = _unit_q_errors(chunk, tolerance)
     worst = _max_error(chunk, errors, lambda s: _unit_q_error(s, tolerance)[0])
@@ -547,33 +543,34 @@ def verify_suite(
 
     With ``tolerance=None`` each check keeps its own default from
     ``DEFAULT_TOLERANCES``; a real number applies to all checks as a float.
+    The report lists the rows in ``DEFAULT_TOLERANCES`` order.
     """
-    if tolerance is not None and not (
-        isinstance(tolerance, numbers.Real) and 0.0 <= tolerance < math.inf
-    ):
-        raise ValueError(f"tolerance must be finite and >= 0, got {tolerance!r}")
-
-    def tol(name: str) -> float:
-        return DEFAULT_TOLERANCES[name] if tolerance is None else float(tolerance)
-
+    if tolerance is not None:
+        if not (isinstance(tolerance, numbers.Real) and 0.0 <= tolerance < math.inf):
+            raise ValueError(f"tolerance must be finite and >= 0, got {tolerance!r}")
+        tolerance = float(tolerance)
     haar, separable = SampleSpec(count, seed, HAAR), SampleSpec(count, seed, SEPARABLE)
-
-    def on_haar(chunk):
-        return (
-            check_identity(chunk, tol("triad_identity")),
-            *check_dual_route(chunk, tol("s4_dual_route"), tol("s4_unit_norm")),
-            check_concurrence_oracle(chunk, tol("concurrence_oracle")),
-            check_bilinear_convention(chunk, tol("bilinear_convention")),
-            check_fringe(chunk, tol("fringe_visibility")),
-            check_purity(chunk, tol("purity_relation")),
-            check_unit_q_iff_d0(chunk, tol("unit_q_iff_d0")),
-        )
+    # Each ensemble's checks, read from the module's names on every call, so
+    # that a check replaced there (by a test, or a tracer timing it) runs.
+    ensembles = (
+        (haar, (
+            check_identity, check_dual_route, check_concurrence_oracle,
+            check_bilinear_convention, check_fringe, check_purity, check_unit_q_iff_d0,
+        )),
+        (separable, (check_separable_plane,)),
+    )
 
     def on_block(draw):
-        # Both ensembles from the one draw, one chunk alive at a time.
-        *haar_results, unit_q = on_haar(_Chunk(_assemble(haar, draw)))
-        plane = check_separable_plane(_Chunk(_assemble(separable, draw)), tol("separable_plane"))
-        return (*haar_results, plane, unit_q)
+        # Both ensembles from the one draw, one chunk alive at a time: each
+        # is released before the next is built.
+        rows = {}
+        for spec, checks in ensembles:
+            chunk = _Chunk(_assemble(spec, draw))
+            for check in checks:
+                out = check(chunk, tolerance)
+                rows.update((r.name, r) for r in (out if isinstance(out, tuple) else (out,)))
+            del chunk
+        return [rows[name] for name in DEFAULT_TOLERANCES]
 
     checks = [_merge(parts) for parts in zip(*map(on_block, _draws(haar)))]
     return VerificationReport(tuple(checks), (CONVENTION_NOTE,))

@@ -76,6 +76,12 @@ VERIFY_RUNS = {
         ["verify", "--count", "500", "--seed", "7"],
         "345d0fb3b496142a0c5a97d54632af03b161c25e28d91c05ee2370f15d737ff7",
     ),
+    # One tolerance for every row, which unit_q_iff_d0's error also reads;
+    # three blocks.
+    "2100-5-tolerance-json": (
+        ["verify", "--count", "2100", "--seed", "5", "--tolerance", "1e-9", "--format", "json"],
+        "41d573462a9a0c63eab39200a9a901c8e166613a5bc1b2c42e732b4950551254",
+    ),
 }
 
 

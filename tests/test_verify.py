@@ -27,6 +27,7 @@ from qtriad.sampling import (
     sample_separable,
 )
 from qtriad.states import (
+    DensityMatrix2,
     DualityTriad,
     _columns,
     _fringe,
@@ -73,6 +74,7 @@ def test_suite_passes_on_seeded_sample():
         "separable_plane",
         "unit_q_iff_d0",
     ]
+    assert names == list(DEFAULT_TOLERANCES)
     for c in report.checks:
         assert c.max_error <= c.tolerance
         assert c.samples > 0
@@ -228,6 +230,31 @@ def test_planted_fault_fails_exactly_the_checks_that_read_it(monkeypatch, capsys
             assert {c["name"] for c in checks if not c["passed"]} == failing, site
 
 
+def _scaled_coherence(s):
+    """``reduced_density_photon`` with its coherence scaled by 1 + 1e-3."""
+    rho = reduced_density_photon(s)
+    return DensityMatrix2(rho.rho00, rho.rho01 * (1.0 + 1e-3), rho.rho11)
+
+
+# fault: ((the scalar route's site in verify, its planted stand-in), the checks
+# that must fail). The array routes read the kernel's values, so these faults
+# have no array site and are caught at the witnesses alone.
+SCALAR_PLANTED = {
+    "coherence": (("reduced_density_photon", _scaled_coherence), {"purity_relation"}),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(SCALAR_PLANTED))
+def test_planted_scalar_fault_fails_exactly_the_checks_that_read_it(monkeypatch, capsys, fault):
+    (site, value), failing = SCALAR_PLANTED[fault]
+    monkeypatch.setattr(verify, site, value)
+    report = verify_suite(3000, 7)
+    assert {c.name for c in report.checks if not c.passed} == failing
+    assert main(["verify", "--count", "3000", "--seed", "7", "--format", "json"]) == 1
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert {c["name"] for c in checks if not c["passed"]} == failing
+
+
 def _d_offset(x):
     # A D fault that differs from state to state, from the real part x of a0.
     return 1e-3 * (1.0 + x * x)
@@ -280,10 +307,17 @@ def test_report_json_round_trip():
 
 
 def test_default_tolerances_are_pinned():
-    assert DEFAULT_TOLERANCES["triad_identity"] == 1e-10
-    assert DEFAULT_TOLERANCES["s4_dual_route"] == 1e-9
-    assert DEFAULT_TOLERANCES["concurrence_oracle"] == 1e-12
-    assert DEFAULT_TOLERANCES["separable_plane"] == 1e-12
+    assert list(DEFAULT_TOLERANCES.items()) == [
+        ("triad_identity", 1e-10),
+        ("s4_dual_route", 1e-9),
+        ("s4_unit_norm", 1e-10),
+        ("concurrence_oracle", 1e-12),
+        ("bilinear_convention", 1e-12),
+        ("fringe_visibility", 1e-10),
+        ("purity_relation", 1e-10),
+        ("separable_plane", 1e-12),
+        ("unit_q_iff_d0", 1e-10),
+    ]
 
 
 def test_bilinear_route_is_independent():
@@ -570,6 +604,20 @@ def test_check_on_no_states_reports_nothing(check):
         assert (result.samples, repr(result.max_error), result.passed) == (0, "0.0", True)
 
 
+def _rows(out):
+    """A check's rows: its one result, or the results it returns together."""
+    return out if isinstance(out, tuple) else (out,)
+
+
+@pytest.mark.parametrize("check", PUBLIC_CHECKS, ids=lambda check: check.__name__)
+def test_check_takes_its_defaults_or_one_tolerance_for_all_its_rows(check):
+    states = sample_haar(SampleSpec(20, 3, HAAR))
+    rows = _rows(check(states))
+    assert [r.tolerance for r in rows] == [DEFAULT_TOLERANCES[r.name] for r in rows]
+    for out in (check(states, 1e-6), check(states, tolerance=1e-6)):
+        assert [r.tolerance for r in _rows(out)] == [1e-6] * len(rows)
+
+
 def _plant_visibility(monkeypatch, planted, sites=("kernel", "triad")):
     """V with the values of ``planted``, keyed by a state's amplitudes, in
     ``sites``: the kernel's rows, which the array routes read, and
@@ -687,6 +735,31 @@ def test_suite_holds_one_chunk_at_a_time(monkeypatch):
     monkeypatch.setattr(verify, "_Chunk", Tracked)
     assert verify_suite(_BLOCK + 1, 5).passed
     assert built == [_BLOCK, _BLOCK, 1, 1]
+
+
+@pytest.mark.parametrize("tolerance, passed_on", [(None, None), (Fraction(1, 10**6), 1e-6)])
+def test_suite_calls_each_check_by_its_module_name(monkeypatch, tolerance, passed_on):
+    # A tracer times the checks by replacing each check_* in the module's
+    # namespace, so the suite must look them up there when it runs: once per
+    # chunk of the check's ensemble, with the sized chunk first and the
+    # suite's tolerance, checked and converted once, second.
+    count = 2 * _BLOCK + 1
+    expected = repr(verify_suite(count, 5, tolerance))
+    sizes = {}
+
+    def counted(check):
+        def run(states, *args, **kwargs):
+            sizes.setdefault(check.__name__, []).append(len(states))
+            (given,) = (*args, *kwargs.values())
+            assert repr(given) == repr(passed_on)
+            return check(states, *args, **kwargs)
+
+        return run
+
+    for check in PUBLIC_CHECKS:
+        monkeypatch.setattr(verify, check.__name__, counted(check))
+    assert repr(verify_suite(count, 5, tolerance)) == expected
+    assert sizes == {check.__name__: [_BLOCK, _BLOCK, 1] for check in PUBLIC_CHECKS}
 
 
 SCALAR_ERRORS = (
