@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .quaternion import INFINITY, ExtendedQuaternion, Quaternion, _norm_sq, is_infinite
-from .states import NORM_TOL, DualityTriad, S4Point, TwoQubitState, _coords, _invariants
+from .states import NORM_TOL, _COORDS, DualityTriad, S4Point, TwoQubitState, _recall
 
 # Below this |q2| the projection is treated as the point at infinity.
 INFINITY_THRESHOLD = 1e-14
@@ -101,7 +101,7 @@ def coords_from_state(s: TwoQubitState) -> S4Point:
     It has no singularity at q2 = 0 and is the canonical route; the
     stereographic composition is its cross-check.
     """
-    return _coords(*_invariants(*s.alpha))
+    return _recall(s, _COORDS)
 
 
 def triad_from_coords(p: S4Point) -> DualityTriad:

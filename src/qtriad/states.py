@@ -20,6 +20,18 @@ not use them, so that they stay independent checks of them. The fringe
 oracle has one home, ``_fringe``, for ``fringe_extrema`` and for ``verify``'s
 rows alike; it reads no invariant, only the intensities of p(delta) at four
 phases.
+
+The scalar readers of one state go through a one-entry memo, ``_recall``:
+``triad`` (and with it ``visibility``, ``distinguishability``,
+``concurrence`` and ``classify``), ``projection.coords_from_state`` (and
+with it ``ball_point``), ``reduced_density_photon`` and ``verify``'s scalar
+witness helpers. It keeps the last state asked about, keyed by identity (the
+type is frozen), with its ``_invariants`` and, once asked for, its triad and
+its S4Point. So a caller that analyses one state object several times, as
+the README's quickstart does, evaluates its invariants once. Every value is
+what one ``_invariants`` call on the state's amplitudes gives, so the memo
+moves no bit. ``dataset.state_record``, ``_invariant_rows`` and ``verify``'s
+array routes call ``_invariants`` directly: each sees a state only once.
 """
 
 from __future__ import annotations
@@ -420,12 +432,43 @@ def _invariant_rows(alpha: np.ndarray) -> _Rows:
     return _Rows(p0, p1, triads, coords, _purity(p0, p1, coherence), abs(det))
 
 
+# The memo's entries, (state, its ``_invariants``, its triad, its S4Point),
+# are read by these indices; the triad and the point are None until asked for.
+_INVARIANTS, _TRIAD, _COORDS = 1, 2, 3
+# The one entry: that of the last state a reader asked about. The state is
+# the key, compared by identity; the entry holds it, so its id is not reused
+# while it is there. An entry is a new tuple stored in one assignment, and
+# each of its values comes from its own state's amplitudes, so threads need no
+# lock: a thread may replace another's entry, and at worst computes again.
+_memo: tuple = (None, None, None, None)
+
+
+def _recall(s: TwoQubitState, k: int):
+    """Item k of the memo's entry for s: ``_INVARIANTS``, ``_TRIAD`` or
+    ``_COORDS``. The entry is made by one ``_invariants(*s.alpha)`` call when
+    the memo holds another state; the triad and the point are computed from
+    it the first time they are asked for."""
+    global _memo
+    entry = _memo
+    if entry[0] is not s:
+        entry = _memo = (s, _invariants(*s.alpha), None, None)
+    value = entry[k]
+    if value is None:
+        _, invariants, t, x = entry
+        if k == _TRIAD:
+            value = t = _triad(*invariants)
+        else:
+            value = x = _coords(*invariants)
+        _memo = (s, invariants, t, x)
+    return value
+
+
 def reduced_density_photon(s: TwoQubitState) -> DensityMatrix2:
     """Reduced state of the path qubit (partner traced out).
 
     The off-diagonal is stored as the coherence term conj(a2)*a0 + conj(a3)*a1.
     """
-    p0, p1, coherence, _ = _invariants(*s.alpha)
+    p0, p1, coherence, _ = _recall(s, _INVARIANTS)
     return DensityMatrix2(p0, coherence, p1)
 
 
@@ -465,7 +508,7 @@ def concurrence(s: TwoQubitState) -> float:
 
 def triad(s: TwoQubitState) -> DualityTriad:
     """The (V, D, C) triple; satisfies V^2 + D^2 + C^2 = 1."""
-    return _triad(*_invariants(*s.alpha))
+    return _recall(s, _TRIAD)
 
 
 def _triad(p0: float, p1: float, coherence: complex, det: complex) -> DualityTriad:

@@ -50,12 +50,13 @@ bit, and then they are the same value.
 The report's rows, their names, default tolerances and order are those of
 ``DEFAULT_TOLERANCES``. Every ``check_*`` takes ``(states, tolerance=None)``:
 None keeps each of its rows' defaults and a number applies to all of its
-rows, the rule of ``verify_suite`` and ``--tolerance``; ``check_dual_route``
-gives two rows from one pass of its routes. The suite calls the checks by
-their names in this module when it runs, not through references taken at
-import, so a check replaced in the module's namespace is the one that runs:
-``benchmark/tracing.py`` times each check that way, and the tests count the
-calls that way.
+rows, the rule of ``verify_suite`` and ``--tolerance``. ``_tolerance`` holds
+the rule for the checks and the suite alike: a finite real >= 0, stored as a
+float, else a ValueError. ``check_dual_route`` gives two rows from one pass
+of its routes. The suite calls the checks by their names in this module when
+it runs, not through references taken at import, so a check replaced in the
+module's namespace is the one that runs: ``benchmark/tracing.py`` times each
+check that way, and the tests count the calls that way.
 
 Each check reports its worst-case error, so a report stays useful even when
 everything passes; failures are reported, never raised.
@@ -83,6 +84,7 @@ from .projection import (
 from .quaternion import _inverse, _norm_sq, _product, is_infinite
 from .sampling import HAAR, SEPARABLE, SampleSpec, _assemble, _draws
 from .states import (
+    _INVARIANTS,
     TwoQubitState,
     _admitted,
     _Columns,
@@ -91,7 +93,7 @@ from .states import (
     _fringe,
     _gate,
     _invariant_rows,
-    _invariants,
+    _recall,
     fringe_extrema,
     purity,
     reduced_density_photon,
@@ -220,9 +222,14 @@ def _max_error(chunk: _Chunk, errors, error: Callable) -> float:
     return array if math.isnan(array) or array > scalar else scalar
 
 
-def _tolerance(name: str, tolerance: float | None) -> float:
-    """``tolerance``, or row ``name``'s default when it is None."""
-    return DEFAULT_TOLERANCES[name] if tolerance is None else tolerance
+def _tolerance(tolerance: float | None, name: str | None = None) -> float | None:
+    """``tolerance`` as a float; raises ValueError unless it is a finite real
+    >= 0. None stands for row ``name``'s default, and stays None without a name."""
+    if tolerance is None:
+        return None if name is None else DEFAULT_TOLERANCES[name]
+    if not (isinstance(tolerance, numbers.Real) and 0.0 <= tolerance < math.inf):
+        raise ValueError(f"tolerance must be finite and >= 0, got {tolerance!r}")
+    return float(tolerance)
 
 
 def _check(
@@ -231,9 +238,10 @@ def _check(
     """Row ``name``: its error at the witness of the chunk's array
     ``errors``, as ``_max_error`` gives it with the scalar ``error``, against
     ``tolerance`` or, when that is None, the row's default."""
+    tolerance = _tolerance(tolerance, name)
     chunk = _chunk(states)
     worst = _max_error(chunk, errors(chunk), error)
-    return _result(name, len(chunk), worst, _tolerance(name, tolerance))
+    return _result(name, len(chunk), worst, tolerance)
 
 
 def _merge(parts: Sequence[CheckResult]) -> CheckResult:
@@ -392,7 +400,7 @@ def _purity_errors(states) -> np.ndarray:
 
 
 def _separable_plane_error(s: TwoQubitState) -> float:
-    det = abs(_invariants(*s.alpha)[3])
+    det = abs(_recall(s, _INVARIANTS)[3])
     q = stereo_project(quaternify(s))
     if is_infinite(q):
         return math.inf
@@ -410,7 +418,7 @@ def _unit_q_variants(s: TwoQubitState) -> list[TwoQubitState]:
     """The state, plus its zero-imbalance variant when both branches carry
     weight: both rescaled to weight 1/2, which keeps the coherences and
     forces D ~ 0."""
-    p0, p1, _, _ = _invariants(*s.alpha)
+    p0, p1, _, _ = _recall(s, _INVARIANTS)
     _, variants = _balanced(np.array([s.alpha]), np.array([p0]), np.array([p1]))
     return [s, *_admitted(variants)]
 
@@ -529,7 +537,7 @@ def check_unit_q_iff_d0(states, tolerance: float | None = None) -> CheckResult:
     Random states rarely sit near the D = 0 manifold, so each sample also
     contributes a rescaled zero-imbalance variant that must land on |Q| = 1.
     """
-    tolerance = _tolerance("unit_q_iff_d0", tolerance)
+    tolerance = _tolerance(tolerance, "unit_q_iff_d0")
     chunk = _chunk(states)
     errors, counts = _unit_q_errors(chunk, tolerance)
     worst = _max_error(chunk, errors, lambda s: _unit_q_error(s, tolerance)[0])
@@ -545,10 +553,7 @@ def verify_suite(
     ``DEFAULT_TOLERANCES``; a real number applies to all checks as a float.
     The report lists the rows in ``DEFAULT_TOLERANCES`` order.
     """
-    if tolerance is not None:
-        if not (isinstance(tolerance, numbers.Real) and 0.0 <= tolerance < math.inf):
-            raise ValueError(f"tolerance must be finite and >= 0, got {tolerance!r}")
-        tolerance = float(tolerance)
+    tolerance = _tolerance(tolerance)
     haar, separable = SampleSpec(count, seed, HAAR), SampleSpec(count, seed, SEPARABLE)
     # Each ensemble's checks, read from the module's names on every call, so
     # that a check replaced there (by a test, or a tracer timing it) runs.

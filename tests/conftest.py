@@ -5,6 +5,8 @@ import tempfile
 import pytest
 from hypothesis.configuration import set_hypothesis_home_dir
 
+from qtriad import states
+
 _HYPOTHESIS_HOME = pytest.StashKey[str]()
 
 
@@ -42,3 +44,13 @@ def deadline():
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0.0)
         signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture(autouse=True)
+def _empty_memo():
+    """Start each test with ``states``' memo empty.
+
+    A value the memo keeps under one test's stand-in for ``states._invariants``
+    would otherwise reach the next test that reads the same state object.
+    """
+    states._memo = (None, None, None, None)

@@ -1,5 +1,10 @@
 import cmath
 import math
+import os
+import random
+import sys
+import threading
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -8,9 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edge_states import edge_states
-from qtriad.classify import classify, schmidt_decompose
+from qtriad import states as states_module
+from qtriad.classify import _strata, classify, schmidt_decompose
 from qtriad.dataset import state_record
 from qtriad.projection import (
+    BallPoint,
+    ball_point,
     coords_from_state,
     inverse_stereo,
     quaternify,
@@ -20,9 +28,13 @@ from qtriad.projection import (
 from qtriad.sampling import HAAR, SampleSpec, sample_haar
 from qtriad.states import (
     BlochAngles,
+    DensityMatrix2,
     TwoQubitState,
+    _admitted,
     _Columns,
+    _coords,
     _invariants,
+    _triad,
     bloch_state,
     concurrence,
     distinguishability,
@@ -714,3 +726,137 @@ def test_columns_round_as_python_complex(rows):
         except OverflowError:  # Python raises where |x| overflows
             continue
         assert repr(modulus) == repr(expected)
+
+
+# The readers of ``states``' one-entry memo, each value as compared: by repr,
+# which keeps every bit, and classify's labels sorted.
+_READERS = {
+    "triad": lambda s: repr(triad(s)),
+    "coords_from_state": lambda s: repr(coords_from_state(s)),
+    "ball_point": lambda s: repr(ball_point(s)),
+    "classify": lambda s: sorted(label.value for label in classify(s)),
+    "reduced_density_photon": lambda s: repr(reduced_density_photon(s)),
+}
+
+
+def _fresh(s):
+    """The readers' values for s from an ``_invariants`` call of its own."""
+    p0, p1, coherence, det = invariants = _invariants(*s.alpha)
+    t, x = _triad(*invariants), _coords(*invariants)
+    return {
+        "triad": repr(t),
+        "coords_from_state": repr(x),
+        "ball_point": repr(BallPoint(x.x0, x.x1, x.x2)),
+        "classify": sorted(label.value for label in _strata(t)),
+        "reduced_density_photon": repr(DensityMatrix2(p0, coherence, p1)),
+    }
+
+
+@settings(database=None, derandomize=True, max_examples=300)
+@given(
+    edge_states(),
+    edge_states(),
+    st.lists(st.tuples(st.integers(0, 1), st.sampled_from(sorted(_READERS))), max_size=24),
+)
+def test_memo_readers_equal_a_fresh_evaluation_on_interleaved_edge_states(a, b, reads):
+    # Lone reads, repeated reads and reads of two states in any order.
+    pair = (a, b)
+    expected = [_fresh(a), _fresh(b)]
+    for k, name in reads:
+        assert _READERS[name](pair[k]) == expected[k][name], (k, name)
+    for name in sorted(_READERS):
+        assert _READERS[name](a) == expected[0][name], name
+
+
+def test_memo_readers_equal_a_fresh_evaluation_on_admitted_states():
+    # Each state read is released before the next is built, and the state
+    # between them is dropped unread, so the next state read can take the
+    # address of the last one. The memo holds the state it keeps, so that
+    # address is not free while the memo keys on it.
+    alpha = np.array([s.alpha for s in sample_haar(SampleSpec(1000, 7, HAAR))])
+    states = _admitted(alpha)
+    names = sorted(_READERS)
+    for k in range(len(alpha) // 2):
+        s = next(states)
+        next(states)
+        expected = _fresh(s)
+        for name in names[k % len(names) :] + names[: k % len(names)]:
+            assert _READERS[name](s) == expected[name], (k, name)
+        del s
+
+
+def _counting(monkeypatch, name):
+    """``states.<name>`` replaced by a wrapper that counts its calls."""
+    calls = []
+    fn = getattr(states_module, name)
+
+    def counted(*args):
+        calls.append(name)
+        return fn(*args)
+
+    monkeypatch.setattr(states_module, name, counted)
+    return calls
+
+
+def test_memo_evaluates_a_state_once_for_every_reader(monkeypatch):
+    invariants = _counting(monkeypatch, "_invariants")
+    coords = _counting(monkeypatch, "_coords")
+    s = make_state((0.5, 0.5j, -0.5, 0.5))
+    triad(s)
+    assert (len(invariants), coords) == (1, [])
+    coords_from_state(s)
+    ball_point(s)
+    classify(s)
+    reduced_density_photon(s)
+    assert (len(invariants), len(coords)) == (1, 1)
+    t = make_state((0.6, 0, 0, 0.8))
+    reduced_density_photon(t)
+    triad(t)
+    assert (len(invariants), len(coords)) == (2, 1)
+
+
+def test_memo_gives_each_thread_its_own_states_values():
+    # More threads than cores, each reading its own states through every
+    # reader, in an order that differs from thread to thread and round to
+    # round. A shortened switch interval lets the interpreter switch often,
+    # and each thread also gives up the interpreter at a random 30% of its
+    # Python calls, which are where a switch can fall inside a reader. A
+    # reader that paired one thread's state with another's values would
+    # return a foreign value.
+    threads = (os.cpu_count() or 1) + 2
+    states = sample_haar(SampleSpec(40 * threads, 11, HAAR))
+    work = [states[k::threads] for k in range(threads)]
+    expected = [[_fresh(s) for s in mine] for mine in work]
+    names = sorted(_READERS)
+    done = [False] * threads
+    wrong = [[] for _ in range(threads)]
+
+    def run(k):
+        draw = random.Random(k).random
+
+        def switch(frame, event, arg):
+            if event == "call" and draw() < 0.3:
+                time.sleep(0)
+
+        sys.setprofile(switch)
+        for r in range(5):
+            for j, s in enumerate(work[k]):
+                turn = (j + k + r) % len(names)
+                for name in names[turn:] + names[:turn]:
+                    if _READERS[name](s) != expected[k][j][name]:
+                        wrong[k].append((r, j, name))
+        done[k] = True
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=run, args=(k,)) for k in range(threads)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    assert done == [True] * threads
+    assert wrong == [[] for _ in range(threads)]

@@ -43,6 +43,7 @@ from qtriad.states import (
 )
 from qtriad.verify import (
     DEFAULT_TOLERANCES,
+    VerificationReport,
     check_bilinear_convention,
     check_concurrence_oracle,
     check_dual_route,
@@ -616,6 +617,23 @@ def test_check_takes_its_defaults_or_one_tolerance_for_all_its_rows(check):
     assert [r.tolerance for r in rows] == [DEFAULT_TOLERANCES[r.name] for r in rows]
     for out in (check(states, 1e-6), check(states, tolerance=1e-6)):
         assert [r.tolerance for r in _rows(out)] == [1e-6] * len(rows)
+
+
+@pytest.mark.parametrize("tolerance", [Fraction(1, 1000), 1, np.float64(1e-3)], ids=repr)
+@pytest.mark.parametrize("check", PUBLIC_CHECKS, ids=lambda check: check.__name__)
+def test_check_stores_a_real_tolerance_as_a_float(check, tolerance):
+    states = sample_haar(SampleSpec(20, 3, HAAR))
+    rows = _rows(check(states, tolerance))
+    assert [type(r.tolerance) for r in rows] == [float] * len(rows)
+    as_float = VerificationReport(_rows(check(states, float(tolerance)))).to_json()
+    assert VerificationReport(rows).to_json() == as_float
+
+
+@pytest.mark.parametrize("tolerance", [-1e-6, math.nan, math.inf], ids=repr)
+@pytest.mark.parametrize("check", PUBLIC_CHECKS, ids=lambda check: check.__name__)
+def test_check_rejects_an_unusable_tolerance(check, tolerance):
+    with pytest.raises(ValueError, match="tolerance must be finite and >= 0"):
+        check(sample_haar(SampleSpec(20, 3, HAAR)), tolerance)
 
 
 def _plant_visibility(monkeypatch, planted, sites=("kernel", "triad")):
