@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .quaternion import INFINITY, ExtendedQuaternion, Quaternion, _norm_sq, is_infinite
-from .states import NORM_TOL, _COORDS, DualityTriad, S4Point, TwoQubitState, _recall
+from .states import NORM_TOL, _COORDS, DualityTriad, S4Point, TwoQubitState, _new, _recall
 
 # Below this |q2| the projection is treated as the point at infinity.
 INFINITY_THRESHOLD = 1e-14
@@ -91,7 +91,7 @@ def inverse_stereo(q: ExtendedQuaternion) -> S4Point:
 def _chart(n2: float, q0: float, q1: float, q2: float, q3: float) -> S4Point:
     """``inverse_stereo`` of a finite Q = (q0, q1, q2, q3) with |Q|^2 = n2."""
     scale = 2.0 / (n2 + 1.0)
-    return S4Point((n2 - 1.0) / (n2 + 1.0), scale * q0, scale * q1, scale * q2, scale * q3)
+    return _new(S4Point, ((n2 - 1.0) / (n2 + 1.0), scale * q0, scale * q1, scale * q2, scale * q3))
 
 
 def coords_from_state(s: TwoQubitState) -> S4Point:
@@ -125,5 +125,4 @@ def ball_point(s: TwoQubitState) -> BallPoint:
     The radius equals sqrt(1 - C^2): separable states sit on the boundary
     sphere, maximally entangled ones at the center.
     """
-    c = coords_from_state(s)
-    return BallPoint(c.x0, c.x1, c.x2)
+    return _new(BallPoint, coords_from_state(s)[:3])

@@ -32,6 +32,15 @@ the README's quickstart does, evaluates its invariants once. Every value is
 what one ``_invariants`` call on the state's amplitudes gives, so the memo
 moves no bit. ``dataset.state_record``, ``_invariant_rows`` and ``verify``'s
 array routes call ``_invariants`` directly: each sees a state only once.
+
+The value types store a part of exact type ``complex`` as given and convert
+anything else: ``TwoQubitState`` keeps a tuple of four ``complex`` as its
+``alpha``, and ``CorrelatedState`` keeps ``complex`` weights and tuples of
+``complex``. One norm rule admits a state, for one state and for rows
+(``_gate``) alike: the plain norm ``sqrt(_sum_squares(alpha))`` lies within
+``NORM_TOL / 8`` of 1. ``_norm``'s scale-safe path only words the message
+of a rejected state. The NamedTuple results are each built in one place
+from a tuple of their values.
 """
 
 from __future__ import annotations
@@ -47,6 +56,12 @@ import numpy as np
 # ``TwoQubitState`` keeps |psi| within NORM_TOL / 8 of 1, so that |psi|^2 and
 # |psi|^4, which the derived types check against NORM_TOL, stay inside it.
 NORM_TOL = 1e-9
+
+
+# A NamedTuple built from a tuple of its values, without the frame of the
+# generated ``__new__``: for the results built in one place each, whose values
+# always number the fields.
+_new = tuple.__new__
 
 
 class DualityTriad(NamedTuple):
@@ -74,18 +89,32 @@ class TwoQubitState:
     alpha: tuple[complex, complex, complex, complex]
 
     def __post_init__(self):
-        alpha = _four(self.alpha)
-        object.__setattr__(self, "alpha", alpha)
-        n, scale = _norm(alpha)
-        if not math.isfinite(n) or abs(n * scale - 1.0) > NORM_TOL / 8:
+        alpha = self.alpha
+        if not _exact(alpha):
+            alpha = _four(alpha)
+            object.__setattr__(self, "alpha", alpha)
+        # One plain norm decides as ``_norm``'s n * scale would: ``_norm``
+        # returns this norm with scale 1 whenever it lies in [2**-500, inf),
+        # and outside that range both rules reject (an overflowed sum, a NaN,
+        # or a norm below 2**-500 whose true value is below 2**-499 too).
+        n = math.sqrt(_sum_squares(alpha))
+        if not abs(n - 1.0) <= NORM_TOL / 8:
+            n, scale = _norm(alpha)
             raise ValueError(f"amplitudes are not normalized: |amp| = {n * scale!r}")
+
+
+def _exact(alpha) -> bool:
+    """Whether alpha is a tuple of four parts of exact type ``complex``, the
+    form ``TwoQubitState`` stores as given."""
+    if type(alpha) is not tuple or len(alpha) != 4:
+        return False
+    a0, a1, a2, a3 = alpha
+    return type(a0) is type(a1) is type(a2) is type(a3) is complex
 
 
 def _gate(alpha: np.ndarray) -> None:
     """``TwoQubitState``'s norm gate over n rows of amplitudes, ``(n, 4)``:
     raises its ValueError for the first row it rejects."""
-    # Rows with |psi| near 1 take ``_norm``'s plain branch; any other row
-    # fails both gates.
     n = np.sqrt(_sum_squares(_columns(alpha)))
     bad = ~(np.abs(n - 1.0) <= NORM_TOL / 8)
     if bad.any():
@@ -108,7 +137,10 @@ def _admitted(alpha: np.ndarray) -> Iterator[TwoQubitState]:
 
 
 def _four(amplitudes: Sequence[complex]) -> tuple[complex, ...]:
-    """The amplitudes as complex numbers; raises ValueError unless there are 4."""
+    """The amplitudes as complex numbers; raises ValueError unless there are 4.
+    A tuple of four exact ``complex`` is returned as given."""
+    if _exact(amplitudes):
+        return amplitudes
     alpha = tuple(map(complex, amplitudes))
     if len(alpha) != 4:
         raise ValueError("a two-qubit state needs exactly 4 amplitudes")
@@ -183,14 +215,17 @@ class CorrelatedState:
     chi2: tuple[complex, ...]
 
     def __post_init__(self):
-        chi1 = tuple(complex(c) for c in self.chi1)
-        chi2 = tuple(complex(c) for c in self.chi2)
+        chi1, chi2 = _complexes(self.chi1), _complexes(self.chi2)
+        if chi1 is not self.chi1:
+            object.__setattr__(self, "chi1", chi1)
+        if chi2 is not self.chi2:
+            object.__setattr__(self, "chi2", chi2)
         if len(chi1) == 0 or len(chi1) != len(chi2):
             raise ValueError("chi1 and chi2 must share a dimension d >= 1")
-        object.__setattr__(self, "mu", complex(self.mu))
-        object.__setattr__(self, "nu", complex(self.nu))
-        object.__setattr__(self, "chi1", chi1)
-        object.__setattr__(self, "chi2", chi2)
+        if type(self.mu) is not complex:
+            object.__setattr__(self, "mu", complex(self.mu))
+        if type(self.nu) is not complex:
+            object.__setattr__(self, "nu", complex(self.nu))
         n1, scale1 = _norm(chi1)
         n2, scale2 = _norm(chi2)
         if not (math.isfinite(n1) and math.isfinite(n2)):
@@ -200,6 +235,14 @@ class CorrelatedState:
         w = math.hypot(abs(self.mu), abs(self.nu))
         if not math.isfinite(w) or abs(w - 1.0) > NORM_TOL:
             raise ValueError("|mu|^2 + |nu|^2 must equal 1")
+
+
+def _complexes(v: Sequence[complex]) -> tuple[complex, ...]:
+    """v as a tuple of complex numbers: v itself if it is a tuple of parts of
+    exact type ``complex``."""
+    if type(v) is tuple and all(type(c) is complex for c in v):
+        return v
+    return tuple(map(complex, v))
 
 
 def _ldexp(z: complex, e: int) -> complex:
@@ -244,8 +287,7 @@ def make_correlated(
     Weights and chi entries may have any finite size. Zero-norm chi vectors
     (or a combined zero weight) are rejected.
     """
-    c1 = tuple(complex(c) for c in chi1)
-    c2 = tuple(complex(c) for c in chi2)
+    c1, c2 = _complexes(chi1), _complexes(chi2)
     m, n = complex(mu), complex(nu)
     if normalize:
         n1, scale1 = _norm(c1)
@@ -513,13 +555,14 @@ def triad(s: TwoQubitState) -> DualityTriad:
 
 def _triad(p0: float, p1: float, coherence: complex, det: complex) -> DualityTriad:
     """``triad`` of a state whose ``_invariants`` are the arguments."""
-    return DualityTriad(2.0 * abs(coherence), abs(p0 - p1), 2.0 * abs(det))
+    return _new(DualityTriad, (2.0 * abs(coherence), abs(p0 - p1), 2.0 * abs(det)))
 
 
 def _coords(p0: float, p1: float, coherence: complex, det: complex) -> S4Point:
     """``coords_from_state`` of a state whose ``_invariants`` are the arguments."""
-    return S4Point(
-        p0 - p1, 2.0 * coherence.real, 2.0 * coherence.imag, 2.0 * det.real, 2.0 * det.imag
+    return _new(
+        S4Point,
+        (p0 - p1, 2.0 * coherence.real, 2.0 * coherence.imag, 2.0 * det.real, 2.0 * det.imag),
     )
 
 

@@ -1,6 +1,7 @@
 import cmath
 import math
 import os
+import pickle
 import random
 import sys
 import threading
@@ -27,13 +28,19 @@ from qtriad.projection import (
 )
 from qtriad.sampling import HAAR, SampleSpec, sample_haar
 from qtriad.states import (
+    NORM_TOL,
     BlochAngles,
+    CorrelatedState,
     DensityMatrix2,
+    DualityTriad,
+    S4Point,
     TwoQubitState,
     _admitted,
     _Columns,
     _coords,
+    _gate,
     _invariants,
+    _norm,
     _triad,
     bloch_state,
     concurrence,
@@ -192,6 +199,137 @@ def test_make_state_in_range_normalization_keeps_its_bits():
         n = math.sqrt(sum(a.real * a.real + a.imag * a.imag for a in amps))
         expected = tuple(a / n for a in amps)
         assert repr(make_state(amps, normalize=True).alpha) == repr(expected)
+
+
+def _old_gate(alpha):
+    """The norm gate as ``TwoQubitState`` applied it through ``_norm``: None
+    when it accepts alpha, else its message."""
+    n, scale = _norm(alpha)
+    if math.isfinite(n) and abs(n * scale - 1.0) <= NORM_TOL / 8:
+        return None
+    return f"amplitudes are not normalized: |amp| = {n * scale!r}"
+
+
+def _verdict(gate, alpha):
+    try:
+        gate(alpha)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def _row_gate(alpha):
+    # These rows' squares overflow or underflow, as the scalar gate's do;
+    # numpy warns about it, Python floats do not.
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        _gate(np.array([alpha], dtype=complex))
+
+
+# The factors 1 +- NORM_TOL / 8, each with its two neighbouring floats.
+_BAND_EDGES = [
+    g
+    for f in (1.0 - NORM_TOL / 8, 1.0 + NORM_TOL / 8)
+    for g in (math.nextafter(f, 0.0), f, math.nextafter(f, 2.0))
+]
+
+
+@st.composite
+def _gate_rows(draw):
+    """Four amplitudes on and around the edges of the norm gate: unit states,
+    unit states scaled to |psi| = 1 +- NORM_TOL / 8 (+- 1 ulp), to the ends
+    of the float range, or with a NaN or infinite part."""
+    alpha = draw(edge_states()).alpha
+    kind = draw(st.sampled_from(["unit", "band", "scale", "nonfinite"]))
+    if kind == "band":
+        f = draw(st.sampled_from(_BAND_EDGES))
+        return tuple(a * f for a in alpha)
+    if kind == "scale":
+        f = draw(st.sampled_from([5e-324, 1e-300, 1e300]))
+        return tuple(a * f for a in alpha)
+    if kind == "nonfinite":
+        k, bad = draw(st.integers(0, 3)), draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+        part = complex(bad, alpha[k].imag) if draw(st.booleans()) else complex(alpha[k].real, bad)
+        return alpha[:k] + (part,) + alpha[k + 1:]
+    return alpha
+
+
+@settings(database=None, derandomize=True, max_examples=600)
+@given(_gate_rows())
+def test_scalar_and_row_gates_decide_as_the_norm_rule(alpha):
+    expected = _old_gate(alpha)
+    assert _verdict(TwoQubitState, alpha) == expected
+    assert _verdict(_row_gate, alpha) == expected
+
+
+class _Complex(complex):
+    pass
+
+
+def test_exact_complex_amplitudes_are_stored_as_given():
+    alpha = (0.6 + 0j, 0j, 0.48j, 0.64 + 0j)
+    assert TwoQubitState(alpha).alpha is alpha
+    assert make_state(alpha).alpha is alpha
+
+
+@pytest.mark.parametrize(
+    "amps",
+    [
+        [0.6, 0, 0.48j, 0.64],
+        (1, 0, 0, 0),
+        tuple(np.array([0.6, 0, 0.48j, 0.64])),
+        (_Complex(0.6), 0j, _Complex(0.48j), 0.64 + 0j),
+        (0.6, 0j, 0.48j, 0.64 + 0j),
+    ],
+    ids=["list", "ints", "complex128", "complex-subclass", "float"],
+)
+def test_other_amplitudes_are_stored_as_exact_complex(amps):
+    for s in (TwoQubitState(amps), make_state(amps), make_state(amps, normalize=True)):
+        assert type(s.alpha) is tuple
+        assert all(type(a) is complex for a in s.alpha)
+    assert TwoQubitState(amps).alpha == tuple(complex(a) for a in amps)
+
+
+def test_correlated_state_stores_exact_parts_as_given_and_converts_others():
+    mu, nu, chi1, chi2 = 0.6 + 0j, 0.8j, (1 + 0j, 0j), (0.6 + 0j, 0.8j)
+    c = CorrelatedState(mu, nu, chi1, chi2)
+    assert c.mu is mu and c.nu is nu and c.chi1 is chi1 and c.chi2 is chi2
+    for parts in [
+        (0.6, 0.8j, [1, 0], (0.6, 0.8j)),
+        (np.complex128(0.6), _Complex(0.8j), (np.complex128(1), 0j), [_Complex(0.6), 0.8j]),
+        (_Complex(0.6), 0.8j, (1 + 0j, 0), (0.6 + 0j, np.complex128(0.8j))),
+    ]:
+        c = CorrelatedState(*parts)
+        assert type(c.mu) is complex and type(c.nu) is complex
+        assert (c.mu, c.nu) == (complex(parts[0]), complex(parts[1]))
+        for chi, given_chi in ((c.chi1, parts[2]), (c.chi2, parts[3])):
+            assert type(chi) is tuple and all(type(x) is complex for x in chi)
+            assert chi == tuple(complex(x) for x in given_chi)
+    normalized = make_correlated(_Complex(3), 4, [2, 0], (np.complex128(0.6), 0.8j), normalize=True)
+    assert all(type(x) is complex for x in (normalized.mu, normalized.nu) + normalized.chi1)
+
+
+@pytest.mark.parametrize(
+    "build, cls",
+    [
+        (triad, DualityTriad),
+        (coords_from_state, S4Point),
+        (lambda s: inverse_stereo(stereo_project(quaternify(s))), S4Point),
+        (ball_point, BallPoint),
+    ],
+    ids=["triad", "coords_from_state", "inverse_stereo", "ball_point"],
+)
+def test_named_tuple_results_behave_as_built_by_their_class(build, cls):
+    result = build(WORKED)
+    built = cls(*result)
+    assert type(result) is cls
+    assert result._fields == cls._fields
+    assert repr(result) == repr(built)
+    assert result == built and tuple(result) == tuple(built)
+    first = cls._fields[0]
+    replaced = result._replace(**{first: 0.25})
+    assert type(replaced) is cls and replaced == built._replace(**{first: 0.25})
+    restored = pickle.loads(pickle.dumps(result))
+    assert type(restored) is cls and restored == result
 
 
 # Entries of 0 and +-1 (or +-1j) stay exact when scaled to the float limits.
