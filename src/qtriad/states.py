@@ -26,12 +26,12 @@ The scalar readers of one state go through a one-entry memo, ``_recall``:
 ``concurrence`` and ``classify``), ``projection.coords_from_state`` (and
 with it ``ball_point``), ``reduced_density_photon`` and ``verify``'s scalar
 witness helpers. It keeps the last state asked about, keyed by identity (the
-type is frozen), with its ``_invariants`` and, once asked for, its triad and
-its S4Point. So a caller that analyses one state object several times, as
-the README's quickstart does, evaluates its invariants once. Every value is
-what one ``_invariants`` call on the state's amplitudes gives, so the memo
-moves no bit. ``dataset.state_record``, ``_invariant_rows`` and ``verify``'s
-array routes call ``_invariants`` directly: each sees a state only once.
+type is frozen), with its ``_invariants``, triad and S4Point, all filled by
+its first reader. So the README's quickstart, which analyses one state
+object several times, evaluates its invariants once. Every value is what one
+``_invariants`` call on the state's amplitudes gives, so the memo moves no
+bit. ``dataset.state_record``, ``_invariant_rows`` and ``verify``'s array
+routes call ``_invariants`` directly: each sees a state only once.
 
 The value types store a part of exact type ``complex`` as given and convert
 anything else: ``TwoQubitState`` keeps a tuple of four ``complex`` as its
@@ -475,34 +475,26 @@ def _invariant_rows(alpha: np.ndarray) -> _Rows:
 
 
 # The memo's entries, (state, its ``_invariants``, its triad, its S4Point),
-# are read by these indices; the triad and the point are None until asked for.
+# are read by these indices.
 _INVARIANTS, _TRIAD, _COORDS = 1, 2, 3
 # The one entry: that of the last state a reader asked about. The state is
 # the key, compared by identity; the entry holds it, so its id is not reused
-# while it is there. An entry is a new tuple stored in one assignment, and
-# each of its values comes from its own state's amplitudes, so threads need no
-# lock: a thread may replace another's entry, and at worst computes again.
+# while it is there. Each entry is one new tuple of its own state's values,
+# stored whole in one assignment, so threads need no lock: a thread may
+# replace another's entry, and at worst computes again.
 _memo: tuple = (None, None, None, None)
 
 
 def _recall(s: TwoQubitState, k: int):
     """Item k of the memo's entry for s: ``_INVARIANTS``, ``_TRIAD`` or
-    ``_COORDS``. The entry is made by one ``_invariants(*s.alpha)`` call when
-    the memo holds another state; the triad and the point are computed from
-    it the first time they are asked for."""
+    ``_COORDS``. When the memo holds another state, one ``_invariants(*s.alpha)``
+    call gives the entry's invariants, and their triad and point fill it whole."""
     global _memo
     entry = _memo
     if entry[0] is not s:
-        entry = _memo = (s, _invariants(*s.alpha), None, None)
-    value = entry[k]
-    if value is None:
-        _, invariants, t, x = entry
-        if k == _TRIAD:
-            value = t = _triad(*invariants)
-        else:
-            value = x = _coords(*invariants)
-        _memo = (s, invariants, t, x)
-    return value
+        invariants = _invariants(*s.alpha)
+        entry = _memo = (s, invariants, _triad(*invariants), _coords(*invariants))
+    return entry[k]
 
 
 def reduced_density_photon(s: TwoQubitState) -> DensityMatrix2:

@@ -1,0 +1,211 @@
+"""A mutation matrix: planted faults that the tests must catch.
+
+Each entry of ``MUTANTS`` names a module of ``src/qtriad``, an exact source
+text in it, the text that replaces it, the tests that must fail with the
+fault in place, and the reason. A source text that is not found exactly once
+is an error, checked for every entry before anything runs, so the table
+follows refactors of the code it mutates.
+
+The runner first runs every test of the table against a clean copy of
+``src``, where all of them must pass. Then, for each mutant, it copies
+``src`` to a temporary directory, applies the mutant there and runs its tests
+with ``pytest -x`` against the copy. The mutant is caught when a test fails;
+it survives when all of them pass, and any other pytest outcome (a
+collection error, a test id that is not found) is an error. The run exits
+with 0 only when every mutant is caught.
+
+Run it from anywhere, with numpy, pytest and hypothesis installed::
+
+    python tests/mutants.py
+
+Pytest does not collect this file: its name does not match ``test_*.py``.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+class Mutant(NamedTuple):
+    module: str
+    source: str
+    replacement: str
+    tests: tuple[str, ...]
+    reason: str
+
+
+# Caught by no other test: the faults show only when threads interleave.
+_THREADS = "tests/test_states.py::test_memo_gives_each_thread_its_own_states_values"
+
+MUTANTS = (
+    Mutant(
+        "states.py",
+        """\
+    if entry[0] is not s:
+        invariants = _invariants(*s.alpha)
+        entry = _memo = (s, invariants, _triad(*invariants), _coords(*invariants))""",
+        """\
+    if entry[0] != id(s):
+        invariants = _invariants(*s.alpha)
+        entry = _memo = (id(s), invariants, _triad(*invariants), _coords(*invariants))""",
+        ("tests/test_states.py::test_memo_readers_equal_a_fresh_evaluation_on_admitted_states",),
+        "the memo keyed by id(s) without holding the state: a new state at a"
+        " freed state's address reads the old state's values",
+    ),
+    Mutant(
+        "states.py",
+        """\
+        invariants = _invariants(*s.alpha)
+        entry = _memo = (s, invariants, _triad(*invariants), _coords(*invariants))""",
+        """\
+        _memo = (s,)
+        invariants = _invariants(*s.alpha)
+        _memo += (invariants, _triad(*invariants), _coords(*invariants))
+        entry = _memo""",
+        (_THREADS,),
+        "the entry stored in two assignments, the key first: another thread's"
+        " key can end up with this thread's values",
+    ),
+    Mutant(
+        "states.py",
+        """\
+def _recall(s: TwoQubitState, k: int):
+    \"\"\"Item k of the memo's entry for s: ``_INVARIANTS``, ``_TRIAD`` or
+    ``_COORDS``. When the memo holds another state, one ``_invariants(*s.alpha)``
+    call gives the entry's invariants, and their triad and point fill it whole.\"\"\"
+    global _memo
+    entry = _memo
+    if entry[0] is not s:
+        invariants = _invariants(*s.alpha)
+        entry = _memo = (s, invariants, _triad(*invariants), _coords(*invariants))
+    return entry[k]""",
+        """\
+def _recall(s: TwoQubitState, k: int, entry=[None, None, None, None]):
+    if entry[0] is not s:
+        entry[0] = s
+        entry[1] = invariants = _invariants(*s.alpha)
+        entry[2] = _triad(*invariants)
+        entry[3] = _coords(*invariants)
+    return entry[k]""",
+        (_THREADS,),
+        "the entry updated in place as a list: a thread can read a key with"
+        " values that another thread is still replacing",
+    ),
+    Mutant(
+        "states.py",
+        "    if entry[0] is not s:\n",
+        "    if True:\n",
+        ("tests/test_states.py::test_memo_evaluates_a_state_once_for_every_reader",),
+        "no memo at all: each reader evaluates the state's invariants again",
+    ),
+    Mutant(
+        "states.py",
+        "        if not abs(n - 1.0) <= NORM_TOL / 8:\n",
+        "        if not abs(n - 1.0) <= NORM_TOL:\n",
+        (
+            "tests/test_states.py::test_scalar_and_row_gates_decide_as_the_norm_rule",
+            "tests/test_states.py::test_states_off_the_norm_gate_are_rejected_at_construction",
+        ),
+        "the scalar gate at NORM_TOL instead of NORM_TOL / 8: it admits states"
+        " that the block gate rejects, and |psi|^4 can leave the band",
+    ),
+    Mutant(
+        "states.py",
+        "    return type(a0) is type(a1) is type(a2) is type(a3) is complex\n",
+        "    return True\n",
+        ("tests/test_states.py::test_other_amplitudes_are_stored_as_exact_complex",),
+        "_exact true for any 4-tuple: ints, floats and complex subclasses are"
+        " stored unconverted",
+    ),
+    Mutant(
+        "states.py",
+        """\
+        if type(self.mu) is not complex:
+            object.__setattr__(self, "mu", complex(self.mu))
+""",
+        "",
+        ("tests/test_states.py::test_correlated_state_stores_exact_parts_as_given_and_converts_others",),
+        "CorrelatedState leaving mu unconverted",
+    ),
+    Mutant(
+        "dataset.py",
+        """\
+    invariants = _invariants(*s.alpha)
+    t = _triad(*invariants)
+    x = _coords(*invariants)
+""",
+        """\
+    from .states import _COORDS, _INVARIANTS, _TRIAD, _recall
+
+    invariants = _recall(s, _INVARIANTS)
+    t = _recall(s, _TRIAD)
+    x = _recall(s, _COORDS)
+""",
+        ("tests/test_dataset.py::test_dataset_path_never_reads_the_memo",),
+        "state_record routed through the scalar memo: still one _invariants"
+        " call per record, so only a count of _recall calls sees it",
+    ),
+)
+
+
+def mutate(text: str, mutant: Mutant) -> str:
+    """text with the mutant applied; its source must occur exactly once."""
+    found = text.count(mutant.source)
+    if found != 1:
+        raise ValueError(
+            f"{mutant.module}: the source text is found {found} times, not once:\n"
+            f"{mutant.source}"
+        )
+    return text.replace(mutant.source, mutant.replacement)
+
+
+def run(tests: tuple[str, ...], src: Path, mutant: Mutant | None = None) -> subprocess.CompletedProcess:
+    """Run tests with ``-x`` against a fresh copy of ``src`` at src, with the
+    mutant, if any, applied to the copy."""
+    shutil.rmtree(src, ignore_errors=True)
+    shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+    if mutant is not None:
+        path = src / "qtriad" / mutant.module
+        path.write_text(mutate(path.read_text(encoding="utf-8"), mutant), encoding="utf-8")
+    argv = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    return subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, text=True)
+
+
+def main() -> int:
+    for mutant in MUTANTS:
+        mutate((ROOT / "src" / "qtriad" / mutant.module).read_text(encoding="utf-8"), mutant)
+    failures = 0
+    with tempfile.TemporaryDirectory(prefix="qtriad-mutants-") as tmp:
+        src = Path(tmp) / "src"
+        # A test that fails without any mutant would catch every mutant.
+        tests = tuple(dict.fromkeys(test for mutant in MUTANTS for test in mutant.tests))
+        clean = run(tests, src)
+        if clean.returncode != 0:
+            print(clean.stdout[-2000:], clean.stderr[-2000:], sep="\n")
+            print("the matrix's tests do not pass without a mutant")
+            return 1
+        for mutant in MUTANTS:
+            start = time.perf_counter()
+            result = run(mutant.tests, src, mutant)
+            verdict = {1: "caught", 0: "SURVIVED"}.get(result.returncode, "ERROR")
+            seconds = time.perf_counter() - start
+            print(f"{verdict:8} {seconds:5.1f} s  {mutant.module}: {mutant.reason}", flush=True)
+            if result.returncode != 1:
+                failures += 1
+                print(result.stdout[-2000:], result.stderr[-2000:], sep="\n")
+    print(f"{len(MUTANTS) - failures} of {len(MUTANTS)} mutants caught")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import struct
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -15,12 +16,15 @@ from qtriad import dataset as dataset_module
 from qtriad import projection as projection_module
 from qtriad import states as states_module
 from qtriad.classify import StratumLabel, classify
+from qtriad.cli import main
 from qtriad.dataset import DATASET_COLUMNS, emit_dataset, state_record
 from qtriad.sampling import (
     FIXED_CONCURRENCE,
+    HAAR,
     SampleSpec,
     bloch_grid_states,
     haar_state,
+    sample,
     sample_fixed_concurrence,
 )
 from qtriad.projection import ball_point, coords_from_state
@@ -124,6 +128,33 @@ def test_state_record_analyses_the_state_once(monkeypatch):
                 monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
     state_record(s)
     assert calls == ["_invariants"]
+
+
+def test_dataset_path_never_reads_the_memo(monkeypatch, tmp_path):
+    # state_record calls _invariants directly. A record routed through the
+    # scalar memo would still analyse each state once, so only a count of
+    # _recall calls tells the two routes apart.
+    calls = []
+    recall = states_module._recall
+
+    def counted(s, k):
+        calls.append(k)
+        return recall(s, k)
+
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("qtriad") and getattr(module, "_recall", None) is recall:
+            monkeypatch.setattr(module, "_recall", counted)
+    triad(BELL)
+    coords_from_state(BELL)
+    assert len(calls) == 2, "the counter must see the memo's readers"
+    calls.clear()
+    # More than one block of 256 records per format.
+    for fmt in ("csv", "json"):
+        emit_to_string(sample(SampleSpec(300, 5, HAAR)), fmt)
+    out = tmp_path / "shells.json"
+    args = ["--levels", "0,0.5,1", "--count-per-level", "100", "--seed", "4"]
+    assert main(["shells", *args, "--format", "json", "--out", str(out)]) == 0
+    assert calls == []
 
 
 def test_state_record_consistency():

@@ -937,20 +937,21 @@ def _counting(monkeypatch, name):
 
 
 def test_memo_evaluates_a_state_once_for_every_reader(monkeypatch):
-    invariants = _counting(monkeypatch, "_invariants")
-    coords = _counting(monkeypatch, "_coords")
-    s = make_state((0.5, 0.5j, -0.5, 0.5))
-    triad(s)
-    assert (len(invariants), coords) == (1, [])
-    coords_from_state(s)
-    ball_point(s)
-    classify(s)
-    reduced_density_photon(s)
-    assert (len(invariants), len(coords)) == (1, 1)
-    t = make_state((0.6, 0, 0, 0.8))
-    reduced_density_photon(t)
-    triad(t)
-    assert (len(invariants), len(coords)) == (2, 1)
+    # The first reader of a state fills its whole entry, whichever reader
+    # that is: one _invariants, one _triad and one _coords call. The later
+    # readers of the state make none.
+    calls = [_counting(monkeypatch, name) for name in ("_invariants", "_triad", "_coords")]
+    firsts = ((0.5, 0.5j, -0.5, 0.5), triad), ((0.6, 0, 0, 0.8), reduced_density_photon)
+    for k, (amplitudes, first) in enumerate(firsts, 1):
+        s = make_state(amplitudes)
+        first(s)
+        assert [len(c) for c in calls] == [k, k, k], first.__name__
+        triad(s)
+        coords_from_state(s)
+        ball_point(s)
+        classify(s)
+        reduced_density_photon(s)
+        assert [len(c) for c in calls] == [k, k, k], first.__name__
 
 
 def test_memo_gives_each_thread_its_own_states_values():
