@@ -114,8 +114,11 @@ def _exact(alpha) -> bool:
 
 def _gate(alpha: np.ndarray) -> None:
     """``TwoQubitState``'s norm gate over n rows of amplitudes, ``(n, 4)``:
-    raises its ValueError for the first row it rejects."""
-    n = np.sqrt(_sum_squares(_columns(alpha)))
+    raises its ValueError for the first row it rejects. Squares that overflow
+    or underflow, as they do for the scalar gate's Python floats, raise no
+    warning, so the gate's own message is the one that reaches the caller."""
+    with np.errstate(over="ignore", under="ignore"):
+        n = np.sqrt(_sum_squares(_columns(alpha)))
     bad = ~(np.abs(n - 1.0) <= NORM_TOL / 8)
     if bad.any():
         TwoQubitState(tuple(alpha[bad.argmax()]))
@@ -190,6 +193,12 @@ def make_state(amplitudes: Sequence[complex], normalize: bool = False) -> TwoQub
     ``NORM_TOL / 8`` are rejected so that typos do not get silently absorbed.
     """
     alpha = _four(amplitudes)
+    if not normalize:
+        # The state's own norm gate first: ``_norm`` only words a rejection.
+        try:
+            return TwoQubitState(alpha)
+        except ValueError:
+            pass
     n, scale = _norm(alpha)
     if not math.isfinite(n):
         raise ValueError("amplitudes must be finite")

@@ -33,9 +33,16 @@ route is array code over the whole chunk:
 * ``unit_q_iff_d0`` builds the balanced variants with ``_balanced``, which
   ``_unit_q_variants`` runs on one row, and takes their D from the kernel.
 
-|q2|, which decides the point at infinity, and |Q| stay one ``math`` call
-per state (``states._each``), as on the scalar route: no numpy function
-rounds like ``math.hypot`` on every input.
+|q2|, which decides the point at infinity, and |Q| are ``math.hypot`` on
+the scalar route, and no numpy function rounds like it on every input. The
+array routes decide |q2| >= ``INFINITY_THRESHOLD`` by |q2|^2 from
+``_norm_sq``, and |Q| - 1 against the tolerance by sqrt(|Q|^2). Both are
+within 4.5u of the exact value (u = 2**-53) and ``math.hypot`` is within 1
+ulp, so they decide alike outside a relative band of 32u around the
+threshold; the rows inside it, and the rows whose gap | |Q| - 1 | is itself
+the reported error, take ``math.hypot`` one row at a time
+(``states._each``), so every decision and every error is the scalar
+route's bit for bit.
 
 Each check keeps its per-state error function, the scalar reference route
 built on ``triad``, ``coords_from_state``, ``Quaternion``,
@@ -255,6 +262,31 @@ def _merge(parts: Sequence[CheckResult]) -> CheckResult:
 
 # ------------------------------------------------------------- oracle routes
 
+# The two threshold tests of the array routes, |q2| >= INFINITY_THRESHOLD in
+# ``_stereo`` and |Q| - 1 against the tolerance in ``_unit_q_rows``, are
+# decided on the scalar route by ``math.hypot``. The array routes decide them
+# from the sums of squares they compute anyway, and call ``math.hypot`` only
+# on the rows within the relative band ``_BAND`` of the threshold, where the
+# two could decide differently. With u = 2**-53:
+#
+# * n2 = ``_norm_sq``, four squares summed left to right, is within
+#   gamma_4 = 4u / (1 - 4u) of the exact |q|^2 (Higham, *Accuracy and
+#   Stability of Numerical Algorithms*, 2nd ed., SIAM 2002, sec. 3.1), and
+#   ``_THRESHOLD_SQ`` within u/2 of T^2: about 4.5u together. No square
+#   underflows near T^2 = 1e-28, and one that underflows elsewhere is off by
+#   at most 2**-1074, far below the band.
+# * ``math.hypot`` is within 1 ulp, at most 2u relative, of |q|, so it
+#   compares with T as |q| does unless |q|^2 is within about 4u of T^2.
+# * So n2 >= T^2 decides as ``math.hypot(...) >= T`` wherever
+#   |n2 - T^2| > 8.5u T^2. For Q, sqrt(n2) is within 2.5u of |Q| and
+#   ``math.hypot`` within 2u, so the two gaps |norm - 1| differ by less than
+#   8u (|Q| + 1), rounding of the subtraction included.
+#
+# The band, 32u, holds those bounds with room. It is required: within 8 ulps
+# of T, about 1.7% of random q2 decide differently by n2 alone.
+_THRESHOLD_SQ = INFINITY_THRESHOLD * INFINITY_THRESHOLD
+_BAND = 2.0**-48
+
 
 def _stereo(alpha: np.ndarray) -> tuple[np.ndarray, tuple[_Columns, _Columns]]:
     """``stereo_project(quaternify(s))`` over rows of amplitudes.
@@ -263,6 +295,9 @@ def _stereo(alpha: np.ndarray) -> tuple[np.ndarray, tuple[_Columns, _Columns]]:
     ``INFINITY_THRESHOLD`` and ``q`` is Q = q1 * q2^{-1} as its pair (z1, z2)
     of ``states._Columns``, meaningful on those rows only. The ``Quaternion``
     rules form both, so each part is the scalar route's bit for bit.
+    ``finite`` is |q2|^2 >= ``INFINITY_THRESHOLD``^2, and ``math.hypot``'s
+    decision in the band ``_BAND`` around it, so every row decides as
+    ``stereo_project``'s ``q2.norm()`` does.
 
     The rows have passed ``TwoQubitState``'s norm gate, so |psi| is within
     NORM_TOL / 8 of 1 and the spinor is normalized; on the finite rows
@@ -270,9 +305,13 @@ def _stereo(alpha: np.ndarray) -> tuple[np.ndarray, tuple[_Columns, _Columns]]:
     """
     # quaternify: q1 = a0 + a1*e2, q2 = a2 + a3*e2.
     a0, a1, a2, a3 = _columns(alpha)
-    finite = _each(math.hypot)(a2.real, a2.imag, a3.real, a3.imag) >= INFINITY_THRESHOLD
+    n2 = _norm_sq(a2, a3)
+    finite = n2 >= _THRESHOLD_SQ
+    near = np.abs(n2 - _THRESHOLD_SQ) <= _BAND * _THRESHOLD_SQ
+    parts = (a2.real[near], a2.imag[near], a3.real[near], a3.imag[near])
+    finite[near] = _each(math.hypot)(*parts) >= INFINITY_THRESHOLD
     # 1 stands in for |q2|^2 on the rows at infinity.
-    n2 = np.where(finite, _norm_sq(a2, a3), 1.0)
+    n2 = np.where(finite, n2, 1.0)
     return finite, _product(a0, a1, *_inverse(a2, a3, n2))
 
 
@@ -455,11 +494,19 @@ def _balanced(alpha: np.ndarray, p0: np.ndarray, p1: np.ndarray) -> tuple[np.nda
 
 
 def _unit_q_rows(finite, q, d, tolerance: float) -> np.ndarray:
-    """Each row's unit_q error, from its Q and its D; 0 where Q is infinite."""
+    """Each row's unit_q error, from its Q and its D; 0 where Q is infinite.
+    The gap | |Q| - 1 | is ``math.hypot``'s where it is the error (d within
+    the tolerance) or lies in the band ``_BAND`` around the tolerance; only
+    whether it is within the tolerance is read elsewhere, which sqrt(|Q|^2)
+    decides alike."""
     z1, z2 = q
-    norm = _each(math.hypot)(z1.real, z1.imag, z2.real, z2.imag)
+    norm = np.sqrt(_norm_sq(z1, z2))
     gap = np.abs(norm - 1.0)
-    error = np.where(d <= tolerance, gap, np.where(gap <= tolerance, d, 0.0))
+    exact = d <= tolerance
+    redo = finite & (exact | (np.abs(gap - tolerance) <= _BAND * (norm + 1.0)))
+    parts = (z1.real[redo], z1.imag[redo], z2.real[redo], z2.imag[redo])
+    gap[redo] = np.abs(_each(math.hypot)(*parts) - 1.0)
+    error = np.where(exact, gap, np.where(gap <= tolerance, d, 0.0))
     error[~finite] = 0.0
     return error
 

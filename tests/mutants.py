@@ -45,6 +45,10 @@ class Mutant(NamedTuple):
 
 # Caught by no other test: the faults show only when threads interleave.
 _THREADS = "tests/test_states.py::test_memo_gives_each_thread_its_own_states_values"
+# States within a few ulps of verify's two thresholds.
+_POLE_BAND = "tests/test_verify.py::test_stereo_decides_the_pole_as_the_scalar_route_within_ulps_of_the_threshold"
+_POLE_EXACT = "tests/test_verify.py::test_stereo_keeps_a_state_at_exactly_the_threshold_finite"
+_GAP_BAND = "tests/test_verify.py::test_unit_q_rows_decide_the_gap_as_the_scalar_route_near_the_tolerance"
 
 MUTANTS = (
     Mutant(
@@ -153,6 +157,38 @@ def _recall(s: TwoQubitState, k: int, entry=[None, None, None, None]):
         ("tests/test_dataset.py::test_dataset_path_never_reads_the_memo",),
         "state_record routed through the scalar memo: still one _invariants"
         " call per record, so only a count of _recall calls sees it",
+    ),
+    Mutant(
+        "verify.py",
+        "    finite[near] = _each(math.hypot)(*parts) >= INFINITY_THRESHOLD\n",
+        "",
+        (_POLE_BAND,),
+        "the point at infinity decided by |q2|^2 alone, without math.hypot in"
+        " the band: rows within a few ulps of the threshold move",
+    ),
+    Mutant(
+        "verify.py",
+        "_each(math.hypot)(*parts) >= INFINITY_THRESHOLD",
+        "_each(math.hypot)(*parts) > INFINITY_THRESHOLD",
+        (_POLE_EXACT, _POLE_BAND),
+        "|q2| = INFINITY_THRESHOLD sent to infinity (> for >=); the same change"
+        " to n2's test is equivalent, as its equal rows lie in the band",
+    ),
+    Mutant(
+        "verify.py",
+        "    redo = finite & (exact | (np.abs(gap - tolerance) <= _BAND * (norm + 1.0)))\n",
+        "    redo = finite & (np.abs(gap - tolerance) <= _BAND * (norm + 1.0))\n",
+        (_GAP_BAND,),
+        "unit_q's exact rows without d <= tolerance: the gap that is the error"
+        " comes from sqrt(|Q|^2), not math.hypot",
+    ),
+    Mutant(
+        "verify.py",
+        "    redo = finite & (exact | (np.abs(gap - tolerance) <= _BAND * (norm + 1.0)))\n",
+        "    redo = finite & exact\n",
+        (_GAP_BAND,),
+        "unit_q's gap tested against the tolerance by sqrt(|Q|^2) alone,"
+        " without math.hypot in the band",
     ),
 )
 

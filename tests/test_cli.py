@@ -259,6 +259,48 @@ def test_embed_missing_file(tmp_path, capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("pair", ["1,2,3", "1", "1;0"])
+@pytest.mark.parametrize("where", ["mu", "chi1"])
+def test_embed_rejects_a_malformed_pair(tmp_path, capsys, pair, where):
+    chi, bad = tmp_path / "chi.txt", tmp_path / "bad.txt"
+    _write_chi(chi, [1 + 0j])
+    bad.write_text(f"{pair}\n", encoding="utf-8")
+    mu, chi1 = (pair, chi) if where == "mu" else ("1,0", bad)
+    code, out, err = run_cli(
+        capsys, "embed", "--mu", mu, "--nu", "0,0", "--chi1", str(chi1), "--chi2", str(chi),
+    )
+    assert (code, out, err) == (2, "", f"error: expected 're,im', got {pair!r}\n")
+
+
+def test_embed_rejects_an_empty_chi_file(tmp_path, capsys):
+    chi, empty = tmp_path / "chi.txt", tmp_path / "empty.txt"
+    _write_chi(chi, [1 + 0j])
+    empty.write_text("\n  \n", encoding="utf-8")
+    code, out, err = run_cli(
+        capsys, "embed", "--mu", "1,0", "--nu", "0,0", "--chi1", str(chi), "--chi2", str(empty),
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: no amplitudes found in {empty}\n"
+
+
+# A separate value that starts with "-" and is not a number stays an argument
+# of its own, so argparse stops with a usage error for the option.
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--count", "10", "--seed", "5", "--tolerance", "-x"],
+        ["sample", "--count", "5", "--seed", "9", "--out", "x.csv", "--ensemble", "fixedc", "--c", "-half"],
+    ],
+    ids=["tolerance", "c"],
+)
+def test_a_non_numeric_value_starting_with_minus_is_a_usage_error(capsys, argv):
+    assert cli._attach_negative_values(argv) == argv
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert f"error: argument {argv[-2]}: expected one argument" in capsys.readouterr().err
+
+
 # -------------------------------------------------------------------- sample
 
 def test_sample_writes_csv(tmp_path, capsys):

@@ -153,6 +153,13 @@ def test_only_quaternions_multiply():
             product()
 
 
+def test_only_quaternions_add():
+    q = random_quaternion()
+    for total in (lambda: q + 1.0, lambda: 1.0 + q, lambda: q + 1j, lambda: q + (1, 0)):
+        with pytest.raises(TypeError):
+            total()
+
+
 def test_equality_exact_vs_tolerance():
     q = Quaternion(1 + 0j, 0j)
     nudged = Quaternion(1 + 1e-13 + 0j, 0j)

@@ -245,6 +245,25 @@ def test_bloch_grid_spans_theta():
         assert c < 1e-14
 
 
+def test_bloch_grid_of_one_state_is_the_north_pole():
+    (s,) = bloch_grid_states(1)
+    assert s.alpha == (1 + 0j, 0j, 0j, 0j)
+    assert triad(s) == (0.0, 1.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "sampler, ensemble",
+    [(sample_haar, HAAR), (sample_separable, SEPARABLE), (sample_fixed_concurrence, FIXED_CONCURRENCE)],
+)
+def test_each_ensemble_sampler_rejects_another_ensemble(sampler, ensemble):
+    for spec in (SampleSpec(3, 1, HAAR), SampleSpec(3, 1, SEPARABLE), SampleSpec(3, 1, FIXED_CONCURRENCE, 0.5)):
+        if spec.ensemble == ensemble:
+            assert len(sampler(spec)) == 3
+        else:
+            with pytest.raises(ValueError, match=f"^spec.ensemble must be '{ensemble}'$"):
+                sampler(spec)
+
+
 @pytest.mark.parametrize("count, message", [
     (2.5, "an integer"), ("3", "an integer"), (None, "an integer"), (0, "at least 1"),
     (-1, "at least 1"),

@@ -3,9 +3,11 @@ import math
 import os
 import pickle
 import random
+import re
 import sys
 import threading
 import time
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -185,6 +187,17 @@ def test_states_off_the_norm_gate_are_rejected_at_construction(pattern, delta):
         TwoQubitState(tuple(amps))
 
 
+def test_make_state_admits_a_unit_state_without_norm(monkeypatch):
+    # The state's own gate admits it; _norm only words a rejection.
+    calls = _counting(monkeypatch, "_norm")
+    for amps in [(0.6, 0.8j, 0, 0), (0.5, 0.5, 0.5, -0.5), (0.6 + 0j, 0j, 0.48j, 0.64 + 0j)]:
+        make_state(amps)
+    assert calls == []
+    with pytest.raises(ValueError, match="amplitudes are not normalized"):
+        make_state((1, 0, 0, 1))
+    assert calls
+
+
 def test_make_state_without_flag_reports_the_real_norm():
     with pytest.raises(ValueError, match=r"\|amp\| = 1\.41421356237309\d*e\+200"):
         make_state((1e200, 0, 0, 1e200))
@@ -219,10 +232,7 @@ def _verdict(gate, alpha):
 
 
 def _row_gate(alpha):
-    # These rows' squares overflow or underflow, as the scalar gate's do;
-    # numpy warns about it, Python floats do not.
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        _gate(np.array([alpha], dtype=complex))
+    _gate(np.array([alpha], dtype=complex))
 
 
 # The factors 1 +- NORM_TOL / 8, each with its two neighbouring floats.
@@ -259,6 +269,52 @@ def test_scalar_and_row_gates_decide_as_the_norm_rule(alpha):
     expected = _old_gate(alpha)
     assert _verdict(TwoQubitState, alpha) == expected
     assert _verdict(_row_gate, alpha) == expected
+
+
+@pytest.mark.parametrize(
+    "alpha, norm",
+    [
+        ((1e300, 1e300j, 0, 0), "1.4142135623730952e+300"),
+        ((1e200, 0, 0, -1e200), "1.414213562373095e+200"),
+        ((1e-300, 0, 0, 0), "1e-300"),
+    ],
+)
+def test_row_gate_gives_its_own_message_where_numpy_would_warn(alpha, norm):
+    # The rows' squares overflow or underflow; with warnings as errors, numpy's
+    # RuntimeWarning must not replace the gate's ValueError.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=rf"^amplitudes are not normalized: \|amp\| = {re.escape(norm)}$"):
+            _gate(np.array([alpha], dtype=complex))
+
+
+@pytest.mark.parametrize(
+    "chi1, chi2, message",
+    [
+        ((math.nan,), (1.0,), "chi entries must be finite"),
+        ((1.0, 0.0), (complex(0.0, math.inf), 0.0), "chi entries must be finite"),
+        ((2.0,), (1.0,), "chi1 and chi2 must be unit vectors"),
+        ((1.0, 0.0), (0.6, 0.6), "chi1 and chi2 must be unit vectors"),
+    ],
+)
+def test_correlated_state_rejects_nonfinite_and_nonunit_chi(chi1, chi2, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        CorrelatedState(1.0, 0.0, chi1, chi2)
+
+
+@pytest.mark.parametrize(
+    "rho, message",
+    [
+        ((0.6, 0.0, 0.6), "trace must be 1"),
+        ((math.nan, 0.0, 0.5), "trace must be 1"),
+        ((0.5, 0.6, 0.5), "matrix must be positive semidefinite"),
+        ((1.5, 0.0, -0.5), "matrix must be positive semidefinite"),
+        ((0.5, complex(math.nan, 0.0), 0.5), "matrix must be positive semidefinite"),
+    ],
+)
+def test_density_matrix_rejects_a_wrong_trace_and_negative_eigenvalues(rho, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        DensityMatrix2(*rho)
 
 
 class _Complex(complex):

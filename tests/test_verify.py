@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 from edge_states import EDGE_KINDS, route_edge_states
 from qtriad import verify
 from qtriad.cli import main
-from qtriad.projection import INFINITY_THRESHOLD, coords_from_state
+from qtriad.projection import INFINITY_THRESHOLD, coords_from_state, quaternify, stereo_project
+from qtriad.quaternion import _norm_sq, is_infinite
 from qtriad.sampling import (
     _BLOCK,
     FIXED_CONCURRENCE,
@@ -590,6 +591,92 @@ def test_point_at_infinity_in_the_array_route():
     # Neither state has a balanced variant (p1 < 1e-12); only near has a
     # finite Q.
     assert check_unit_q_iff_d0([pole, near]).samples == 1
+
+
+# ------------------------------------------ threshold tests in the band
+
+ULP = 2.0**-52
+
+
+def _unit_rows(rng, count, parts):
+    """count random unit 4-vectors with only their first ``parts`` entries nonzero."""
+    v = rng.normal(size=(count, 4))
+    v[:, parts:] = 0.0
+    return v / np.sqrt((v * v).sum(1))[:, None]
+
+
+def _spinor_rows(q1, q2):
+    """Rows of amplitudes (a0, a1, a2, a3) from the real parts of q1 and q2."""
+    q = np.concatenate((q1, q2), 1)
+    return q[:, 0::2] + 1j * q[:, 1::2]
+
+
+def _near_pole_rows(parts, seed, count=2000, ulps=16):
+    """Unit states whose |q2| lies within ``ulps`` ulps of INFINITY_THRESHOLD,
+    spread over the first ``parts`` of q2's four real parts."""
+    rng = np.random.default_rng(seed)
+    r2 = INFINITY_THRESHOLD * (1.0 + rng.integers(-ulps, ulps + 1, count) * ULP)
+    return _spinor_rows(_unit_rows(rng, count, 4), _unit_rows(rng, count, parts) * r2[:, None])
+
+
+def _scalar_finite(alpha):
+    chunk = verify._Chunk(alpha)
+    return [not is_infinite(stereo_project(quaternify(chunk[k]))) for k in range(len(chunk))]
+
+
+@pytest.mark.parametrize("parts, seed", [(2, 5), (4, 6)])
+def test_stereo_decides_the_pole_as_the_scalar_route_within_ulps_of_the_threshold(parts, seed):
+    alpha = _near_pole_rows(parts, seed)
+    finite, _ = verify._stereo(alpha)
+    expected = _scalar_finite(alpha)
+    assert finite.tolist() == expected
+    # Both decisions occur, and |q2|^2 alone decides some rows otherwise:
+    # only math.hypot in the band gives the scalar route's decision.
+    assert 0 < sum(expected) < len(expected)
+    _, _, a2, a3 = _columns(alpha)
+    squares = _norm_sq(a2, a3) >= INFINITY_THRESHOLD * INFINITY_THRESHOLD
+    assert (squares != np.array(expected)).any()
+
+
+def test_stereo_keeps_a_state_at_exactly_the_threshold_finite():
+    states = [
+        make_state((1.0, 0.0, INFINITY_THRESHOLD, 0.0)),
+        make_state((0.0, 1j, 0.0, complex(0.0, -INFINITY_THRESHOLD))),
+    ]
+    assert [s.alpha[2:] for s in states] == [
+        (INFINITY_THRESHOLD, 0j), (0j, complex(0.0, -INFINITY_THRESHOLD)),
+    ]
+    finite, _ = verify._stereo(verify._amplitudes(states))
+    assert finite.tolist() == [True, True] == _scalar_finite(verify._amplitudes(states))
+
+
+def _near_tolerance_rows(parts, seed, tolerance, count=2000, ulps=8):
+    """Unit states with |Q| = |q1| / |q2| within ``ulps`` ulps of 1 + tolerance,
+    q1 and q2 spread over their first ``parts`` real parts. Their D is about
+    2 * tolerance, so unit_q_iff_d0 reads only whether the gap |Q| - 1 is within
+    the tolerance."""
+    rng = np.random.default_rng(seed)
+    ratio = 1.0 + tolerance + rng.integers(-ulps, ulps + 1, count) * ULP
+    r2 = 1.0 / np.sqrt(1.0 + ratio * ratio)
+    q1 = _unit_rows(rng, count, parts) * (ratio * r2)[:, None]
+    return _spinor_rows(q1, _unit_rows(rng, count, parts) * r2[:, None])
+
+
+@pytest.mark.parametrize("parts, seed", [(2, 1), (4, 2)])
+def test_unit_q_rows_decide_the_gap_as_the_scalar_route_near_the_tolerance(parts, seed):
+    # Each state's error, its balanced variant's included (D ~ 0, so the
+    # error there is the gap itself), equals the scalar error bit for bit.
+    chunk = verify._Chunk(_near_tolerance_rows(parts, seed, UNIT_Q_TOL))
+    errors, counts = verify._unit_q_errors(chunk, UNIT_Q_TOL)
+    scalar = [verify._unit_q_error(chunk[k], UNIT_Q_TOL) for k in range(len(chunk))]
+    assert _bits(zip(errors.tolist(), counts.tolist())) == _bits(scalar)
+    # Both decisions occur, and sqrt(|Q|^2) alone decides some rows otherwise.
+    finite, (z1, z2) = chunk.stereo
+    assert finite.all()
+    hypot = np.array([abs(stereo_project(quaternify(chunk[k])).norm() - 1.0) <= UNIT_Q_TOL
+                      for k in range(len(chunk))])
+    assert 0 < hypot.sum() < len(chunk)
+    assert ((np.abs(np.sqrt(_norm_sq(z1, z2)) - 1.0) <= UNIT_Q_TOL) != hypot).any()
 
 
 PUBLIC_CHECKS = (
