@@ -4,7 +4,9 @@
 ``schmidt_decompose`` diagonalizes the amplitude matrix by one complex Jacobi
 rotation in Python float and complex arithmetic. It reads no invariant of
 ``states``, so C = 2*lambda1*lambda2 compares two independent routes to the
-concurrence.
+concurrence. Its result is built by ``_schmidt_form``, which runs the checks
+of ``SchmidtForm(...)``, through the same ``_check_schmidt``, and sets the
+slots directly.
 """
 
 from __future__ import annotations
@@ -83,18 +85,41 @@ class SchmidtForm:
     basis2: tuple[tuple[complex, complex], tuple[complex, complex]]
 
     def __post_init__(self):
-        if not (self.lambda1 >= self.lambda2 >= 0.0):
-            raise ValueError("Schmidt coefficients must satisfy lambda1 >= lambda2 >= 0")
-        if abs(self.lambda1**2 + self.lambda2**2 - 1.0) > NORM_TOL:
-            raise ValueError("Schmidt coefficients must have unit square sum")
-        (x0, x1), (y0, y1) = self.basis2
-        gram_err = max(
-            abs(x0.conjugate() * x0 + x1.conjugate() * x1 - 1.0),
-            abs(y0.conjugate() * y0 + y1.conjugate() * y1 - 1.0),
-            abs(x0.conjugate() * y0 + x1.conjugate() * y1),
-        )
-        if gram_err > NORM_TOL:
-            raise ValueError("basis2 must be orthonormal")
+        _check_schmidt(self.lambda1, self.lambda2, self.basis2)
+
+
+def _check_schmidt(lambda1, lambda2, basis2) -> None:
+    """``SchmidtForm``'s checks: raises ValueError unless the weights are
+    ordered, non-negative and of unit square sum and ``basis2`` is orthonormal.
+    Each test is written so that a NaN fails it."""
+    if not (lambda1 >= lambda2 >= 0.0):
+        raise ValueError("Schmidt coefficients must satisfy lambda1 >= lambda2 >= 0")
+    if abs(lambda1**2 + lambda2**2 - 1.0) > NORM_TOL:
+        raise ValueError("Schmidt coefficients must have unit square sum")
+    (x0, x1), (y0, y1) = basis2
+    err1 = abs(x0.conjugate() * x0 + x1.conjugate() * x1 - 1.0)
+    err2 = abs(y0.conjugate() * y0 + y1.conjugate() * y1 - 1.0)
+    err12 = abs(x0.conjugate() * y0 + x1.conjugate() * y1)
+    if not (err1 <= NORM_TOL and err2 <= NORM_TOL and err12 <= NORM_TOL):
+        raise ValueError("basis2 must be orthonormal")
+
+
+# The slots' own setters: the frozen class's __setattr__ refuses.
+_store_lambda1 = SchmidtForm.lambda1.__set__
+_store_lambda2 = SchmidtForm.lambda2.__set__
+_store_basis2 = SchmidtForm.basis2.__set__
+
+
+def _schmidt_form(lambda1: float, lambda2: float, basis2) -> SchmidtForm:
+    """``SchmidtForm(lambda1, lambda2, basis2)``: the same checks, then the
+    slots set directly, without the frames of ``__init__`` and
+    ``__post_init__``."""
+    _check_schmidt(lambda1, lambda2, basis2)
+    sf = object.__new__(SchmidtForm)
+    _store_lambda1(sf, lambda1)
+    _store_lambda2(sf, lambda2)
+    _store_basis2(sf, basis2)
+    return sf
 
 
 def _fix_phase(v0: complex, v1: complex) -> tuple[complex, complex]:
@@ -151,7 +176,7 @@ def schmidt_decompose(s: TwoQubitState) -> SchmidtForm:
         basis = ((1 + 0j, 0j), (0j, 1 + 0j))
     else:
         basis = (_fix_phase(*v1), _fix_phase(*v2))
-    return SchmidtForm(lam1, lam2, basis)
+    return _schmidt_form(lam1, lam2, basis)
 
 
 def shell_radius(c: float) -> float:

@@ -12,6 +12,12 @@ the sphere coordinates straight off the state:
 so D^2 = x0^2, V^2 = x1^2 + x2^2, C^2 = x3^2 + x4^2 and the coordinates sum
 to 1 in squares. The (x0, x1, x2) restriction lives in the unit ball, on the
 shell of radius sqrt(1 - C^2).
+
+``quaternify`` builds its two quaternions and the spinor without validating
+them again: the state's norm gate already admits only amplitudes that pass
+``Quaternion``'s and ``QuaternionSpinor``'s checks (the argument is next to
+the code). ``stereo_project`` runs the ``Quaternion`` pair rules, whose
+results pass one finiteness test each.
 """
 
 from __future__ import annotations
@@ -20,7 +26,14 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .quaternion import INFINITY, ExtendedQuaternion, Quaternion, _norm_sq, is_infinite
+from .quaternion import (
+    INFINITY,
+    ExtendedQuaternion,
+    Quaternion,
+    _norm_sq,
+    _quaternion,
+    is_infinite,
+)
 from .states import NORM_TOL, _COORDS, DualityTriad, S4Point, TwoQubitState, _new, _recall
 
 # Below this |q2| the projection is treated as the point at infinity.
@@ -41,6 +54,20 @@ class QuaternionSpinor:
             raise ValueError(f"spinor must be normalized, got |q1|^2+|q2|^2 = {n!r}")
 
 
+# The slots' own setters: the frozen class's __setattr__ refuses.
+_store_q1, _store_q2 = QuaternionSpinor.q1.__set__, QuaternionSpinor.q2.__set__
+
+
+def _spinor(q1: Quaternion, q2: Quaternion) -> QuaternionSpinor:
+    """The spinor (q1, q2) of quaternions with |q1|^2 + |q2|^2 within
+    ``NORM_TOL`` of 1, which ``QuaternionSpinor(q1, q2)`` would admit;
+    ``__post_init__`` does not run."""
+    sp = object.__new__(QuaternionSpinor)
+    _store_q1(sp, q1)
+    _store_q2(sp, q2)
+    return sp
+
+
 class BallPoint(NamedTuple):
     """The (x0, x1, x2) restriction of an S4Point inside the unit ball."""
 
@@ -56,7 +83,15 @@ class BallPoint(NamedTuple):
 def quaternify(s: TwoQubitState) -> QuaternionSpinor:
     """Pack amplitudes into the spinor q1 = a0 + a1*e2, q2 = a2 + a3*e2."""
     a0, a1, a2, a3 = s.alpha
-    return QuaternionSpinor(Quaternion(a0, a1), Quaternion(a2, a3))
+    # The builders check nothing, and no check of the constructors could fail:
+    # - the state's gate admits alpha only when sqrt(S), for
+    #   S = _sum_squares(alpha), lies within NORM_TOL / 8 of 1;
+    # - so S is finite, and with it every part, each of exact type
+    #   ``complex`` as ``TwoQubitState`` stores it: ``Quaternion``'s test holds;
+    # - n = _norm_sq(q1) + _norm_sq(q2) regroups the same 8 rounded squares
+    #   as S, so |n - S| <= 16u*S (u = 2**-53), and |S - 1| < NORM_TOL / 3;
+    # - so |n - 1| <= NORM_TOL, the spinor's own test, always holds.
+    return _spinor(_quaternion(a0, a1), _quaternion(a2, a3))
 
 
 def stereo_project(sp: QuaternionSpinor) -> ExtendedQuaternion:

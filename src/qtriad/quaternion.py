@@ -4,6 +4,14 @@ A quaternion q = x0 + x1*e1 + x2*e2 + x3*e3 (with e1^2 = e2^2 = e3^2 =
 e1*e2*e3 = -1) is stored as the complex pair (z1, z2) with z1 = x0 + x1*i,
 z2 = x2 + x3*i and q = z1 + z2*e2. The pair form is canonical; the real
 4-tuple is a derived view with an exact round-trip.
+
+The public constructor converts and validates its parts. The pair rules'
+results (``*``, ``+`` and ``inverse``), whose parts are already of exact type
+``complex``, pass one finiteness test and are built by ``_quaternion``, which
+sets the slots directly; a result that fails the test goes to
+``Quaternion(z1, z2)``, so it raises the constructor's own message. The
+conjugate and the negation of a finite quaternion are finite, and are built
+without a test.
 """
 
 from __future__ import annotations
@@ -53,7 +61,7 @@ class Quaternion:
 
     def conjugate(self) -> "Quaternion":
         """Negate the e1, e2, e3 parts: conj(z1 + z2*e2) = conj(z1) - z2*e2."""
-        return Quaternion(self.z1.conjugate(), -self.z2)
+        return _quaternion(self.z1.conjugate(), -self.z2)
 
     def norm_sq(self) -> float:
         return _norm_sq(self.z1, self.z2)
@@ -74,7 +82,7 @@ class Quaternion:
         """
         n2 = _norm_sq(self.z1, self.z2)
         if 2.0**-1000 <= n2 < math.inf:
-            return Quaternion(*_inverse(self.z1, self.z2, n2))
+            return _result(*_inverse(self.z1, self.z2, n2))
         parts = self.components()
         if not any(parts):
             raise ZeroDivisionError("zero quaternion has no inverse")
@@ -102,15 +110,37 @@ class Quaternion:
     def __mul__(self, other):
         if not isinstance(other, Quaternion):
             return NotImplemented
-        return Quaternion(*_product(self.z1, self.z2, other.z1, other.z2))
+        return _result(*_product(self.z1, self.z2, other.z1, other.z2))
 
     def __add__(self, other):
         if isinstance(other, Quaternion):
-            return Quaternion(self.z1 + other.z1, self.z2 + other.z2)
+            return _result(self.z1 + other.z1, self.z2 + other.z2)
         return NotImplemented
 
     def __neg__(self):
-        return Quaternion(-self.z1, -self.z2)
+        return _quaternion(-self.z1, -self.z2)
+
+
+# The slots' own setters: the frozen class's __setattr__ refuses.
+_new_object, _store_z1, _store_z2 = object.__new__, Quaternion.z1.__set__, Quaternion.z2.__set__
+
+
+def _quaternion(z1: complex, z2: complex) -> Quaternion:
+    """The Quaternion of two finite parts of exact type ``complex``, which is
+    what ``Quaternion(z1, z2)`` would store; ``__post_init__`` does not run."""
+    q = _new_object(Quaternion)
+    _store_z1(q, z1)
+    _store_z2(q, z2)
+    return q
+
+
+def _result(z1: complex, z2: complex) -> Quaternion:
+    """A pair rule's result from parts of exact type ``complex``: built
+    directly when both are finite, else by ``Quaternion(z1, z2)``, which
+    raises its ValueError for the first non-finite part."""
+    if cmath.isfinite(z1) and cmath.isfinite(z2):
+        return _quaternion(z1, z2)
+    return Quaternion(z1, z2)
 
 
 # The pair rules, on complex numbers or on ``states._Columns`` of n rows,

@@ -49,6 +49,9 @@ _THREADS = "tests/test_states.py::test_memo_gives_each_thread_its_own_states_val
 _POLE_BAND = "tests/test_verify.py::test_stereo_decides_the_pole_as_the_scalar_route_within_ulps_of_the_threshold"
 _POLE_EXACT = "tests/test_verify.py::test_stereo_keeps_a_state_at_exactly_the_threshold_finite"
 _GAP_BAND = "tests/test_verify.py::test_unit_q_rows_decide_the_gap_as_the_scalar_route_near_the_tolerance"
+_PAIR_RULE_ERRORS = "tests/test_builders.py::test_pair_rules_raise_the_constructors_error"
+_BUILDERS = "tests/test_builders.py::test_builders_equal_the_public_constructors_on_edge_states"
+_SCHMIDT_SVD = "tests/test_classify.py::test_schmidt_matches_the_svd_on_edge_states"
 
 MUTANTS = (
     Mutant(
@@ -189,6 +192,42 @@ def _recall(s: TwoQubitState, k: int, entry=[None, None, None, None]):
         (_GAP_BAND,),
         "unit_q's gap tested against the tolerance by sqrt(|Q|^2) alone,"
         " without math.hypot in the band",
+    ),
+    Mutant(
+        "quaternion.py",
+        "        return _result(*_product(self.z1, self.z2, other.z1, other.z2))\n",
+        "        return _quaternion(*_product(self.z1, self.z2, other.z1, other.z2))\n",
+        (_PAIR_RULE_ERRORS,),
+        "the product built without its finiteness test: an overflowed product"
+        " is returned with inf or nan parts instead of raising",
+    ),
+    Mutant(
+        "projection.py",
+        "    return _spinor(_quaternion(a0, a1), _quaternion(a2, a3))\n",
+        "    return _spinor(_quaternion(a0, a2), _quaternion(a1, a3))\n",
+        (_BUILDERS,),
+        "quaternify's parts exchanged: q1 = a0 + a2*e2 and q2 = a1 + a3*e2, a"
+        " spinor of the same norm that the spinor's own check admits",
+    ),
+    Mutant(
+        "classify.py",
+        "        t = math.copysign(1.0, zeta) / (abs(zeta) + math.hypot(1.0, zeta))\n",
+        "        t = -math.copysign(1.0, zeta) / (abs(zeta) + math.hypot(1.0, zeta))\n",
+        (_SCHMIDT_SVD,),
+        "the Jacobi rotation's t with the wrong sign: the rotated columns are"
+        " not orthogonal, so lambda1 and lambda2 are not the singular values",
+    ),
+    Mutant(
+        "classify.py",
+        "    return _schmidt_form(lam1, lam2, basis)\n",
+        """\
+    from .states import concurrence
+
+    return _schmidt_form(lam1, concurrence(s) / (2.0 * lam1), basis)
+""",
+        ("tests/test_classify.py::test_schmidt_route_reads_no_invariant",),
+        "lambda2 taken from concurrence: the Schmidt bridge C = 2*lambda1*lambda2"
+        " then compares the concurrence with itself",
     ),
 )
 

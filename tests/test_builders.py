@@ -1,0 +1,137 @@
+"""The private builders of ``Quaternion``, ``QuaternionSpinor`` and
+``SchmidtForm`` make the values the public constructors make, and every check
+that can fire still fires with the constructor's exception and message."""
+
+import dataclasses
+import math
+import pickle
+
+import pytest
+from hypothesis import given, settings
+
+from edge_states import route_edge_states
+from qtriad.classify import SchmidtForm, schmidt_decompose
+from qtriad.projection import QuaternionSpinor, quaternify, stereo_project
+from qtriad.quaternion import Quaternion, is_infinite
+from qtriad.states import NORM_TOL, TwoQubitState, make_state
+
+
+def assert_same_value(built, public):
+    """built and public are one value to every reader: ``==``, ``repr`` (which
+    keeps every bit and the sign of zero), ``hash``, a pickle round trip and
+    ``dataclasses.replace``, which runs the public checks on built's fields."""
+    assert type(built) is type(public)
+    assert built == public
+    assert repr(built) == repr(public)
+    assert hash(built) == hash(public)
+    assert pickle.loads(pickle.dumps(built)) == public
+    assert dataclasses.replace(built) == public
+
+
+def assert_builders_match(s: TwoQubitState) -> None:
+    a0, a1, a2, a3 = s.alpha
+    sp = quaternify(s)
+    assert_same_value(sp, QuaternionSpinor(Quaternion(a0, a1), Quaternion(a2, a3)))
+    q1, q2 = sp.q1, sp.q2
+    for q in (q1, q2):
+        assert_same_value(q.conjugate(), Quaternion(q.z1.conjugate(), -q.z2))
+        assert_same_value(-q, Quaternion(-q.z1, -q.z2))
+    assert_same_value(q1 + q2, Quaternion(q1.z1 + q2.z1, q1.z2 + q2.z2))
+    q = stereo_project(sp)
+    if not is_infinite(q):
+        inverse = q2.inverse()
+        assert_same_value(inverse, Quaternion(inverse.z1, inverse.z2))
+        assert_same_value(q, Quaternion(q.z1, q.z2))
+    form = schmidt_decompose(s)
+    assert_same_value(form, SchmidtForm(form.lambda1, form.lambda2, form.basis2))
+
+
+@settings(database=None, derandomize=True, max_examples=600, deadline=None)
+@given(route_edge_states())
+def test_builders_equal_the_public_constructors_on_edge_states(s):
+    # Poles (q2 at and around 0), D at and near 0, products, equal Schmidt
+    # weights, both edges of the norm gate and generic states.
+    assert_builders_match(s)
+
+
+@pytest.mark.parametrize("scale", [1e300, 1e-300])
+@pytest.mark.parametrize(
+    "amps",
+    [
+        (1, 2j, -1, 0.5 - 0.25j),  # generic
+        (1, 1j, 0, 0),  # pole: q2 = 0
+        (1, 0, 0, 1),  # equal Schmidt weights
+        (1, 1j, 1, 1j),  # product
+        (1, 0, 1, 0),  # product with D = 0
+    ],
+)
+def test_builders_equal_the_public_constructors_at_extreme_scales(amps, scale):
+    assert_builders_match(make_state([scale * a for a in amps], normalize=True))
+
+
+@pytest.mark.parametrize(
+    ("rule", "error", "message"),
+    [
+        (lambda: Quaternion(1e200) * Quaternion(1e200), ValueError,
+         "quaternion components must be finite, got inf"),
+        (lambda: Quaternion(1e200j, -1e200) * Quaternion(1e200j, 1e200), ValueError,
+         "quaternion components must be finite, got nan"),
+        (lambda: Quaternion(1e308) + Quaternion(1e308), ValueError,
+         "quaternion components must be finite, got inf"),
+        (lambda: Quaternion(-1e308, 1e308j) + Quaternion(-1e308, 1e308j), ValueError,
+         "quaternion components must be finite, got -inf"),
+        (lambda: Quaternion(2.0**-1074).inverse(), OverflowError,
+         "1/|q| is out of the float range: |q| = 5e-324"),
+        (lambda: Quaternion(0j, complex(0.0, -(2.0**-1074))).inverse(), OverflowError,
+         "1/|q| is out of the float range: |q| = 5e-324"),
+    ],
+)
+def test_pair_rules_raise_the_constructors_error(rule, error, message):
+    with pytest.raises(error) as info:
+        rule()
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
+def _admitted(u, f: float) -> bool:
+    """Whether the norm gate admits the amplitudes f*u."""
+    try:
+        TwoQubitState(tuple(f * a for a in u))
+    except ValueError:
+        return False
+    return True
+
+
+def _last_admitted(u, start: float, outward: float) -> float:
+    """The scale f farthest from 1 in the direction of outward at which the
+    gate admits f*u, found by stepping one float at a time from start."""
+    f = start
+    for _ in range(1000):
+        if not _admitted(u, f):
+            f = math.nextafter(f, 1.0)
+        elif _admitted(u, nxt := math.nextafter(f, outward)):
+            f = nxt
+        else:
+            return f
+    raise AssertionError("no edge of the gate within 1000 floats of the start")
+
+
+@settings(database=None, derandomize=True, max_examples=100, deadline=None)
+@given(route_edge_states())
+def test_quaternify_at_the_norm_gates_edges_gives_admitted_spinors(s):
+    # The direction of s at unit norm: some drawn states lie at an edge.
+    u = make_state(s.alpha, normalize=True).alpha
+    for start, outward in ((1.0 + NORM_TOL / 8, math.inf), (1.0 - NORM_TOL / 8, 0.0)):
+        # The nominal bound, the last admitted scale and the 3 floats inside it.
+        scales = [start, _last_admitted(u, start, outward)]
+        for _ in range(3):
+            scales.append(math.nextafter(scales[-1], 1.0))
+        for f in scales:
+            if not _admitted(u, f):
+                # Only the nominal bound itself may lie outside the gate.
+                assert f == start
+                continue
+            sp = quaternify(TwoQubitState(tuple(f * a for a in u)))
+            assert_same_value(QuaternionSpinor(sp.q1, sp.q2), sp)
+            n = sp.q1.norm_sq() + sp.q2.norm_sq()
+            assert abs(n - 1.0) <= NORM_TOL / 2

@@ -378,6 +378,17 @@ def test_schmidt_form_validation():
         SchmidtForm(0.8, 0.6, ((1 + 0j, 0j), (1 + 0j, 0j)))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("row, col", [(0, 0), (0, 1), (1, 0), (1, 1)])
+def test_schmidt_form_rejects_non_finite_basis_entries(row, col, bad):
+    # A NaN Gram term compares false with every bound, and ``max`` keeps or
+    # drops it by position: each term must pass ``<= NORM_TOL`` on its own.
+    basis = [[1 + 0j, 0j], [0j, 1 + 0j]]
+    basis[row][col] = complex(bad)
+    with pytest.raises(ValueError, match="^basis2 must be orthonormal$"):
+        SchmidtForm(1.0, 0.0, tuple(map(tuple, basis)))
+
+
 # ------------------------------------------------------------------- bridges
 
 def test_entanglement_purity_bridge():

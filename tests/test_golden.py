@@ -1,4 +1,5 @@
-"""The sample stream and the verify report against stored sha256 digests.
+"""The sample stream, the verify report and the scalar routes against stored
+sha256 digests.
 
 Each run writes a dataset (or prints a ``verify`` report) through the CLI and
 compares the digest of its bytes with a stored one. Runs are compared with
@@ -6,7 +7,8 @@ stored values rather than with each other, so a change that moves the output
 in every run at once still fails here. The eight amplitude columns of each
 CSV run have a digest of their own: they are the sampled stream alone, so a
 change to a derived formula, which must re-record the whole-file digests,
-leaves them as they are.
+leaves them as they are. The scalar routes' results, which no CLI output
+holds whole, are digested from their ``repr``.
 """
 
 import hashlib
@@ -15,7 +17,11 @@ import platform
 import numpy as np
 import pytest
 
+from qtriad.classify import schmidt_decompose
 from qtriad.cli import main
+from qtriad.projection import inverse_stereo, quaternify, stereo_project
+from qtriad.sampling import HAAR, SampleSpec, sample_haar
+from qtriad.states import make_state
 
 RECORDED_WITH = "numpy 2.4.6, Python 3.11.7, Linux x86_64"
 
@@ -83,6 +89,38 @@ VERIFY_RUNS = {
         "41d573462a9a0c63eab39200a9a901c8e166613a5bc1b2c42e732b4950551254",
     ),
 }
+
+# The ``repr`` of each scalar route's result, one line per state, over the
+# states of ``_scalar_states``: every bit of the spinor, Q, its lift onto S^4
+# and the Schmidt form, basis included, which no dataset column or verify
+# report holds.
+SCALAR_ROUTES_DIGEST = "340dfde4c45a834891d24b7df42b7d64324013ed0bb1c4fdcec7d8bd6549d0cd"
+
+
+def _scalar_states():
+    """The haar stream at seed 42, and edge inputs at three scales: poles,
+    equal Schmidt weights, products, D = 0."""
+    states = list(sample_haar(SampleSpec(1000, 42, HAAR)))
+    edges = [
+        (1, 0, 0, 0), (0, 0, 1, 0), (1, 1j, 1e-15, 0), (1, 0, 0, 1), (0, 1, -1j, 0),
+        (1, 1j, 1, 1j), (1, 0, 1, 0), (0.6, 0, 0, 0.8j), (1, 2j, -1, 0.5 - 0.25j),
+    ]
+    for scale in (1.0, 1e300, 1e-300):
+        states += [make_state([scale * a for a in amps], normalize=True) for amps in edges]
+    return states
+
+
+def test_scalar_routes_match_stored_digest():
+    lines = []
+    for s in _scalar_states():
+        sp = quaternify(s)
+        q = stereo_project(sp)
+        lines.append(f"{sp!r} {q!r} {inverse_stereo(q)!r} {schmidt_decompose(s)!r}\n")
+    digest = hashlib.sha256("".join(lines).encode()).hexdigest()
+    assert digest == SCALAR_ROUTES_DIGEST, (
+        f"scalar routes: sha256 {digest} differs from the digest recorded with "
+        f"{RECORDED_WITH} (this run: {_here()})"
+    )
 
 
 def _here() -> str:
