@@ -94,7 +94,8 @@ def _check_schmidt(lambda1, lambda2, basis2) -> None:
     Each test is written so that a NaN fails it."""
     if not (lambda1 >= lambda2 >= 0.0):
         raise ValueError("Schmidt coefficients must satisfy lambda1 >= lambda2 >= 0")
-    if abs(lambda1**2 + lambda2**2 - 1.0) > NORM_TOL:
+    # Squared by multiplication: ``**`` raises OverflowError above 1.3e154.
+    if abs(lambda1 * lambda1 + lambda2 * lambda2 - 1.0) > NORM_TOL:
         raise ValueError("Schmidt coefficients must have unit square sum")
     (x0, x1), (y0, y1) = basis2
     err1 = abs(x0.conjugate() * x0 + x1.conjugate() * x1 - 1.0)

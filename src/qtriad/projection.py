@@ -85,7 +85,9 @@ def quaternify(s: TwoQubitState) -> QuaternionSpinor:
     a0, a1, a2, a3 = s.alpha
     # The builders check nothing, and no check of the constructors could fail:
     # - the state's gate admits alpha only when sqrt(S), for
-    #   S = _sum_squares(alpha), lies within NORM_TOL / 8 of 1;
+    #   S = _sum_squares(alpha), lies within NORM_TOL / 8 of 1, and the
+    #   states ``states._built`` makes without the gate lie within it too
+    #   (``_exchanged``'s within a few u more; see there);
     # - so S is finite, and with it every part, each of exact type
     #   ``complex`` as ``TwoQubitState`` stores it: ``Quaternion``'s test holds;
     # - n = _norm_sq(q1) + _norm_sq(q2) regroups the same 8 rounded squares

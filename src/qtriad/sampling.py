@@ -49,9 +49,13 @@ row) at a time on both paths, because their numpy counterparts round
 differently. ``TwoQubitState``'s norm gate then runs once, per block, as
 arrays, and the sampled states (``_stream``) are a view of the admitted
 blocks: each row's ``TwoQubitState`` is built without running the gate
-again (``states._admitted``). The same (seed, index) therefore reproduces
-the same state bit for bit in every run, and on every platform whose numpy
-and whose ``math.log``, ``math.hypot``, ``math.cos`` and ``math.sin`` agree.
+again (``states._admitted``). The per-index functions build their states
+through ``states._built`` too, without the gate: their amplitudes are unit
+vectors over ``math.hypot``, or products of them, well inside its band
+(see there). A block still gates the rows they give it. The same
+(seed, index) therefore reproduces the same state bit for bit in every run,
+and on every platform whose numpy and whose ``math.log``, ``math.hypot``,
+``math.cos`` and ``math.sin`` agree.
 
 Ensembles
 ---------
@@ -76,7 +80,16 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .classify import shell_radius
-from .states import BlochAngles, TwoQubitState, _admitted, _Columns, _each, _gate, bloch_state
+from .states import (
+    BlochAngles,
+    TwoQubitState,
+    _admitted,
+    _built,
+    _Columns,
+    _each,
+    _gate,
+    bloch_state,
+)
 
 HAAR = "haar"
 SEPARABLE = "separable"
@@ -316,12 +329,12 @@ def _rotated_schmidt(k, lam1: float, lam2: float, u: list, w: list, u_phase, w_p
 
 def haar_state(seed: int, index: int) -> TwoQubitState:
     """Haar-random two-qubit pure state for the given stream index."""
-    return TwoQubitState(_haar(_SCALARS, _polar_normals(_substream(seed, index), 8)))
+    return _built(_haar(_SCALARS, _polar_normals(_substream(seed, index), 8)))
 
 
 def separable_state(seed: int, index: int) -> TwoQubitState:
     """Product of two independent Haar single-qubit states."""
-    return TwoQubitState(_separable(_SCALARS, _polar_normals(_substream(seed, index), 8)))
+    return _built(_separable(_SCALARS, _polar_normals(_substream(seed, index), 8)))
 
 
 def fixed_concurrence_state(seed: int, index: int, c: float) -> TwoQubitState:
@@ -353,7 +366,7 @@ def fixed_concurrence_state(seed: int, index: int, c: float) -> TwoQubitState:
         gen = _substream(seed, index)
         u, u_phase = _polar_normals(gen, 4), gen.random()
         w, w_phase = _polar_normals(gen, 4), gen.random()
-    return TwoQubitState(_rotated_schmidt(_SCALARS, lam1, lam2, u, w, u_phase, w_phase))
+    return _built(_rotated_schmidt(_SCALARS, lam1, lam2, u, w, u_phase, w_phase))
 
 
 # -------------------------------------------------------------- batched path

@@ -39,8 +39,13 @@ anything else: ``TwoQubitState`` keeps a tuple of four ``complex`` as its
 ``complex``. One norm rule admits a state, for one state and for rows
 (``_gate``) alike: the plain norm ``sqrt(_sum_squares(alpha))`` lies within
 ``NORM_TOL / 8`` of 1. ``_norm``'s scale-safe path only words the message
-of a rejected state. The NamedTuple results are each built in one place
-from a tuple of their values.
+of a rejected state. The states the library normalizes itself are built by
+``_built``, which sets the slot without running the gate again: the rows
+``_gate`` admitted (``_admitted``), ``make_state(..., normalize=True)`` and
+through it ``embed_correlated``, ``sampling``'s three per-index samplers,
+and ``_exchanged``; the comment in ``_built`` says why the gate could not
+fail on them. The NamedTuple results are each built in one place from a
+tuple of their values.
 """
 
 from __future__ import annotations
@@ -124,19 +129,44 @@ def _gate(alpha: np.ndarray) -> None:
         TwoQubitState(tuple(alpha[bad.argmax()]))
 
 
+# The slot's own setter: the frozen class's __setattr__ refuses.
+_store_alpha = TwoQubitState.alpha.__set__
+
+
+def _built(alpha: tuple[complex, complex, complex, complex]) -> TwoQubitState:
+    """``TwoQubitState(alpha)`` for a tuple of four exact ``complex`` known to
+    be of unit norm within the gate's band: the slot set directly, without
+    the frames of ``__init__`` and ``__post_init__``. This is the one way to
+    a ``TwoQubitState`` that skips ``__post_init__``."""
+    # Its callers, and why the gate, whose band NORM_TOL / 8 = 1.25e-10 is
+    # about 10**6 u (u = 2**-53), could not fail on what they pass:
+    # - ``_admitted``: rows that ``_gate`` admitted.
+    # - ``make_state(..., normalize=True)``, and through it
+    #   ``embed_correlated``: ``_norm`` has already rejected non-finite and
+    #   all-zero input, and n is the plain norm of the (power-of-two scaled)
+    #   parts c, so the sum of squares of c / n lies within about 12u of 1.
+    # - ``haar_state``, ``separable_state`` and ``fixed_concurrence_state``:
+    #   unit vectors over ``math.hypot``, products of two of them, and
+    #   (lambda1, 0, 0, lambda2) under two unitaries built from them, each
+    #   within some tens of u of unit norm.
+    # - ``_exchanged``: an admitted state's parts in another order. The same
+    #   eight squares summed in the new order lie within about 8u of the
+    #   admitted sum, so |psi| stays within NORM_TOL / 8 + 8u of 1, where
+    #   every derived check (against NORM_TOL) holds; the gate itself may
+    #   reject it at the band's last floats.
+    s = object.__new__(TwoQubitState)
+    _store_alpha(s, alpha)
+    return s
+
+
 def _admitted(alpha: np.ndarray) -> Iterator[TwoQubitState]:
     """The states of n rows of amplitudes, ``(n, 4)``, that ``_gate`` admitted.
 
     Each state holds its row's tuple of Python complexes, which is the
-    ``alpha`` that ``__post_init__`` would store; the gate is not run again.
-    This is the one way to a ``TwoQubitState`` that skips ``__post_init__``.
+    ``alpha`` that ``__post_init__`` would store; ``_built`` makes it without
+    running the gate again.
     """
-    # The slot's own setter: the frozen class's __setattr__ refuses.
-    new, store = object.__new__, TwoQubitState.alpha.__set__
-    for row in alpha.tolist():
-        s = new(TwoQubitState)
-        store(s, tuple(row))
-        yield s
+    return map(_built, map(tuple, alpha.tolist()))
 
 
 def _four(amplitudes: Sequence[complex]) -> tuple[complex, ...]:
@@ -205,7 +235,12 @@ def make_state(amplitudes: Sequence[complex], normalize: bool = False) -> TwoQub
     if n == 0.0:
         raise ValueError("all-zero amplitudes do not define a state")
     if normalize:
-        alpha = _unit(alpha, n, scale)
+        # ``_unit``'s divisions, written out; ``_built`` says why the gate
+        # cannot fail on their result.
+        if scale != 1.0:
+            alpha = [complex(c.real / scale, c.imag / scale) for c in alpha]
+        a0, a1, a2, a3 = alpha
+        return _built((a0 / n, a1 / n, a2 / n, a3 / n))
     return TwoQubitState(alpha)
 
 
@@ -518,7 +553,7 @@ def reduced_density_photon(s: TwoQubitState) -> DensityMatrix2:
 def _exchanged(s: TwoQubitState) -> TwoQubitState:
     """The state with the two qubits' roles exchanged: (a0, a2, a1, a3)."""
     a0, a1, a2, a3 = s.alpha
-    return TwoQubitState((a0, a2, a1, a3))
+    return _built((a0, a2, a1, a3))
 
 
 def reduced_density_second(s: TwoQubitState) -> DensityMatrix2:

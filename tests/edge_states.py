@@ -1,13 +1,17 @@
 """Hypothesis strategies for states on and around the edges the library
-treats apart, shared by the test modules."""
+treats apart, and fixed inputs of the library's normalizing builders, shared
+by the test modules."""
 
 import cmath
 import math
+from typing import Iterator
 
+import numpy as np
 from hypothesis import strategies as st
 
 from qtriad.classify import DEFAULT_CLASSIFY_TOL
-from qtriad.states import NORM_TOL, TwoQubitState, make_state
+from qtriad.sampling import fixed_concurrence_state, haar_state, separable_state
+from qtriad.states import NORM_TOL, TwoQubitState, embed_correlated, make_correlated, make_state
 
 # A value in [0, 1], drawn often at exactly 0 or 1, within 2 tol of 0, tol,
 # 1 - tol or 1, or else anywhere.
@@ -102,3 +106,102 @@ def route_edge_states(draw, kinds=EDGE_KINDS):
         v = draw(st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8).filter(any))
         amps = [complex(v[k], v[k + 1]) for k in range(0, 8, 2)]
     return make_state(amps, normalize=True)
+
+
+def gate_admits(u, f: float) -> bool:
+    """Whether the norm gate admits the amplitudes f*u."""
+    try:
+        TwoQubitState(tuple(f * a for a in u))
+    except ValueError:
+        return False
+    return True
+
+
+def last_admitted(u, start: float, outward: float) -> float:
+    """The scale f farthest from 1 in the direction of outward at which the
+    gate admits f*u, found by stepping one float at a time from start."""
+    f = start
+    for _ in range(1000):
+        if not gate_admits(u, f):
+            f = math.nextafter(f, 1.0)
+        elif gate_admits(u, nxt := math.nextafter(f, outward)):
+            f = nxt
+        else:
+            return f
+    raise AssertionError("no edge of the gate within 1000 floats of the start")
+
+
+# Inputs of the library's own normalizing builders: ``make_state(...,
+# normalize=True)``, ``embed_correlated`` of a normalized ``make_correlated``
+# and the three per-index samplers. Plain lists, without Hypothesis, so that a
+# digest of what they build is a pure function of the library.
+
+# 1 and the scales where make_state's norm takes its scale-safe path.
+BUILD_SCALES = (1.0, 1e200, 1e-200, 1e300, 1e-300, 5e-324)
+# Poles (q2 = 0, and q1 = 0), products, equal Schmidt weights, D = 0 and
+# generic amplitudes; each has a part of modulus at least 1, so that none
+# rounds to all zeros at 5e-324.
+BUILD_PATTERNS = (
+    (1, 0, 0, 0), (0, 0, 1, 0), (0, 1j, 0, 0), (1, 1j, 0, 0), (1, 1j, 1e-15, 0),
+    (0, 0, 2, -1j), (1, 1j, 1, 1j), (1, 0, 1, 0), (1, 0.5j, 2, 1j), (1, 0, 0, 1),
+    (0, 1, -1j, 0), (1, 1j, -1j, 1), (1.5, 0, 0, 2j), (1, 2j, -1, 0.5 - 0.25j),
+)
+SAMPLER_SEEDS = (0, 42, 2**64 - 1)
+SAMPLER_COUNT = 2000
+FIXEDC_LEVELS = (0.0, 1e-9, 0.25, 0.5, 1.0)
+
+
+def normalized_inputs() -> list[tuple[complex, ...]]:
+    """``BUILD_PATTERNS`` and 40 random directions, each at every scale of
+    ``BUILD_SCALES``."""
+    rng = np.random.default_rng(33)
+    patterns = [tuple(map(complex, p)) for p in BUILD_PATTERNS]
+    for v in rng.normal(size=(40, 8)):
+        if np.abs(v).max() >= 1.0:
+            patterns.append(tuple(complex(v[k], v[k + 1]) for k in range(0, 8, 2)))
+    return [tuple(scale * a for a in p) for scale in BUILD_SCALES for p in patterns]
+
+
+def correlated_inputs() -> list[tuple]:
+    """(mu, nu, chi1, chi2) at d = 1..4, unnormalized: chi2 a generic vector,
+    parallel to chi1 (a phase and a factor apart), or orthogonal to it."""
+    rng = np.random.default_rng(34)
+
+    def vector(d):
+        return rng.normal(size=d) + 1j * rng.normal(size=d)
+
+    inputs = []
+    for d in (1, 2, 3, 4):
+        for _ in range(5):
+            mu, nu = (complex(z) for z in vector(2))
+            chi1 = vector(d)
+            kinds = [vector(d), 2.5 * complex(0.6, -0.8) * chi1]
+            if d > 1:
+                other = vector(d)
+                kinds.append(other - (np.vdot(chi1, other) / np.vdot(chi1, chi1)) * chi1)
+            for chi2 in kinds:
+                inputs.append((mu, nu, tuple(map(complex, chi1)), tuple(map(complex, chi2))))
+    return inputs
+
+
+def sampler_calls(seeds=SAMPLER_SEEDS) -> list[tuple]:
+    """(function, arguments) of every per-index sampler call: haar, separable
+    and fixedc at each of ``FIXEDC_LEVELS``, at ``SAMPLER_COUNT`` indices of
+    each of the seeds."""
+    calls = []
+    for seed in seeds:
+        for i in range(SAMPLER_COUNT):
+            calls.append((haar_state, (seed, i)))
+            calls.append((separable_state, (seed, i)))
+            calls.extend((fixed_concurrence_state, (seed, i, c)) for c in FIXEDC_LEVELS)
+    return calls
+
+
+def built_states() -> Iterator[TwoQubitState]:
+    """The states the normalizing builders make from all the inputs above."""
+    for amps in normalized_inputs():
+        yield make_state(amps, normalize=True)
+    for args in correlated_inputs():
+        yield embed_correlated(make_correlated(*args, normalize=True))
+    for f, args in sampler_calls():
+        yield f(*args)

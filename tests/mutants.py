@@ -52,6 +52,11 @@ _GAP_BAND = "tests/test_verify.py::test_unit_q_rows_decide_the_gap_as_the_scalar
 _PAIR_RULE_ERRORS = "tests/test_builders.py::test_pair_rules_raise_the_constructors_error"
 _BUILDERS = "tests/test_builders.py::test_builders_equal_the_public_constructors_on_edge_states"
 _SCHMIDT_SVD = "tests/test_classify.py::test_schmidt_matches_the_svd_on_edge_states"
+# The normalizing builders' results, which their own norm gate no longer
+# checks, against that gate.
+_NORMALIZED = "tests/test_builders.py::test_make_state_normalizes_fixed_inputs_onto_the_gate"
+_SAMPLED = "tests/test_builders.py::test_per_index_samplers_build_states_the_gate_admits"
+_BUILT_DIGEST = "tests/test_golden.py::test_built_states_match_stored_digest"
 
 MUTANTS = (
     Mutant(
@@ -228,6 +233,37 @@ def _recall(s: TwoQubitState, k: int, entry=[None, None, None, None]):
         ("tests/test_classify.py::test_schmidt_route_reads_no_invariant",),
         "lambda2 taken from concurrence: the Schmidt bridge C = 2*lambda1*lambda2"
         " then compares the concurrence with itself",
+    ),
+    Mutant(
+        "states.py",
+        "        return _built((a0 / n, a1 / n, a2 / n, a3 / n))\n",
+        "        return _built((a0, a1, a2, a3))\n",
+        (_NORMALIZED, _BUILT_DIGEST),
+        "make_state(..., normalize=True) returning the amplitudes undivided",
+    ),
+    Mutant(
+        "states.py",
+        "        return _built((a0 / n, a1 / n, a2 / n, a3 / n))\n",
+        "        n *= 1 + 1e-9\n        return _built((a0 / n, a1 / n, a2 / n, a3 / n))\n",
+        (_NORMALIZED, _BUILT_DIGEST),
+        "make_state(..., normalize=True) dividing by n * (1 + 1e-9): |psi| is"
+        " 1 - 1e-9, eight times the gate's band off 1",
+    ),
+    Mutant(
+        "sampling.py",
+        "    w = k.hypot(*n)\n",
+        "    w = k.hypot(*n) * (1 + 1e-9)\n",
+        (_SAMPLED, _BUILT_DIGEST),
+        "_haar dividing by w * (1 + 1e-9): every sampled state 1e-9 short of"
+        " unit norm",
+    ),
+    Mutant(
+        "sampling.py",
+        "    return _built(_rotated_schmidt(_SCALARS, lam1, lam2, u, w, u_phase, w_phase))\n",
+        "    return _built(_rotated_schmidt(_SCALARS, lam1, lam1, u, w, u_phase, w_phase))\n",
+        (_SAMPLED, _BUILT_DIGEST),
+        "fixed_concurrence_state taking lambda1 for lambda2: |psi| is"
+        " sqrt(2) * lambda1, 1 only at C = 1",
     ),
 )
 

@@ -1,6 +1,7 @@
-"""The private builders of ``Quaternion``, ``QuaternionSpinor`` and
-``SchmidtForm`` make the values the public constructors make, and every check
-that can fire still fires with the constructor's exception and message."""
+"""The private builders of ``TwoQubitState``, ``Quaternion``,
+``QuaternionSpinor`` and ``SchmidtForm`` make the values the public
+constructors make, and every check that can fire still fires with the
+constructor's exception and message."""
 
 import dataclasses
 import math
@@ -8,12 +9,30 @@ import pickle
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from edge_states import route_edge_states
+from edge_states import (
+    BUILD_SCALES,
+    SAMPLER_SEEDS,
+    correlated_inputs,
+    edge_states,
+    gate_admits,
+    last_admitted,
+    normalized_inputs,
+    route_edge_states,
+    sampler_calls,
+)
 from qtriad.classify import SchmidtForm, schmidt_decompose
 from qtriad.projection import QuaternionSpinor, quaternify, stereo_project
 from qtriad.quaternion import Quaternion, is_infinite
-from qtriad.states import NORM_TOL, TwoQubitState, make_state
+from qtriad.states import (
+    NORM_TOL,
+    TwoQubitState,
+    _exact,
+    embed_correlated,
+    make_correlated,
+    make_state,
+)
 
 
 def assert_same_value(built, public):
@@ -44,6 +63,51 @@ def assert_builders_match(s: TwoQubitState) -> None:
         assert_same_value(q, Quaternion(q.z1, q.z2))
     form = schmidt_decompose(s)
     assert_same_value(form, SchmidtForm(form.lambda1, form.lambda2, form.basis2))
+
+
+def assert_gate_admits(s: TwoQubitState) -> None:
+    """``TwoQubitState``'s own gate admits s's amplitudes, a tuple of four exact
+    ``complex``, and makes the same value of them."""
+    assert _exact(s.alpha)
+    assert_same_value(s, TwoQubitState(s.alpha))
+
+
+@settings(database=None, derandomize=True, max_examples=800, deadline=None)
+@given(
+    st.one_of(edge_states(), route_edge_states(kinds=("pole", "product"))),
+    st.sampled_from(BUILD_SCALES),
+)
+def test_make_state_normalizes_edge_states_onto_the_gate(s, scale):
+    # V, D and C on and around every stratum edge, poles and products, at
+    # every scale.
+    amps = [scale * a for a in s.alpha]
+    if not any(amps):
+        # All of the parts rounded to zero at 5e-324.
+        with pytest.raises(ValueError, match="^all-zero amplitudes do not define a state$"):
+            make_state(amps, normalize=True)
+        return
+    assert_gate_admits(make_state(amps, normalize=True))
+
+
+def test_make_state_normalizes_fixed_inputs_onto_the_gate():
+    # Poles, products, equal Schmidt weights and random directions at 1,
+    # 1e+-200, 1e+-300 and 5e-324.
+    for amps in normalized_inputs():
+        assert_gate_admits(make_state(amps, normalize=True))
+
+
+def test_embed_correlated_builds_states_the_gate_admits():
+    # d = 1..4, with chi2 generic, parallel and orthogonal to chi1.
+    for args in correlated_inputs():
+        assert_gate_admits(embed_correlated(make_correlated(*args, normalize=True)))
+
+
+@pytest.mark.parametrize("seed", SAMPLER_SEEDS)
+def test_per_index_samplers_build_states_the_gate_admits(seed):
+    # haar, separable and fixedc at C = 0, 1e-9, 0.25, 0.5 and 1, at 2000
+    # indices each.
+    for f, args in sampler_calls([seed]):
+        assert_gate_admits(f(*args))
 
 
 @settings(database=None, derandomize=True, max_examples=600, deadline=None)
@@ -93,29 +157,6 @@ def test_pair_rules_raise_the_constructors_error(rule, error, message):
     assert str(info.value) == message
 
 
-def _admitted(u, f: float) -> bool:
-    """Whether the norm gate admits the amplitudes f*u."""
-    try:
-        TwoQubitState(tuple(f * a for a in u))
-    except ValueError:
-        return False
-    return True
-
-
-def _last_admitted(u, start: float, outward: float) -> float:
-    """The scale f farthest from 1 in the direction of outward at which the
-    gate admits f*u, found by stepping one float at a time from start."""
-    f = start
-    for _ in range(1000):
-        if not _admitted(u, f):
-            f = math.nextafter(f, 1.0)
-        elif _admitted(u, nxt := math.nextafter(f, outward)):
-            f = nxt
-        else:
-            return f
-    raise AssertionError("no edge of the gate within 1000 floats of the start")
-
-
 @settings(database=None, derandomize=True, max_examples=100, deadline=None)
 @given(route_edge_states())
 def test_quaternify_at_the_norm_gates_edges_gives_admitted_spinors(s):
@@ -123,11 +164,11 @@ def test_quaternify_at_the_norm_gates_edges_gives_admitted_spinors(s):
     u = make_state(s.alpha, normalize=True).alpha
     for start, outward in ((1.0 + NORM_TOL / 8, math.inf), (1.0 - NORM_TOL / 8, 0.0)):
         # The nominal bound, the last admitted scale and the 3 floats inside it.
-        scales = [start, _last_admitted(u, start, outward)]
+        scales = [start, last_admitted(u, start, outward)]
         for _ in range(3):
             scales.append(math.nextafter(scales[-1], 1.0))
         for f in scales:
-            if not _admitted(u, f):
+            if not gate_admits(u, f):
                 # Only the nominal bound itself may lie outside the gate.
                 assert f == start
                 continue

@@ -378,6 +378,23 @@ def test_schmidt_form_validation():
         SchmidtForm(0.8, 0.6, ((1 + 0j, 0j), (1 + 0j, 0j)))
 
 
+@pytest.mark.parametrize(
+    "lambda1, message",
+    [
+        # 1e154 squares to a finite 1e308; 1e200 overflows, as inf does.
+        (1e154, "Schmidt coefficients must have unit square sum"),
+        (1e200, "Schmidt coefficients must have unit square sum"),
+        (math.inf, "Schmidt coefficients must have unit square sum"),
+        (math.nan, "Schmidt coefficients must satisfy lambda1 >= lambda2 >= 0"),
+    ],
+)
+def test_schmidt_form_rejects_huge_and_non_finite_weights_with_value_error(lambda1, message):
+    with pytest.raises(ValueError) as info:
+        SchmidtForm(lambda1, 0.0, ((1 + 0j, 0j), (0j, 1 + 0j)))
+    assert type(info.value) is ValueError
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("row, col", [(0, 0), (0, 1), (1, 0), (1, 1)])
 def test_schmidt_form_rejects_non_finite_basis_entries(row, col, bad):

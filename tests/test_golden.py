@@ -8,7 +8,8 @@ in every run at once still fails here. The eight amplitude columns of each
 CSV run have a digest of their own: they are the sampled stream alone, so a
 change to a derived formula, which must re-record the whole-file digests,
 leaves them as they are. The scalar routes' results, which no CLI output
-holds whole, are digested from their ``repr``.
+holds whole, are digested from their ``repr``, and so are the amplitudes the
+normalizing builders make from the fixed inputs of ``edge_states``.
 """
 
 import hashlib
@@ -17,6 +18,7 @@ import platform
 import numpy as np
 import pytest
 
+from edge_states import built_states
 from qtriad.classify import schmidt_decompose
 from qtriad.cli import main
 from qtriad.projection import inverse_stereo, quaternify, stereo_project
@@ -96,6 +98,11 @@ VERIFY_RUNS = {
 # report holds.
 SCALAR_ROUTES_DIGEST = "340dfde4c45a834891d24b7df42b7d64324013ed0bb1c4fdcec7d8bd6549d0cd"
 
+# The ``repr`` of ``alpha``, one line per state, over ``built_states()``:
+# ``make_state(..., normalize=True)`` at six scales, ``embed_correlated`` at
+# d = 1..4 and the three per-index samplers at 2000 indices of three seeds.
+BUILT_STATES_DIGEST = "397bf5a166d814b0518cf4e59bc6ddaa37c1df1988041b2bfc91e4ee86b1d1cf"
+
 
 def _scalar_states():
     """The haar stream at seed 42, and edge inputs at three scales: poles,
@@ -119,6 +126,15 @@ def test_scalar_routes_match_stored_digest():
     digest = hashlib.sha256("".join(lines).encode()).hexdigest()
     assert digest == SCALAR_ROUTES_DIGEST, (
         f"scalar routes: sha256 {digest} differs from the digest recorded with "
+        f"{RECORDED_WITH} (this run: {_here()})"
+    )
+
+
+def test_built_states_match_stored_digest():
+    lines = "".join(f"{s.alpha!r}\n" for s in built_states())
+    digest = hashlib.sha256(lines.encode()).hexdigest()
+    assert digest == BUILT_STATES_DIGEST, (
+        f"built states: sha256 {digest} differs from the digest recorded with "
         f"{RECORDED_WITH} (this run: {_here()})"
     )
 

@@ -7,6 +7,7 @@ import re
 import sys
 import threading
 import time
+import types
 import warnings
 from fractions import Fraction
 
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edge_states import edge_states
+from edge_states import edge_states, last_admitted
 from qtriad import states as states_module
 from qtriad.classify import _strata, classify, schmidt_decompose
 from qtriad.dataset import state_record
@@ -43,6 +44,7 @@ from qtriad.states import (
     _gate,
     _invariants,
     _norm,
+    _sum_squares,
     _triad,
     bloch_state,
     concurrence,
@@ -150,6 +152,80 @@ def test_make_state_rejects_nonfinite_and_zero(amps, message, normalize):
         make_state(amps, normalize=normalize)
 
 
+_FINITE = "amplitudes must be finite"
+_ZERO = "all-zero amplitudes do not define a state"
+_ARITY = "a two-qubit state needs exactly 4 amplitudes"
+_DIMENSION = "chi1 and chi2 must share a dimension d >= 1"
+_CHI_ZERO = "chi vectors must have nonzero norm"
+_CHI_FINITE = "chi entries must be finite"
+_WEIGHTS = "|mu|^2 + |nu|^2 must equal 1"
+
+
+def _correlated_duck(mu, nu, chi1, chi2):
+    # embed_correlated reads these four fields only; a CorrelatedState would
+    # have rejected each of these values itself.
+    return types.SimpleNamespace(mu=mu, nu=nu, chi1=chi1, chi2=chi2)
+
+
+# Every rejection of the three builders, with its exception type and whole
+# message, as the normalizing builders' validation left them.
+_BUILDER_REJECTIONS = [
+    (make_state, ((1, 0, 0),), {}, ValueError, _ARITY),
+    (make_state, ((1, 0, 0),), {"normalize": True}, ValueError, _ARITY),
+    (make_state, ((1, 0, 0, 0, 0),), {"normalize": True}, ValueError, _ARITY),
+    (make_state, ((math.nan, 0, 0, 1),), {}, ValueError, _FINITE),
+    (make_state, ((math.nan, 0, 0, 1),), {"normalize": True}, ValueError, _FINITE),
+    (make_state, ((math.inf, 0, 0, 1),), {"normalize": True}, ValueError, _FINITE),
+    (make_state, ((1e200, complex(0, -math.inf), 0, 1),), {"normalize": True}, ValueError, _FINITE),
+    (make_state, ((1e308,) * 4,), {}, ValueError, "amplitudes are not normalized: |amp| = inf"),
+    (make_state, ((0, 0, 0, 0),), {}, ValueError, _ZERO),
+    (make_state, ((0, 0, 0, 0),), {"normalize": True}, ValueError, _ZERO),
+    (make_state, ((1, 0, 0, 1),), {}, ValueError,
+     "amplitudes are not normalized: |amp| = 1.4142135623730951"),
+    (make_state, ((1e200, 0, 0, 1e200),), {}, ValueError,
+     "amplitudes are not normalized: |amp| = 1.414213562373095e+200"),
+    (make_state, ((5e-324, 0, 0, 0),), {}, ValueError,
+     "amplitudes are not normalized: |amp| = 5e-324"),
+    (make_state, ((1.000000000126, 0, 0, 0),), {}, ValueError,
+     "amplitudes are not normalized: |amp| = 1.000000000126"),
+    (make_state, (("x", 0, 0, 0),), {"normalize": True}, ValueError,
+     "complex() arg is a malformed string"),
+    (make_state, ((None, 0, 0, 0),), {"normalize": True}, TypeError,
+     "complex() first argument must be a string or a number, not 'NoneType'"),
+    (make_correlated, (1, 0, (), ()), {"normalize": True}, ValueError, _CHI_ZERO),
+    (make_correlated, (1, 0, (0,), (1,)), {"normalize": True}, ValueError, _CHI_ZERO),
+    (make_correlated, (1, 0, (1,), (0, 0)), {"normalize": True}, ValueError, _CHI_ZERO),
+    (make_correlated, (0, 0, (1,), (1,)), {"normalize": True}, ValueError,
+     "mu and nu cannot both vanish"),
+    (make_correlated, (1, 0, (1, 0), (1,)), {"normalize": True}, ValueError, _DIMENSION),
+    (make_correlated, (1, 0, (1,), (math.nan,)), {"normalize": True}, ValueError, _CHI_FINITE),
+    (make_correlated, (1, 0, (math.inf,), (1,)), {"normalize": True}, ValueError, _CHI_FINITE),
+    (make_correlated, (math.nan, 0, (1,), (1,)), {"normalize": True}, ValueError, _WEIGHTS),
+    (make_correlated, (math.inf, 1, (1,), (1,)), {"normalize": True}, ValueError, _WEIGHTS),
+    (make_correlated, (1, 0, (), ()), {}, ValueError, _DIMENSION),
+    (make_correlated, (1, 0, (1,), (1, 0)), {}, ValueError, _DIMENSION),
+    (make_correlated, (1, 0, (math.nan,), (1,)), {}, ValueError, _CHI_FINITE),
+    (make_correlated, (1, 0, (2,), (1,)), {}, ValueError, "chi1 and chi2 must be unit vectors"),
+    (make_correlated, (1, 1, (1,), (1,)), {}, ValueError, _WEIGHTS),
+    (make_correlated, (math.nan, 0, (1,), (1,)), {}, ValueError, _WEIGHTS),
+    (embed_correlated, (_correlated_duck(complex(math.nan), 0j, (1 + 0j,), (1 + 0j,)),), {},
+     ValueError, _FINITE),
+    (embed_correlated, (_correlated_duck(complex(math.inf), 0j, (1 + 0j,), (1 + 0j,)),), {},
+     ValueError, _FINITE),
+    (embed_correlated, (_correlated_duck(0j, 0j, (1 + 0j,), (1 + 0j,)),), {}, ValueError, _ZERO),
+    (embed_correlated, (_correlated_duck(0j, 1 + 0j, (1 + 0j, 0j), (math.nan, 0j)),), {},
+     ValueError, _FINITE),
+]
+
+
+@pytest.mark.parametrize("builder, args, kwargs, error, message", _BUILDER_REJECTIONS)
+def test_builder_rejections_keep_their_type_and_message(builder, args, kwargs, error, message):
+    with pytest.raises(error) as info:
+        builder(*args, **kwargs)
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
 # Unit patterns: the north pole (Q at infinity), a Bell state, a state with
 # exact binary amplitudes, and one with complex amplitudes off both axes.
 _UNIT_PATTERNS = [
@@ -165,7 +241,10 @@ _UNIT_PATTERNS = [
 def test_every_admitted_state_passes_every_derived_function(pattern, delta):
     # The gate keeps |psi| within NORM_TOL / 8 of 1, so |psi|^2 and |psi|^4,
     # which the derived types check against NORM_TOL, stay inside it.
-    s = make_state([(1 + delta) * a for a in pattern])
+    _derive_everything(make_state([(1 + delta) * a for a in pattern]))
+
+
+def _derive_everything(s):
     inverse_stereo(stereo_project(quaternify(s)))
     reduced_density_photon(s)
     reduced_density_second(s)
@@ -175,6 +254,39 @@ def test_every_admitted_state_passes_every_derived_function(pattern, delta):
     classify(s)
     state_record(s)
     fringe_extrema(s)
+
+
+def test_every_admitted_state_passes_every_derived_function_at_the_exchange_edge():
+    # Admitted, but the same squares summed in the exchanged order
+    # (a0, a2, a1, a3) put |psi| at 1.000000000125, just past the gate's band:
+    # the partner qubit's functions must not run the gate again.
+    s = TwoQubitState(
+        (
+            (0.26101644595479256 - 0.4045673682730534j),
+            (-0.4396880390869515 - 0.5283687471502061j),
+            (0.07481493288347053 + 0.10127656888446272j),
+            (0.36232079810915285 + 0.3854425725172511j),
+        )
+    )
+    _derive_everything(s)
+    a0, a1, a2, a3 = s.alpha
+    assert reduced_density_second(s) == DensityMatrix2(
+        _sum_squares((a0, a2)), a1.conjugate() * a0 + a3.conjugate() * a2, _sum_squares((a1, a3))
+    )
+
+
+@settings(database=None, derandomize=True, max_examples=300, deadline=None)
+@given(st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8).filter(any))
+def test_every_admitted_state_passes_every_derived_function_at_the_gates_last_floats(v):
+    # A random direction at the last scales the gate admits on either side
+    # of 1, and the 3 floats inside each: the states whose exchanged sums
+    # of squares can round across the band's edge.
+    u = make_state([complex(v[k], v[k + 1]) for k in range(0, 8, 2)], normalize=True).alpha
+    for start, outward in ((1.0 + NORM_TOL / 8, math.inf), (1.0 - NORM_TOL / 8, 0.0)):
+        f = last_admitted(u, start, outward)
+        for _ in range(4):
+            _derive_everything(TwoQubitState(tuple(f * a for a in u)))
+            f = math.nextafter(f, 1.0)
 
 
 @pytest.mark.parametrize("pattern", _UNIT_PATTERNS)
