@@ -20,6 +20,13 @@ from .states import NORM_TOL, DualityTriad, TwoQubitState, _sum_squares, triad
 
 DEFAULT_CLASSIFY_TOL = 1e-9
 _DEGENERATE_TOL = 1e-12
+# Below this |gamma|, ``schmidt_decompose`` takes e and zeta from gamma
+# scaled by _GAMMA_SCALE, an exact power of two. A gamma with subnormal parts
+# keeps too few bits for gamma / |gamma| to be of unit modulus (at
+# gamma = 1e-323 + 1e-323j it is 1 + 1j), and J would not be unitary. At or
+# above it, gamma is normal and is used as it is.
+_SMALL_GAMMA = 2.0**-600
+_GAMMA_SCALE = 2.0**600
 
 
 class StratumLabel(enum.Enum):
@@ -155,8 +162,13 @@ def schmidt_decompose(s: TwoQubitState) -> SchmidtForm:
     alpha, beta = _sum_squares((a0, a2)), _sum_squares((a1, a3))
     gamma = a0.conjugate() * a1 + a2.conjugate() * a3
     if gamma:
-        g = abs(gamma)
-        zeta = (beta - alpha) / (2.0 * g)
+        g, scale = abs(gamma), 1.0
+        if g < _SMALL_GAMMA:
+            # Exact: each part is below 2**-600.
+            scale = _GAMMA_SCALE
+            gamma = complex(gamma.real * scale, gamma.imag * scale)
+            g = abs(gamma)
+        zeta = (beta - alpha) * scale / (2.0 * g)
         t = math.copysign(1.0, zeta) / (abs(zeta) + math.hypot(1.0, zeta))
         c = 1.0 / math.hypot(1.0, t)
         e = gamma / g

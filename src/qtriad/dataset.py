@@ -256,22 +256,28 @@ _LABEL_VALUES = {label: label.value for label in StratumLabel}
 def state_record(s: TwoQubitState) -> dict:
     """One analysis record: amplitudes, triad, sphere coords, radius, labels.
 
-    Keys follow ``DATASET_COLUMNS``. The cells equal ``triad(s)``,
-    ``coords_from_state(s)`` and ``ball_point(s).radius`` bit for bit, all
-    derived from one ``_invariants(*s.alpha)`` call. ``labels`` lists the
+    The keys are written out in ``DATASET_COLUMNS`` order, which a test pins.
+    The cells equal ``triad(s)``, ``coords_from_state(s)`` and
+    ``ball_point(s).radius`` bit for bit, all derived from one
+    ``_invariants`` call on the state's amplitudes. ``labels`` lists the
     ``StratumLabel`` values of the state's strata in definition order, as
     ``_strata`` gives them, at ``DEFAULT_CLASSIFY_TOL``.
     """
-    invariants = _invariants(*s.alpha)
-    t = _triad(*invariants)
-    x = _coords(*invariants)
     a0, a1, a2, a3 = s.alpha
-    return dict(zip(DATASET_COLUMNS, (
-        a0.real, a0.imag, a1.real, a1.imag, a2.real, a2.imag, a3.real, a3.imag,
-        *t, *x,
-        math.hypot(x[0], x[1], x[2]),  # BallPoint.radius
-        [_LABEL_VALUES[label] for label in _strata(t)],
-    )))
+    invariants = _invariants(a0, a1, a2, a3)
+    t = _triad(*invariants)
+    v, d, c = t
+    x0, x1, x2, x3, x4 = _coords(*invariants)
+    return {
+        "alpha0_re": a0.real, "alpha0_im": a0.imag,
+        "alpha1_re": a1.real, "alpha1_im": a1.imag,
+        "alpha2_re": a2.real, "alpha2_im": a2.imag,
+        "alpha3_re": a3.real, "alpha3_im": a3.imag,
+        "V": v, "D": d, "C": c,
+        "x0": x0, "x1": x1, "x2": x2, "x3": x3, "x4": x4,
+        "radius": math.hypot(x0, x1, x2),  # BallPoint.radius
+        "labels": [_LABEL_VALUES[label] for label in _strata(t)],
+    }
 
 
 def _suffix(csv: bool, names: list[str]) -> str:

@@ -44,8 +44,12 @@ of a rejected state. The states the library normalizes itself are built by
 ``_gate`` admitted (``_admitted``), ``make_state(..., normalize=True)`` and
 through it ``embed_correlated``, ``sampling``'s three per-index samplers,
 and ``_exchanged``; the comment in ``_built`` says why the gate could not
-fail on them. The NamedTuple results are each built in one place from a
-tuple of their values.
+fail on them. ``make_correlated(..., normalize=True)`` builds its
+``CorrelatedState`` the same way, through ``_correlated``, after the one
+check of the constructor that its normalization does not settle, the shared
+dimension; any input that is not finite goes to the constructor, which
+words the rejection. The NamedTuple results are each built in one place
+from a tuple of their values.
 """
 
 from __future__ import annotations
@@ -281,6 +285,38 @@ class CorrelatedState:
             raise ValueError("|mu|^2 + |nu|^2 must equal 1")
 
 
+# The slots' own setters: the frozen class's __setattr__ refuses.
+_store_mu = CorrelatedState.mu.__set__
+_store_nu = CorrelatedState.nu.__set__
+_store_chi1 = CorrelatedState.chi1.__set__
+_store_chi2 = CorrelatedState.chi2.__set__
+
+
+def _correlated(mu: complex, nu: complex, chi1: tuple, chi2: tuple) -> CorrelatedState:
+    """``CorrelatedState(mu, nu, chi1, chi2)`` for exact ``complex`` weights
+    and tuples of exact ``complex`` that ``make_correlated(..., normalize=True)``
+    has normalized: the slots set directly, without the frames of
+    ``__init__`` and ``__post_init__``."""
+    # Its caller passes chis of one dimension d, with finite norms n1, n2
+    # before the division and finite weights after it. Why the other checks
+    # of ``__post_init__`` could not fail then, with NORM_TOL = 1e-9 about
+    # 9 * 10**6 u (u = 2**-53):
+    # - chi entries finite, each chi a unit vector: a finite n is nonzero
+    #   (``make_correlated`` rejected zero norms) and the plain norm of the
+    #   (power-of-two scaled) parts, as in ``make_state``, so each chi / n is
+    #   finite, and its norm, summed again by the check, lies within about
+    #   3d u of 1 at worst: inside NORM_TOL for any d up to 10**6.
+    # - |mu|^2 + |nu|^2 = 1: w is the hypot of the finite weights it divides,
+    #   at least 2**-1022 on the first path and at least 1/2 on the second,
+    #   so mu / w and nu / w have a hypot within a few u of 1.
+    c = object.__new__(CorrelatedState)
+    _store_mu(c, mu)
+    _store_nu(c, nu)
+    _store_chi1(c, chi1)
+    _store_chi2(c, chi2)
+    return c
+
+
 def _complexes(v: Sequence[complex]) -> tuple[complex, ...]:
     """v as a tuple of complex numbers: v itself if it is a tuple of parts of
     exact type ``complex``."""
@@ -366,6 +402,9 @@ def make_correlated(
             w = math.hypot(abs(m), abs(n))
         m /= w
         n /= w
+        if len(c1) == len(c2) and all(map(cmath.isfinite, (n1, n2, m, n))):
+            return _correlated(m, n, c1, c2)
+    # The public constructor words every rejection, in its own order.
     return CorrelatedState(m, n, c1, c2)
 
 

@@ -108,6 +108,22 @@ def route_edge_states(draw, kinds=EDGE_KINDS):
     return make_state(amps, normalize=True)
 
 
+# States whose Schmidt cross term, the inner product of the amplitude
+# matrix's columns gamma = conj(a0)*a1 + conj(a2)*a3, is tiny: four with a
+# subnormal gamma, which made ``schmidt_decompose`` raise or lose its
+# unitary rotation, and one with gamma just below 2**-600, where that
+# function scales gamma, and unequal column norms, so that the rotation's
+# zeta reads the scale.
+_R = math.sqrt(0.5)
+SMALL_GAMMA_STATES = (
+    *(
+        TwoQubitState((complex(_R), a1, 0j, complex(_R)))
+        for a1 in (1e-323 + 1e-323j, 5e-324 + 5e-324j, 3e-320 + 1e-322j, 1e-310 + 1e-310j)
+    ),
+    TwoQubitState((0.6 + 0j, complex(2.0**-601 / 0.6), 0j, 0.8 + 0j)),
+)
+
+
 def gate_admits(u, f: float) -> bool:
     """Whether the norm gate admits the amplitudes f*u."""
     try:

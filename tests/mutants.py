@@ -57,6 +57,12 @@ _SCHMIDT_SVD = "tests/test_classify.py::test_schmidt_matches_the_svd_on_edge_sta
 _NORMALIZED = "tests/test_builders.py::test_make_state_normalizes_fixed_inputs_onto_the_gate"
 _SAMPLED = "tests/test_builders.py::test_per_index_samplers_build_states_the_gate_admits"
 _BUILT_DIGEST = "tests/test_golden.py::test_built_states_match_stored_digest"
+# state_record's cells against the public scalar API, by repr.
+_RECORD_EDGES = "tests/test_dataset.py::test_writer_edge_records_equal_the_public_scalar_api"
+_RECORD_API = "tests/test_dataset.py::test_state_record_equals_the_public_scalar_api"
+_CORRELATED = (
+    "tests/test_builders.py::test_make_correlated_normalizes_fixed_inputs_onto_the_constructors_checks"
+)
 
 MUTANTS = (
     Mutant(
@@ -151,16 +157,18 @@ def _recall(s: TwoQubitState, k: int, entry=[None, None, None, None]):
     Mutant(
         "dataset.py",
         """\
-    invariants = _invariants(*s.alpha)
+    invariants = _invariants(a0, a1, a2, a3)
     t = _triad(*invariants)
-    x = _coords(*invariants)
+    v, d, c = t
+    x0, x1, x2, x3, x4 = _coords(*invariants)
 """,
         """\
     from .states import _COORDS, _INVARIANTS, _TRIAD, _recall
 
     invariants = _recall(s, _INVARIANTS)
     t = _recall(s, _TRIAD)
-    x = _recall(s, _COORDS)
+    v, d, c = t
+    x0, x1, x2, x3, x4 = _recall(s, _COORDS)
 """,
         ("tests/test_dataset.py::test_dataset_path_never_reads_the_memo",),
         "state_record routed through the scalar memo: still one _invariants"
@@ -264,6 +272,43 @@ def _recall(s: TwoQubitState, k: int, entry=[None, None, None, None]):
         (_SAMPLED, _BUILT_DIGEST),
         "fixed_concurrence_state taking lambda1 for lambda2: |psi| is"
         " sqrt(2) * lambda1, 1 only at C = 1",
+    ),
+    Mutant(
+        "dataset.py",
+        '''"x0": x0, "x1": x1, "x2": x2, "x3": x3, "x4": x4,''',
+        '''"x0": x0, "x1": x1, "x2": x2, "x3": x4, "x4": x3,''',
+        (_RECORD_EDGES, _RECORD_API),
+        "state_record's x3 and x4 cells exchanged in the dict display",
+    ),
+    Mutant(
+        "dataset.py",
+        '''"V": v, "D": d, "C": c,''',
+        '''"V": d, "D": v, "C": c,''',
+        (_RECORD_EDGES, _RECORD_API),
+        "state_record's V and D cells exchanged in the dict display",
+    ),
+    Mutant(
+        "dataset.py",
+        "math.hypot(x0, x1, x2),  # BallPoint.radius",
+        "math.hypot(x0, x1, x3),  # BallPoint.radius",
+        (_RECORD_EDGES, _RECORD_API),
+        "state_record's radius taken over (x0, x1, x3) instead of (x0, x1, x2)",
+    ),
+    Mutant(
+        "states.py",
+        "        c2 = _unit(c2, n2, scale2)\n",
+        "        c2 = _unit(c2, n2 * (1 + 1e-9), scale2)\n",
+        (_CORRELATED, _BUILT_DIGEST),
+        "make_correlated(..., normalize=True) dividing chi2 by n2 * (1 + 1e-9):"
+        " |chi2| is 1 - 1e-9, inside CorrelatedState's own band NORM_TOL",
+    ),
+    Mutant(
+        "classify.py",
+        "        zeta = (beta - alpha) * scale / (2.0 * g)\n",
+        "        zeta = (beta - alpha) / (2.0 * g)\n",
+        ("tests/test_classify.py::test_schmidt_keeps_the_bridge_at_a_tiny_cross_term",),
+        "schmidt_decompose's zeta without gamma's scale: below |gamma| = 2**-600"
+        " the rotation turns columns that are already nearly orthogonal",
     ),
 )
 

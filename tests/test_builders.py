@@ -1,6 +1,6 @@
-"""The private builders of ``TwoQubitState``, ``Quaternion``,
-``QuaternionSpinor`` and ``SchmidtForm`` make the values the public
-constructors make, and every check that can fire still fires with the
+"""The private builders of ``TwoQubitState``, ``CorrelatedState``,
+``Quaternion``, ``QuaternionSpinor`` and ``SchmidtForm`` make the values the
+public constructors make, and every check that can fire still fires with the
 constructor's exception and message."""
 
 import dataclasses
@@ -27,8 +27,10 @@ from qtriad.projection import QuaternionSpinor, quaternify, stereo_project
 from qtriad.quaternion import Quaternion, is_infinite
 from qtriad.states import (
     NORM_TOL,
+    CorrelatedState,
     TwoQubitState,
     _exact,
+    _sum_squares,
     embed_correlated,
     make_correlated,
     make_state,
@@ -100,6 +102,22 @@ def test_embed_correlated_builds_states_the_gate_admits():
     # d = 1..4, with chi2 generic, parallel and orthogonal to chi1.
     for args in correlated_inputs():
         assert_gate_admits(embed_correlated(make_correlated(*args, normalize=True)))
+
+
+@pytest.mark.parametrize("scale", BUILD_SCALES)
+def test_make_correlated_normalizes_fixed_inputs_onto_the_constructors_checks(scale):
+    # d = 1..4, with chi2 generic, parallel and orthogonal to chi1, with the
+    # weights and chi1 at every scale. The results skip CorrelatedState's
+    # checks, whose band is NORM_TOL; they lie within a few ulps of unit norm.
+    for mu, nu, chi1, chi2 in correlated_inputs():
+        chi1 = tuple(scale * z for z in chi1)
+        if not any(chi1):
+            continue
+        c = make_correlated(scale * mu, scale * nu, chi1, chi2, normalize=True)
+        assert_same_value(c, CorrelatedState(c.mu, c.nu, c.chi1, c.chi2))
+        for chi in (c.chi1, c.chi2):
+            assert abs(math.sqrt(_sum_squares(chi)) - 1.0) <= 4 * 2.0**-52
+        assert abs(math.hypot(abs(c.mu), abs(c.nu)) - 1.0) <= 4 * 2.0**-52
 
 
 @pytest.mark.parametrize("seed", SAMPLER_SEEDS)

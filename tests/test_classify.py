@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edge_states import edge_states, qubit, route_edge_states, unitary
+from edge_states import SMALL_GAMMA_STATES, edge_states, qubit, route_edge_states, unitary
 from qtriad import states as states_module
 from qtriad.classify import (
     DEFAULT_CLASSIFY_TOL,
@@ -315,6 +315,14 @@ def _assert_schmidt_matches_the_svd(s):
 @given(st.one_of(edge_states(), route_edge_states(), near_degenerate_states()))
 def test_schmidt_matches_the_svd_on_edge_states(s):
     _assert_schmidt_matches_the_svd(s)
+
+
+@pytest.mark.parametrize("s", SMALL_GAMMA_STATES, ids=range(len(SMALL_GAMMA_STATES)))
+def test_schmidt_keeps_the_bridge_at_a_tiny_cross_term(s):
+    # A subnormal gamma made J non-unitary: the weights' square sum left the
+    # band, or 2*lambda1*lambda2 missed C by 2.3e-14.
+    form = _assert_schmidt_matches_the_svd(s)
+    assert abs(2 * form.lambda1 * form.lambda2 - concurrence(s)) <= 4 * 2.0**-52
 
 
 @settings(database=None, derandomize=True, max_examples=500, deadline=None)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edge_states import edge_states
+from edge_states import SMALL_GAMMA_STATES, edge_states
 from qtriad import dataset as dataset_module
 from qtriad import projection as projection_module
 from qtriad import states as states_module
@@ -218,7 +218,9 @@ def test_writer_edges_hold_every_label_count():
 
 
 def _assert_record_is_the_scalar_api(s):
-    *cells, labels = state_record(s).values()
+    record = state_record(s)
+    assert list(record) == list(DATASET_COLUMNS)
+    *cells, labels = record.values()
     parts = [p for z in s.alpha for p in (z.real, z.imag)]
     expected = [*parts, *triad(s), *coords_from_state(s), ball_point(s).radius]
     # repr keeps every bit and tells -0.0 from 0.0.
@@ -229,13 +231,13 @@ def _assert_record_is_the_scalar_api(s):
 
 
 def test_writer_edge_records_equal_the_public_scalar_api():
-    for s in _WRITER_EDGES:
+    for s in _WRITER_EDGES + SMALL_GAMMA_STATES:
         _assert_record_is_the_scalar_api(s)
 
 
 @settings(database=None, derandomize=True, max_examples=300)
 @given(st.one_of(
-    st.sampled_from(_WRITER_EDGES),
+    st.sampled_from(_WRITER_EDGES + SMALL_GAMMA_STATES),
     edge_states(),
     _GENERIC_STATES,
     st.builds(haar_state, st.integers(0, 2**64 - 1), st.integers(0, 2**20)),

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edge_states import edge_states, last_admitted
+from edge_states import SMALL_GAMMA_STATES, edge_states, last_admitted
 from qtriad import states as states_module
 from qtriad.classify import _strata, classify, schmidt_decompose
 from qtriad.dataset import state_record
@@ -254,6 +254,12 @@ def _derive_everything(s):
     classify(s)
     state_record(s)
     fringe_extrema(s)
+
+
+@pytest.mark.parametrize("s", SMALL_GAMMA_STATES, ids=range(len(SMALL_GAMMA_STATES)))
+def test_every_admitted_state_passes_every_derived_function_at_a_tiny_schmidt_cross_term(s):
+    # A subnormal gamma made schmidt_decompose's rotation non-unitary.
+    _derive_everything(s)
 
 
 def test_every_admitted_state_passes_every_derived_function_at_the_exchange_edge():
