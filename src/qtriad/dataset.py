@@ -75,7 +75,10 @@ _RECORDS = 256
 # ``repr``: zeros, |x| < 1e-4 or >= 10, subnormals, D outside
 # [10**16, 10**17), a computed fraction of exactly 0.5 (an exact tie, which
 # ``%`` rounds half-even, or a fraction just above 0.5 that rounded to it)
-# and, for JSON, an exact tie at 16 or 15 digits.
+# and, for JSON, an exact tie at 16 or 15 digits. The conversion runs once
+# per distinct 64-bit pattern among a block's fallback cells, and each cell
+# takes its pattern's text, so 0.0 and -0.0 keep their own. The shells'
+# C = 0 and C = 1 levels repeat a few zeros and tiny residuals in most rows.
 _FLOATS = len(DATASET_COLUMNS) - 1
 # |x| >= 10**E exactly when |x| >= 10.0**E: each of these doubles lies above
 # its power of ten, with no double in between. searchsorted gives i = E + 5
@@ -236,7 +239,10 @@ def _template(x: np.ndarray, suffixes: list[str], style: _Style) -> np.ndarray:
     text[..., :8].view("<i8")[..., 0] = head
     bad = ~ok
     if bad.any():
-        fallback = [*map(style.fallback, x[bad].tolist())]
+        values = x[bad]
+        keys = values.view(np.int64).tolist()
+        texts = {k: style.fallback(v) for k, v in dict(zip(keys, values.tolist())).items()}
+        fallback = [*map(texts.__getitem__, keys)]
         text[bad] = np.array(fallback, f"S{_SLOT}").view(np.uint8).reshape(-1, _SLOT)
     buf[:, cells : cells + len(style.mid)] = np.frombuffer(style.mid, np.uint8)
     buf[:, buf.shape[1] - suffix.itemsize :] = suffix.view(np.uint8).reshape(n, -1)
@@ -304,9 +310,10 @@ def emit_dataset(
     block of at most ``_RECORDS`` (256) states, then build and write its
     records, so no more than one block is drawn ahead of what is written.
     Each block's records are made as one text by array code: CSV cells are
-    the exact ``%.17g`` text and JSON cells the shortest ``repr`` text, with
-    a per-cell ``%.17g`` or ``repr`` for the cells outside the array domain
-    (the comment above ``_FLOATS`` gives the domain and the fallback rule).
+    the exact ``%.17g`` text and JSON cells the shortest ``repr`` text. The
+    cells outside the array domain get ``%.17g`` or ``repr``, called once
+    per distinct bit pattern in the block (the comment above ``_FLOATS``
+    gives the domain and the fallback rule).
     CSV gets a header line even for no states. JSON is a list of objects
     keyed by the same column names (labels as a list), byte-identical to
     ``json.dump(records, indent=1)``. In both, labels keep the

@@ -381,7 +381,10 @@ def make_correlated(
         big = max(scale1, scale2)
         f1, f2 = n1 * (scale1 / big), n2 * (scale2 / big)
         fm, fn = m * f1, n * f2
-        w = math.hypot(abs(fm), abs(fn))
+        try:
+            w = math.hypot(abs(fm), abs(fn))
+        except OverflowError:  # |fm| or |fn| of finite parts overflowed
+            w = math.inf
         if (
             min(f1, f2) >= 2.0**-1022
             and 2.0**-1022 <= w < math.inf

@@ -63,6 +63,14 @@ _RECORD_API = "tests/test_dataset.py::test_state_record_equals_the_public_scalar
 _CORRELATED = (
     "tests/test_builders.py::test_make_correlated_normalizes_fixed_inputs_onto_the_constructors_checks"
 )
+_HUGE_WEIGHT = "tests/test_builders.py::test_make_correlated_normalizes_a_weight_whose_modulus_overflows"
+_HUGE_INPUTS = (
+    "tests/test_builders.py::"
+    "test_make_correlated_normalizes_fixed_inputs_with_nu_and_chi2_near_the_float_range"
+)
+# The writer's fallback cells, converted once per distinct bit pattern.
+_REPEATED = "tests/test_dataset.py::test_blocks_with_repeated_fallback_cells_equal_the_references"
+_ONCE = "tests/test_dataset.py::test_rows_convert_each_distinct_fallback_pattern_once_per_block"
 
 MUTANTS = (
     Mutant(
@@ -309,6 +317,36 @@ def _recall(s: TwoQubitState, k: int, entry=[None, None, None, None]):
         ("tests/test_classify.py::test_schmidt_keeps_the_bridge_at_a_tiny_cross_term",),
         "schmidt_decompose's zeta without gamma's scale: below |gamma| = 2**-600"
         " the rotation turns columns that are already nearly orthogonal",
+    ),
+    Mutant(
+        "dataset.py",
+        "        keys = values.view(np.int64).tolist()\n",
+        "        keys = values.tolist()\n",
+        (_REPEATED, _ONCE),
+        "the fallback texts keyed by the float value: 0.0 and -0.0 share one"
+        " key, and so one text",
+    ),
+    Mutant(
+        "dataset.py",
+        "        fallback = [*map(texts.__getitem__, keys)]\n",
+        "        fallback = [t for k, t in texts.items() for _ in range(keys.count(k))]\n",
+        (_REPEATED,),
+        "the fallback texts given out in the order of the distinct patterns,"
+        " each repeated as often as it occurs, instead of in cell order",
+    ),
+    Mutant(
+        "states.py",
+        """\
+        try:
+            w = math.hypot(abs(fm), abs(fn))
+        except OverflowError:  # |fm| or |fn| of finite parts overflowed
+            w = math.inf
+""",
+        "        w = math.hypot(abs(fm), abs(fn))\n",
+        (_HUGE_WEIGHT, _HUGE_INPUTS),
+        "make_correlated(..., normalize=True) taking |fm| and |fn| unguarded:"
+        " a finite weight whose modulus is above the float range raises"
+        " OverflowError",
     ),
 )
 

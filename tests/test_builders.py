@@ -120,6 +120,42 @@ def test_make_correlated_normalizes_fixed_inputs_onto_the_constructors_checks(sc
         assert abs(math.hypot(abs(c.mu), abs(c.nu)) - 1.0) <= 4 * 2.0**-52
 
 
+def assert_normalized_correlated(c: CorrelatedState) -> None:
+    """c is the constructor's value, and ``embed_correlated`` builds a state
+    the gate admits from it."""
+    assert_same_value(c, CorrelatedState(c.mu, c.nu, c.chi1, c.chi2))
+    assert_gate_admits(embed_correlated(c))
+
+
+# A finite weight whose modulus is above the float range: |1.5e308 (1 + i)|
+# = 2.1e308.
+_HUGE = complex(1.5e308, 1.5e308)
+
+
+@pytest.mark.parametrize("mu, nu", [(1, _HUGE), (_HUGE, 1)])
+def test_make_correlated_normalizes_a_weight_whose_modulus_overflows(mu, nu):
+    c = make_correlated(mu, nu, (1,), (1,), normalize=True)
+    assert_normalized_correlated(c)
+    # The huge weight becomes (1 + i) / sqrt(2), the other the subnormal
+    # 1 / |_HUGE| = 4.7e-309.
+    big, small = (c.nu, c.mu) if nu == _HUGE else (c.mu, c.nu)
+    assert abs(big - complex(2**-0.5, 2**-0.5)) <= 1e-15
+    assert abs(small - 2**-0.5 / 1.5e308) <= 1e-14 * abs(small)
+
+
+def test_make_correlated_normalizes_fixed_inputs_with_nu_and_chi2_near_the_float_range():
+    # nu and chi2 scaled by 1e308; the inputs where a scaled part overflows
+    # to inf are rejected as non-finite and left out here.
+    kept = 0
+    for mu, nu, chi1, chi2 in correlated_inputs():
+        nu, chi2 = 1e308 * nu, tuple(1e308 * z for z in chi2)
+        if not all(math.isfinite(p) for z in (nu, *chi2) for p in (z.real, z.imag)):
+            continue
+        assert_normalized_correlated(make_correlated(mu, nu, chi1, chi2, normalize=True))
+        kept += 1
+    assert kept == 28
+
+
 @pytest.mark.parametrize("seed", SAMPLER_SEEDS)
 def test_per_index_samplers_build_states_the_gate_admits(seed):
     # haar, separable and fixedc at C = 0, 1e-9, 0.25, 0.5 and 1, at 2000

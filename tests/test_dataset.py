@@ -416,6 +416,47 @@ def test_json_whole_numbers_keep_their_point_zero():
     _assert_json_rows(wholes.tolist())
 
 
+# Fallback cells that repeat across rows and columns: signed zeros, the
+# residuals that the shells' C = 0 and C = 1 levels carry (powers of two near
+# 1e-17), subnormals and values of 10 and above, with two in-domain cells.
+_REPEATED = [0.0, -0.0, 2.0**-54, -2.0**-54, 2.0**-53, -2.0**-53, 2.0**-55, -2.0**-55,
+             5e-324, -5e-324, 1e-310, 10.0, -10.0, 12.5, 1e300, 0.5, 0.1234]
+# Every cell of _REPEATED but the last two takes the fallback.
+_REPEATED_FALLBACK = {struct.pack("<d", v) for v in _REPEATED[:-2]}
+
+
+def _repeated_rows(count: int = 40) -> list[list[float]]:
+    """count rows, each a rotation of _REPEATED, so every value is in every
+    row and moves from column to column."""
+    return [[_REPEATED[(3 * k + j) % 17] for j in range(17)] for k in range(count)]
+
+
+def test_blocks_with_repeated_fallback_cells_equal_the_references():
+    rows = _repeated_rows()
+    _assert_block_rows(rows)
+    _assert_json_rows(rows)
+
+
+@pytest.mark.parametrize("name", ["_CSV", "_JSON"])
+def test_rows_convert_each_distinct_fallback_pattern_once_per_block(name):
+    style = getattr(dataset_module, name)
+    converted = []
+
+    def counting(x):
+        converted.append(struct.pack("<d", x))
+        return style.fallback(x)
+
+    counted = style._replace(fallback=counting)
+    rows = _repeated_rows()
+    cells = [v for row in rows for v in row]
+    suffixes = ["\n" if name == "_CSV" else "[]\n }"] * len(rows)
+    expected = dataset_module._rows(cells, suffixes, style)
+    for _ in range(2):
+        converted.clear()
+        assert dataset_module._rows(cells, suffixes, counted) == expected
+        assert sorted(converted) == sorted(_REPEATED_FALLBACK)
+
+
 @pytest.mark.parametrize("count", [0, 1, 255, 256, 257, 600])
 def test_csv_blocks_equal_the_row_template(count):
     # Each writer edge state at block positions 0, 255 and 256, where present,
