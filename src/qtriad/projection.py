@@ -13,11 +13,11 @@ so D^2 = x0^2, V^2 = x1^2 + x2^2, C^2 = x3^2 + x4^2 and the coordinates sum
 to 1 in squares. The (x0, x1, x2) restriction lives in the unit ball, on the
 shell of radius sqrt(1 - C^2).
 
-``quaternify`` builds its two quaternions and the spinor without validating
-them again: the state's norm gate already admits only amplitudes that pass
-``Quaternion``'s and ``QuaternionSpinor``'s checks (the argument is next to
-the code). ``stereo_project`` runs the ``Quaternion`` pair rules, whose
-results pass one finiteness test each.
+``quaternify`` builds its two quaternions and the spinor through builders
+from ``quaternion._trusted``: the state's norm gate already admits only
+amplitudes that pass ``Quaternion``'s and ``QuaternionSpinor``'s checks (the
+argument is next to the code). ``stereo_project`` runs the ``Quaternion``
+pair rules, whose results pass one finiteness test each.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from .quaternion import (
     Quaternion,
     _norm_sq,
     _quaternion,
+    _trusted,
     is_infinite,
 )
 from .states import NORM_TOL, _COORDS, DualityTriad, S4Point, TwoQubitState, _new, _recall
@@ -54,18 +55,9 @@ class QuaternionSpinor:
             raise ValueError(f"spinor must be normalized, got |q1|^2+|q2|^2 = {n!r}")
 
 
-# The slots' own setters: the frozen class's __setattr__ refuses.
-_store_q1, _store_q2 = QuaternionSpinor.q1.__set__, QuaternionSpinor.q2.__set__
-
-
-def _spinor(q1: Quaternion, q2: Quaternion) -> QuaternionSpinor:
-    """The spinor (q1, q2) of quaternions with |q1|^2 + |q2|^2 within
-    ``NORM_TOL`` of 1, which ``QuaternionSpinor(q1, q2)`` would admit;
-    ``__post_init__`` does not run."""
-    sp = object.__new__(QuaternionSpinor)
-    _store_q1(sp, q1)
-    _store_q2(sp, q2)
-    return sp
+# ``QuaternionSpinor(q1, q2)`` of quaternions with |q1|^2 + |q2|^2 within
+# ``NORM_TOL`` of 1. Its one caller, ``quaternify``, says why its quaternions are.
+_spinor = _trusted(QuaternionSpinor)
 
 
 class BallPoint(NamedTuple):
@@ -83,7 +75,7 @@ class BallPoint(NamedTuple):
 def quaternify(s: TwoQubitState) -> QuaternionSpinor:
     """Pack amplitudes into the spinor q1 = a0 + a1*e2, q2 = a2 + a3*e2."""
     a0, a1, a2, a3 = s.alpha
-    # The builders check nothing, and no check of the constructors could fail:
+    # What the builders' callers owe (see ``quaternion._trusted``) holds here:
     # - the state's gate admits alpha only when sqrt(S), for
     #   S = _sum_squares(alpha), lies within NORM_TOL / 8 of 1, and the
     #   states ``states._built`` makes without the gate lie within it too

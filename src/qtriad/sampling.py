@@ -50,12 +50,11 @@ differently. ``TwoQubitState``'s norm gate then runs once, per block, as
 arrays, and the sampled states (``_stream``) are a view of the admitted
 blocks: each row's ``TwoQubitState`` is built without running the gate
 again (``states._admitted``). The per-index functions build their states
-through ``states._built`` too, without the gate: their amplitudes are unit
-vectors over ``math.hypot``, or products of them, well inside its band
-(see there). A block still gates the rows they give it. The same
-(seed, index) therefore reproduces the same state bit for bit in every run,
-and on every platform whose numpy and whose ``math.log``, ``math.hypot``,
-``math.cos`` and ``math.sin`` agree.
+through ``states._built`` too, without the gate (see there, and
+``quaternion._trusted`` for what its callers owe). A block still gates the
+rows they give it. The same (seed, index) therefore reproduces the same
+state bit for bit in every run, and on every platform whose numpy and whose
+``math.log``, ``math.hypot``, ``math.cos`` and ``math.sin`` agree.
 
 Ensembles
 ---------
@@ -80,16 +79,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .classify import shell_radius
-from .states import (
-    BlochAngles,
-    TwoQubitState,
-    _admitted,
-    _built,
-    _Columns,
-    _each,
-    _gate,
-    bloch_state,
-)
+from .states import TwoQubitState, _admitted, _built, _Columns, _each, _gate
 
 HAAR = "haar"
 SEPARABLE = "separable"
@@ -499,15 +489,6 @@ def _stream(spec: SampleSpec, start: int = 0) -> Iterator[TwoQubitState]:
     """States of ``spec`` at indices ``start .. start + spec.count - 1``."""
     for alpha in _blocks(spec, start):
         yield from _admitted(alpha)
-
-
-def bloch_grid_states(count: int) -> list[TwoQubitState]:
-    """Deterministic theta grid over [0, pi] at phi = 0 (product states)."""
-    count = _count(count)
-    if count == 1:
-        return [bloch_state(BlochAngles(0.0, 0.0))]
-    step = math.pi / (count - 1)
-    return [bloch_state(BlochAngles(min(i * step, math.pi), 0.0)) for i in range(count)]
 
 
 def sample_haar(spec: SampleSpec) -> list[TwoQubitState]:

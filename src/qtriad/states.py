@@ -39,12 +39,12 @@ anything else: ``TwoQubitState`` keeps a tuple of four ``complex`` as its
 ``complex``. One norm rule admits a state, for one state and for rows
 (``_gate``) alike: the plain norm ``sqrt(_sum_squares(alpha))`` lies within
 ``NORM_TOL / 8`` of 1. ``_norm``'s scale-safe path only words the message
-of a rejected state. The states the library normalizes itself are built by
-``_built``, which sets the slot without running the gate again: the rows
-``_gate`` admitted (``_admitted``), ``make_state(..., normalize=True)`` and
-through it ``embed_correlated``, ``sampling``'s three per-index samplers,
-and ``_exchanged``; the comment in ``_built`` says why the gate could not
-fail on them. ``make_correlated(..., normalize=True)`` builds its
+of a rejected state. The states the library normalizes itself are built
+without the gate by ``_built``, a builder from ``quaternion._trusted`` (see
+there for what its callers owe): the rows ``_gate`` admitted
+(``_admitted``), ``make_state(..., normalize=True)`` and through it
+``embed_correlated``, ``sampling``'s three per-index samplers, and
+``_exchanged``. ``make_correlated(..., normalize=True)`` builds its
 ``CorrelatedState`` the same way, through ``_correlated``, after the one
 check of the constructor that its normalization does not settle, the shared
 dimension; any input that is not finite goes to the constructor, which
@@ -60,6 +60,8 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
+
+from .quaternion import _trusted
 
 # Validation band for unit-norm inputs accepted without rescaling. A
 # ``TwoQubitState`` keeps |psi| within NORM_TOL / 8 of 1, so that |psi|^2 and
@@ -133,34 +135,25 @@ def _gate(alpha: np.ndarray) -> None:
         TwoQubitState(tuple(alpha[bad.argmax()]))
 
 
-# The slot's own setter: the frozen class's __setattr__ refuses.
-_store_alpha = TwoQubitState.alpha.__set__
-
-
-def _built(alpha: tuple[complex, complex, complex, complex]) -> TwoQubitState:
-    """``TwoQubitState(alpha)`` for a tuple of four exact ``complex`` known to
-    be of unit norm within the gate's band: the slot set directly, without
-    the frames of ``__init__`` and ``__post_init__``. This is the one way to
-    a ``TwoQubitState`` that skips ``__post_init__``."""
-    # Its callers, and why the gate, whose band NORM_TOL / 8 = 1.25e-10 is
-    # about 10**6 u (u = 2**-53), could not fail on what they pass:
-    # - ``_admitted``: rows that ``_gate`` admitted.
-    # - ``make_state(..., normalize=True)``, and through it
-    #   ``embed_correlated``: ``_norm`` has already rejected non-finite and
-    #   all-zero input, and n is the plain norm of the (power-of-two scaled)
-    #   parts c, so the sum of squares of c / n lies within about 12u of 1.
-    # - ``haar_state``, ``separable_state`` and ``fixed_concurrence_state``:
-    #   unit vectors over ``math.hypot``, products of two of them, and
-    #   (lambda1, 0, 0, lambda2) under two unitaries built from them, each
-    #   within some tens of u of unit norm.
-    # - ``_exchanged``: an admitted state's parts in another order. The same
-    #   eight squares summed in the new order lie within about 8u of the
-    #   admitted sum, so |psi| stays within NORM_TOL / 8 + 8u of 1, where
-    #   every derived check (against NORM_TOL) holds; the gate itself may
-    #   reject it at the band's last floats.
-    s = object.__new__(TwoQubitState)
-    _store_alpha(s, alpha)
-    return s
+# ``TwoQubitState(alpha)`` for a tuple of four exact ``complex`` known to be
+# of unit norm within the gate's band. Its callers, and why the gate, whose
+# band NORM_TOL / 8 = 1.25e-10 is about 10**6 u (u = 2**-53), could not fail
+# on what they pass:
+# - ``_admitted``: rows that ``_gate`` admitted.
+# - ``make_state(..., normalize=True)``, and through it
+#   ``embed_correlated``: ``_norm`` has already rejected non-finite and
+#   all-zero input, and n is the plain norm of the (power-of-two scaled)
+#   parts c, so the sum of squares of c / n lies within about 12u of 1.
+# - ``haar_state``, ``separable_state`` and ``fixed_concurrence_state``:
+#   unit vectors over ``math.hypot``, products of two of them, and
+#   (lambda1, 0, 0, lambda2) under two unitaries built from them, each
+#   within some tens of u of unit norm.
+# - ``_exchanged``: an admitted state's parts in another order. The same
+#   eight squares summed in the new order lie within about 8u of the
+#   admitted sum, so |psi| stays within NORM_TOL / 8 + 8u of 1, where
+#   every derived check (against NORM_TOL) holds; the gate itself may
+#   reject it at the band's last floats.
+_built = _trusted(TwoQubitState)
 
 
 def _admitted(alpha: np.ndarray) -> Iterator[TwoQubitState]:
@@ -285,36 +278,23 @@ class CorrelatedState:
             raise ValueError("|mu|^2 + |nu|^2 must equal 1")
 
 
-# The slots' own setters: the frozen class's __setattr__ refuses.
-_store_mu = CorrelatedState.mu.__set__
-_store_nu = CorrelatedState.nu.__set__
-_store_chi1 = CorrelatedState.chi1.__set__
-_store_chi2 = CorrelatedState.chi2.__set__
-
-
-def _correlated(mu: complex, nu: complex, chi1: tuple, chi2: tuple) -> CorrelatedState:
-    """``CorrelatedState(mu, nu, chi1, chi2)`` for exact ``complex`` weights
-    and tuples of exact ``complex`` that ``make_correlated(..., normalize=True)``
-    has normalized: the slots set directly, without the frames of
-    ``__init__`` and ``__post_init__``."""
-    # Its caller passes chis of one dimension d, with finite norms n1, n2
-    # before the division and finite weights after it. Why the other checks
-    # of ``__post_init__`` could not fail then, with NORM_TOL = 1e-9 about
-    # 9 * 10**6 u (u = 2**-53):
-    # - chi entries finite, each chi a unit vector: a finite n is nonzero
-    #   (``make_correlated`` rejected zero norms) and the plain norm of the
-    #   (power-of-two scaled) parts, as in ``make_state``, so each chi / n is
-    #   finite, and its norm, summed again by the check, lies within about
-    #   3d u of 1 at worst: inside NORM_TOL for any d up to 10**6.
-    # - |mu|^2 + |nu|^2 = 1: w is the hypot of the finite weights it divides,
-    #   at least 2**-1022 on the first path and at least 1/2 on the second,
-    #   so mu / w and nu / w have a hypot within a few u of 1.
-    c = object.__new__(CorrelatedState)
-    _store_mu(c, mu)
-    _store_nu(c, nu)
-    _store_chi1(c, chi1)
-    _store_chi2(c, chi2)
-    return c
+# ``CorrelatedState(mu, nu, chi1, chi2)`` for exact ``complex`` weights and
+# tuples of exact ``complex`` that ``make_correlated(..., normalize=True)`` has
+# normalized. Not the constructor itself: on CPython 3.11 its checks took about
+# a quarter of that call's time.
+# Its caller passes chis of one dimension d, with finite norms n1, n2 before
+# the division and finite weights after it. Why the other checks of
+# ``__post_init__`` could not fail then, with NORM_TOL = 1e-9 about
+# 9 * 10**6 u (u = 2**-53):
+# - chi entries finite, each chi a unit vector: a finite n is nonzero
+#   (``make_correlated`` rejected zero norms) and the plain norm of the
+#   (power-of-two scaled) parts, as in ``make_state``, so each chi / n is
+#   finite, and its norm, summed again by the check, lies within about
+#   3d u of 1 at worst: inside NORM_TOL for any d up to 10**6.
+# - |mu|^2 + |nu|^2 = 1: w is the hypot of the finite weights it divides,
+#   at least 2**-1022 on the first path and at least 1/2 on the second,
+#   so mu / w and nu / w have a hypot within a few u of 1.
+_correlated = _trusted(CorrelatedState)
 
 
 def _complexes(v: Sequence[complex]) -> tuple[complex, ...]:

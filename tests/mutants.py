@@ -51,6 +51,7 @@ _POLE_EXACT = "tests/test_verify.py::test_stereo_keeps_a_state_at_exactly_the_th
 _GAP_BAND = "tests/test_verify.py::test_unit_q_rows_decide_the_gap_as_the_scalar_route_near_the_tolerance"
 _PAIR_RULE_ERRORS = "tests/test_builders.py::test_pair_rules_raise_the_constructors_error"
 _BUILDERS = "tests/test_builders.py::test_builders_equal_the_public_constructors_on_edge_states"
+_TRUSTED = "tests/test_builders.py::test_every_trusted_builder_rebuilds_the_public_constructors_values"
 _SCHMIDT_SVD = "tests/test_classify.py::test_schmidt_matches_the_svd_on_edge_states"
 # The normalizing builders' results, which their own norm gate no longer
 # checks, against that gate.
@@ -347,6 +348,41 @@ def _recall(s: TwoQubitState, k: int, entry=[None, None, None, None]):
         "make_correlated(..., normalize=True) taking |fm| and |fn| unguarded:"
         " a finite weight whose modulus is above the float range raises"
         " OverflowError",
+    ),
+    Mutant(
+        "quaternion.py",
+        """\
+        def build(v0, v1):
+            obj = new(cls)
+            s0(obj, v0)
+            s1(obj, v1)
+""",
+        """\
+        def build(v0, v1):
+            obj = new(cls)
+            s0(obj, v0)
+            s1(obj, v0)
+""",
+        (_TRUSTED, _BUILDERS),
+        "_trusted's two-field builder storing its first value in both slots:"
+        " every Quaternion and QuaternionSpinor the library builds repeats its"
+        " first part",
+    ),
+    Mutant(
+        "quaternion.py",
+        "            s2(obj, v2)\n            s3(obj, v3)\n",
+        "            s2(obj, v3)\n            s3(obj, v2)\n",
+        (_TRUSTED, _BUILT_DIGEST),
+        "_trusted's four-field builder storing its last two values swapped:"
+        " make_correlated(..., normalize=True) returns chi1 and chi2 exchanged",
+    ),
+    Mutant(
+        "quaternion.py",
+        "        if type(z1) is not complex:\n",
+        "        if not isinstance(z1, complex):\n",
+        ("tests/test_quaternion.py::test_parts_are_stored_as_exact_complex",),
+        "Quaternion's exact type test as isinstance: a complex subclass or a"
+        " numpy complex128 part is stored unconverted",
     ),
 )
 

@@ -30,13 +30,14 @@ from qtriad.sampling import (
     HAAR,
     SEPARABLE,
     SampleSpec,
-    bloch_grid_states,
     haar_state,
     sample_fixed_concurrence,
     sample_haar,
     sample_separable,
 )
 from qtriad.states import (
+    BlochAngles,
+    bloch_state,
     concurrence,
     distinguishability,
     embed_correlated,
@@ -136,7 +137,9 @@ def test_criterion_05_purity_relation(haar_big):
 def test_criterion_06_pure_state_circle():
     worst_circle = 0.0
     worst_c = 0.0
-    for s in bloch_grid_states(1000):
+    # Product states on a theta grid over [0, pi] at phi = 0.
+    for i in range(1000):
+        s = bloch_state(BlochAngles(min(i * (math.pi / 999), math.pi), 0.0))
         v, d, c = triad(s)
         worst_circle = max(worst_circle, abs(v * v + d * d - 1.0))
         worst_c = max(worst_c, c)

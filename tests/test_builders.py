@@ -1,7 +1,12 @@
 """The private builders of ``TwoQubitState``, ``CorrelatedState``,
 ``Quaternion``, ``QuaternionSpinor`` and ``SchmidtForm`` make the values the
 public constructors make, and every check that can fire still fires with the
-constructor's exception and message."""
+constructor's exception and message.
+
+One test covers every builder that ``quaternion._trusted`` has made, read
+from its registry: a new builder needs one row in ``public_samples``. The
+other tests check that each builder's callers pass values that the
+constructor would admit."""
 
 import dataclasses
 import math
@@ -24,7 +29,7 @@ from edge_states import (
 )
 from qtriad.classify import SchmidtForm, schmidt_decompose
 from qtriad.projection import QuaternionSpinor, quaternify, stereo_project
-from qtriad.quaternion import Quaternion, is_infinite
+from qtriad.quaternion import _TRUSTED, Quaternion, is_infinite
 from qtriad.states import (
     NORM_TOL,
     CorrelatedState,
@@ -65,6 +70,46 @@ def assert_builders_match(s: TwoQubitState) -> None:
         assert_same_value(q, Quaternion(q.z1, q.z2))
     form = schmidt_decompose(s)
     assert_same_value(form, SchmidtForm(form.lambda1, form.lambda2, form.basis2))
+
+
+def public_samples(s: TwoQubitState, correlated: tuple) -> dict[type, list]:
+    """Values of each class that ``quaternion._trusted`` serves, each made by
+    the public constructor: from s, from its spinor, the spinor's product and
+    its Schmidt form, and from the normalized ``correlated_inputs`` row
+    correlated."""
+    a0, a1, a2, a3 = s.alpha
+    q1, q2 = Quaternion(a0, a1), Quaternion(a2, a3)
+    product = q1 * q2
+    form = schmidt_decompose(s)
+    c = make_correlated(*correlated, normalize=True)
+    return {
+        TwoQubitState: [TwoQubitState(s.alpha)],
+        Quaternion: [q1, q2, Quaternion(product.z1, product.z2)],
+        QuaternionSpinor: [QuaternionSpinor(q1, q2)],
+        SchmidtForm: [SchmidtForm(form.lambda1, form.lambda2, form.basis2)],
+        CorrelatedState: [CorrelatedState(c.mu, c.nu, c.chi1, c.chi2)],
+    }
+
+
+@settings(database=None, derandomize=True, max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        route_edge_states(),
+        st.sampled_from(normalized_inputs()).map(lambda amps: make_state(amps, normalize=True)),
+    ),
+    st.sampled_from(correlated_inputs()),
+)
+def test_every_trusted_builder_rebuilds_the_public_constructors_values(s, correlated):
+    samples = public_samples(s, correlated)
+    assert _TRUSTED.keys() <= samples.keys(), "a trusted builder has no sample row"
+    for cls, build in _TRUSTED.items():
+        names = [field.name for field in dataclasses.fields(cls)]
+        for value in samples[cls]:
+            built = build(*(getattr(value, name) for name in names))
+            assert_same_value(built, value)
+            for name in names:
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(built, name, getattr(value, name))
 
 
 def assert_gate_admits(s: TwoQubitState) -> None:

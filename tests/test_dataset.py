@@ -22,13 +22,12 @@ from qtriad.sampling import (
     FIXED_CONCURRENCE,
     HAAR,
     SampleSpec,
-    bloch_grid_states,
     haar_state,
     sample,
     sample_fixed_concurrence,
 )
 from qtriad.projection import ball_point, coords_from_state
-from qtriad.states import make_state, triad
+from qtriad.states import BlochAngles, bloch_state, make_state, triad
 
 # The package exports the function ``classify`` under the module's name.
 classify_module = importlib.import_module("qtriad.classify")
@@ -479,7 +478,10 @@ def test_json_blocks_equal_the_encoder(count):
     for k, edge in enumerate(_WRITER_EDGES):
         mixed[(256 + 17 * k) % count] = edge
     # Product states on the Bloch grid: exact zeros in every row.
-    grid = bloch_grid_states(count)
+    grid = [
+        bloch_state(BlochAngles(min(i * (math.pi / (count - 1)), math.pi), 0.0))
+        for i in range(count)
+    ]
     x = np.array([list(state_record(s).values())[:-1] for s in grid])
     assert not dataset_module._digits(x, True)[2].all(axis=1).any()
     for states in (mixed, grid):

@@ -14,7 +14,6 @@ from qtriad.sampling import (
     HAAR,
     SEPARABLE,
     SampleSpec,
-    bloch_grid_states,
     fixed_concurrence_state,
     haar_state,
     sample,
@@ -35,7 +34,15 @@ from qtriad.sampling import (
     _substream,
     _uniforms,
 )
-from qtriad.states import NORM_TOL, TwoQubitState, concurrence, distinguishability, triad
+from qtriad.states import (
+    NORM_TOL,
+    BlochAngles,
+    TwoQubitState,
+    bloch_state,
+    concurrence,
+    distinguishability,
+    triad,
+)
 
 
 def test_spec_validation():
@@ -234,8 +241,8 @@ def test_haar_invariance_smoke():
 
 
 def test_bloch_grid_spans_theta():
-    states = bloch_grid_states(101)
-    assert len(states) == 101
+    # Product states on a theta grid over [0, pi] at phi = 0.
+    states = [bloch_state(BlochAngles(min(i * (math.pi / 100), math.pi), 0.0)) for i in range(101)]
     assert triad(states[0]) == (0.0, 1.0, 0.0)
     v, d, c = triad(states[-1])
     assert abs(d - 1.0) < 1e-15 and v < 1e-15 and c == 0.0
@@ -246,7 +253,8 @@ def test_bloch_grid_spans_theta():
 
 
 def test_bloch_grid_of_one_state_is_the_north_pole():
-    (s,) = bloch_grid_states(1)
+    # The grid's theta = 0 end.
+    s = bloch_state(BlochAngles(0.0, 0.0))
     assert s.alpha == (1 + 0j, 0j, 0j, 0j)
     assert triad(s) == (0.0, 1.0, 0.0)
 
@@ -269,8 +277,6 @@ def test_each_ensemble_sampler_rejects_another_ensemble(sampler, ensemble):
     (-1, "at least 1"),
 ])
 def test_bloch_grid_takes_the_count_rule_of_the_spec(count, message):
-    with pytest.raises(ValueError, match=f"^count must be {message}$"):
-        bloch_grid_states(count)
     with pytest.raises(ValueError, match=f"^count must be {message}$"):
         SampleSpec(count, 1, HAAR)
 
